@@ -44,6 +44,7 @@ EXIT_NONCONVERGENCE = 3
 
 _COMMANDS = ("spectrum", "gap", "poincare", "counterexample", "simulate",
              "phi", "all")
+_POTENTIAL_COMMANDS = ("spectrum", "gap", "simulate", "phi", "all")
 
 
 class ConfigError(ValueError):
@@ -175,25 +176,22 @@ def _build_potential(cfg: dict):
     pot = cfg["potential"]
     interval = tuple(cfg["interval"])
     kind = pot["kind"]
-    try:
-        if kind == "zero":
-            return make_zero(interval, float(pot.get("offset", 0.0)))
-        if kind == "power_well":
-            return make_power_well(float(pot.get("kappa", 1.0)),
-                                   float(pot.get("p", 2.0)),
-                                   interval, float(pot.get("offset", 0.0)))
-        if kind == "inverse_boundary_well":
-            _expect("beta" in pot, "inverse_boundary_well requires 'beta'")
-            return make_inverse_boundary_well(float(pot["beta"]), cfg["alpha"],
-                                              interval)
-        _expect("path" in pot, "tabulated potential requires 'path'")
-        potential = load_tabulated_csv(pot["path"])
-        pa, pb = potential.interval
-        _expect(abs(pa - interval[0]) <= 1e-12 and abs(pb - interval[1]) <= 1e-12,
-                f"tabulated potential covers [{pa}, {pb}], config interval is {list(interval)}")
-        return potential
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    if kind == "zero":
+        return make_zero(interval, float(pot.get("offset", 0.0)))
+    if kind == "power_well":
+        return make_power_well(float(pot.get("kappa", 1.0)),
+                               float(pot.get("p", 2.0)),
+                               interval, float(pot.get("offset", 0.0)))
+    if kind == "inverse_boundary_well":
+        _expect("beta" in pot, "inverse_boundary_well requires 'beta'")
+        return make_inverse_boundary_well(float(pot["beta"]), cfg["alpha"],
+                                          interval)
+    _expect("path" in pot, "tabulated potential requires 'path'")
+    potential = load_tabulated_csv(pot["path"])
+    pa, pb = potential.interval
+    _expect(abs(pa - interval[0]) <= 1e-12 and abs(pb - interval[1]) <= 1e-12,
+            f"tabulated potential covers [{pa}, {pb}], config interval is {list(interval)}")
+    return potential
 
 
 def _quad_config(cfg: dict) -> QuadConfig:
@@ -228,11 +226,9 @@ def _solve(cfg: dict, potential):
     return eigensolve(op, cfg["m"])
 
 
-def _cmd_spectrum(cfg: dict, out: Path, rep: _Reporter) -> None:
-    potential = _build_potential(cfg)
+def _cmd_spectrum(cfg: dict, out: Path, rep: _Reporter, potential, result) -> None:
     well = validate_single_well(potential)
     rep.check(well.passed, "potential", well.detail)
-    result = _solve(cfg, potential)
     write_atomic(out / "spectrum.csv", csv_text(
         ["k", "eigenvalue", "parity", "residual"],
         [[j + 1, float(result.eigenvalues[j]), result.parities[j],
@@ -253,9 +249,7 @@ def _cmd_spectrum(cfg: dict, out: Path, rep: _Reporter) -> None:
         rep.info("decay fit skipped (needs N >= 128)")
 
 
-def _cmd_gap(cfg: dict, out: Path, rep: _Reporter) -> None:
-    potential = _build_potential(cfg)
-    result = _solve(cfg, potential)
+def _cmd_gap(cfg: dict, out: Path, rep: _Reporter, potential, result) -> None:
     try:
         lambda_star(result)
     except LookupError:
@@ -340,8 +334,7 @@ def _mc_unimodal(means: np.ndarray, ses: np.ndarray) -> tuple[bool, float]:
     return ok, worst
 
 
-def _cmd_simulate(cfg: dict, out: Path, rep: _Reporter) -> None:
-    potential = _build_potential(cfg)
+def _cmd_simulate(cfg: dict, out: Path, rep: _Reporter, potential) -> None:
     mc = cfg["mc"]
     a, b = cfg["interval"]
     path_cfg = PathConfig(cfg["alpha"], mc["t_final"], mc["n_steps"],
@@ -370,8 +363,7 @@ def _cmd_simulate(cfg: dict, out: Path, rep: _Reporter) -> None:
               f"profile unimodal within 3 stderr (worst excess {worst_uni:.3e})")
 
 
-def _cmd_phi(cfg: dict, rep: _Reporter) -> None:
-    potential = _build_potential(cfg)
+def _cmd_phi(cfg: dict, rep: _Reporter, potential) -> None:
     ch = cfg["chain"]
     a, b = cfg["interval"]
     xs = np.linspace(a, b, ch["n_points"] + 2)[1:-1]
@@ -394,6 +386,9 @@ def run(config_path: str, output_dir: str | None = None,
     try:
         raw = json.loads(Path(config_path).read_text())
         cfg = _resolve_config(raw, output_dir, seed)
+        command = cfg["command"]
+        potential = (_build_potential(cfg) if command in _POTENTIAL_COMMANDS
+                     else None)
     except (OSError, json.JSONDecodeError, ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -402,19 +397,20 @@ def run(config_path: str, output_dir: str | None = None,
     try:
         out.mkdir(parents=True, exist_ok=True)
         write_atomic(out / "config_echo.json", dumps_json(cfg))
-        command = cfg["command"]
+        if command in ("spectrum", "gap", "all"):
+            result = _solve(cfg, potential)
         if command in ("spectrum", "all"):
-            _cmd_spectrum(cfg, out, rep)
+            _cmd_spectrum(cfg, out, rep, potential, result)
         if command in ("gap", "all"):
-            _cmd_gap(cfg, out, rep)
+            _cmd_gap(cfg, out, rep, potential, result)
         if command in ("poincare", "all"):
             _cmd_poincare(cfg, out, rep)
         if command in ("counterexample", "all"):
             _cmd_counterexample(cfg, out, rep)
         if command in ("simulate", "all"):
-            _cmd_simulate(cfg, out, rep)
+            _cmd_simulate(cfg, out, rep, potential)
         if command in ("phi", "all"):
-            _cmd_phi(cfg, rep)
+            _cmd_phi(cfg, rep, potential)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -36,7 +36,6 @@ __all__ = [
     "KernelReport",
     "make_rng",
     "sample_subordinator_increment",
-    "simulate_killed_path",
     "estimate_feynman_kac",
     "gaussian_chain",
     "cauchy_kernel_check",
@@ -134,12 +133,6 @@ def _fk_values(x0: np.ndarray, potential, cfg: PathConfig,
     return out
 
 
-def simulate_killed_path(x: float, potential, cfg: PathConfig,
-                         rng: np.random.Generator) -> float:
-    """One path functional: exp(-sum V dt) if the path survived, else 0."""
-    return float(_fk_values(np.array([float(x)]), potential, cfg, rng)[0])
-
-
 def estimate_feynman_kac(x_points, potential, cfg: PathConfig,
                          n_paths: int) -> list[PathEstimate]:
     """Estimate the potential-weighted survival functional at several points.
@@ -166,6 +159,10 @@ def estimate_feynman_kac(x_points, potential, cfg: PathConfig,
     return out
 
 
+# Gauss-Legendre nodes per kernel layer of gaussian_chain.
+_CHAIN_NODES = 256
+
+
 def _gauss_kernel(s, d):
     """Transition density of the twice-speed Brownian motion, N(0, 2s)."""
     s = np.asarray(s, dtype=float)
@@ -182,8 +179,7 @@ class ChainReport:
     max_violation: float
 
 
-def gaussian_chain(x_points, kernel_times, potential_times, potential,
-                   n_panels: int = 256) -> ChainReport:
+def gaussian_chain(x_points, kernel_times, potential_times, potential) -> ChainReport:
     """Iterated Gaussian-kernel average with potential weights, length 1 or 2.
 
     Computes, per starting point x, the integral over the interval of
@@ -205,7 +201,7 @@ def gaussian_chain(x_points, kernel_times, potential_times, potential,
     a, b = potential.interval
     xs = np.asarray(x_points, dtype=float)
 
-    gx, gw = np.polynomial.legendre.leggauss(n_panels)
+    gx, gw = np.polynomial.legendre.leggauss(_CHAIN_NODES)
     y = 0.5 * (a + b) + 0.5 * (b - a) * gx
     w = 0.5 * (b - a) * gw
     expv = [np.exp(-t * np.asarray(potential(y), dtype=float)) for t in t_list]

@@ -70,42 +70,18 @@ DEFAULT_1D = QuadConfig()
 DEFAULT_2D = QuadConfig(abs_tol=1e-6, rel_tol=1e-6, max_panels=1024)
 
 
-# Lanczos approximation, g = 7, 9 coefficients. Relative error below 1e-13
-# on the right half plane, which the reflection formula then inherits.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma_fn(x: float) -> float:
     """Gamma function on the reals, poles excluded.
 
-    Lanczos approximation for x >= 0.5, reflection formula below. Raises
-    DomainError at the poles (x = 0, -1, -2, ...).
+    math.gamma with the domain made explicit: raises DomainError at the
+    poles (x = 0, -1, -2, ...) and for non-finite input.
     """
     x = float(x)
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise DomainError(f"gamma_fn requires a finite argument, got {x}")
     if x <= 0 and x == math.floor(x):
         raise DomainError(f"gamma_fn pole at nonpositive integer {x}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def levy_constant(gamma: float) -> float:
@@ -122,13 +98,9 @@ def levy_constant(gamma: float) -> float:
     return num / den
 
 
-def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
-_GL7_X, _GL7_W = _gauss_rule(7)
-_GL15_X, _GL15_W = _gauss_rule(15)
-_GL8_X, _GL8_W = _gauss_rule(8)
+_GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
+_GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
+_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 
 
 def _eval_vectorized(f, x: np.ndarray) -> np.ndarray:

@@ -169,8 +169,7 @@ class WitnessCertificate:
     scale: float
 
 
-def witness_search(f, alpha: float, root_tol: float = 1e-9,
-                   lip_hint: float | None = None) -> WitnessCertificate:
+def witness_search(f, alpha: float, root_tol: float = 1e-9) -> WitnessCertificate:
     """Run the constructive zoom recursion until it terminates.
 
     f is Lipschitz on [0, 1] with f(0) = 0 and f(1) != 0; it is normalized
@@ -201,7 +200,7 @@ def witness_search(f, alpha: float, root_tol: float = 1e-9,
         lip = fn.lipschitz()
     else:
         fn = _normalized(f, f1)
-        lip = _estimate_lipschitz(fn) if lip_hint is None else abs(lip_hint) / abs(f1)
+        lip = _estimate_lipschitz(fn)
 
     c = step_contraction(alpha)
     n_cap = math.ceil((alpha - 1.0) * math.log(max(lip, 1.0) / root_tol, 3.0)) + 10
@@ -215,8 +214,8 @@ def witness_search(f, alpha: float, root_tol: float = 1e-9,
         y_n = b_n - shift
         level_low = level_a + 3.0 ** (-n)
         level_high = level_b - 3.0 ** (-n)
-        first = _first_crossing(fn, level_low, a_n, b_n, root_tol)
-        last = _last_crossing(fn, level_high, a_n, b_n, root_tol)
+        first = min(_crossings(fn, level_low, a_n, b_n, root_tol), default=None)
+        last = max(_crossings(fn, level_high, a_n, b_n, root_tol), default=None)
 
         go_left = first is not None and a_n < first < x_n
         go_right = last is not None and y_n < last < b_n
@@ -512,19 +511,8 @@ def _crossings_scan(f, level: float, lo: float, hi: float,
     return out
 
 
-def _first_crossing(f, level: float, lo: float, hi: float,
-                    root_tol: float) -> float | None:
+def _crossings(f, level: float, lo: float, hi: float,
+               root_tol: float) -> list[float]:
     if isinstance(f, PiecewiseLinear):
-        roots = _crossings_exact(f, level, lo, hi)
-    else:
-        roots = _crossings_scan(f, level, lo, hi, root_tol)
-    return min(roots) if roots else None
-
-
-def _last_crossing(f, level: float, lo: float, hi: float,
-                   root_tol: float) -> float | None:
-    if isinstance(f, PiecewiseLinear):
-        roots = _crossings_exact(f, level, lo, hi)
-    else:
-        roots = _crossings_scan(f, level, lo, hi, root_tol)
-    return max(roots) if roots else None
+        return _crossings_exact(f, level, lo, hi)
+    return _crossings_scan(f, level, lo, hi, root_tol)

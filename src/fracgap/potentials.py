@@ -31,6 +31,9 @@ __all__ = [
 # distance instead, keeping inverse boundary wells finite on any grid.
 _ENDPOINT_CLAMP = 1e-9
 
+# Interior sample points of validate_single_well; odd, so the midpoint is one.
+_WELL_SAMPLES = 129
+
 
 @dataclass(frozen=True, eq=False)
 class Potential:
@@ -66,20 +69,6 @@ class Potential:
         else:
             raise DomainError(f"unknown potential kind {self.kind!r}")
         return vals + self.offset
-
-    def label(self) -> str:
-        """Short deterministic description used in reports."""
-        if self.kind == "zero":
-            core = "zero"
-        elif self.kind == "power_well":
-            core = f"power_well(kappa={self.params[0]:g}, p={self.params[1]:g})"
-        elif self.kind == "inverse_boundary_well":
-            core = f"inverse_boundary_well(beta={self.params[0]:g})"
-        else:
-            core = f"tabulated({len(self.table[0])} nodes)"
-        if self.offset:
-            core += f" + {self.offset:g}"
-        return core
 
 
 def make_zero(interval: tuple[float, float], offset: float = 0.0) -> Potential:
@@ -167,7 +156,7 @@ class WellReport:
     detail: str
 
 
-def validate_single_well(potential: Potential, n_check: int = 129) -> WellReport:
+def validate_single_well(potential: Potential) -> WellReport:
     """Check symmetry and left-half monotonicity on a symmetric sample grid.
 
     Symmetry: V(x) == V(a + b - x) within 1e-12 relative to the sampled
@@ -175,12 +164,10 @@ def validate_single_well(potential: Potential, n_check: int = 129) -> WellReport
     midpoint on consecutive sample points. The first offending pair of
     abscissae is reported.
     """
-    if n_check < 3:
-        raise DomainError(f"n_check must be at least 3, got {n_check}")
     a, b = potential.interval
     # Interior points placed symmetrically: x_i + x_(n+1-i) = a + b exactly.
-    i = np.arange(1, n_check + 1, dtype=float)
-    xs = a + i * (b - a) / (n_check + 1)
+    i = np.arange(1, _WELL_SAMPLES + 1, dtype=float)
+    xs = a + i * (b - a) / (_WELL_SAMPLES + 1)
     vals = potential(xs)
     if not np.all(np.isfinite(vals)):
         bad = float(xs[np.flatnonzero(~np.isfinite(vals))[0]])

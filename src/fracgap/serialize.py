@@ -1,94 +1,37 @@
 """Deterministic text serialization for reports and tables.
 
-Floats are printed with 17 significant digits so that equal inputs yield
-byte-identical files; stdlib json does not expose float formatting, hence
-the small recursive writer. Files are written to a sibling temp path and
-moved into place, so readers never observe partial output.
+Floats are written in the shortest form that parses back to the same
+double (Python's float repr, as the stdlib json module emits it), so equal
+inputs yield byte-identical files. Files are written to a sibling temp path
+and moved into place, so readers never observe partial output.
 """
 
 from __future__ import annotations
 
-import math
+import json
 import os
 from pathlib import Path
 
-__all__ = ["fmt_float", "dumps_json", "write_atomic", "csv_text"]
+__all__ = ["dumps_json", "write_atomic", "csv_text"]
 
 
-def fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
-
-
-def _dump(obj, pieces: list[str], indent: int) -> None:
-    pad = "  " * indent
-    if obj is None:
-        pieces.append("null")
-    elif obj is True:
-        pieces.append("true")
-    elif obj is False:
-        pieces.append("false")
-    elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        pieces.append(f'"{escaped}"')
-    elif isinstance(obj, int):
-        pieces.append(str(obj))
-    elif isinstance(obj, float):
-        pieces.append(fmt_float(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            pieces.append(f'{pad}  "{key}": ')
-            _dump(val, pieces, indent + 1)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, val in enumerate(seq):
-            pieces.append(pad + "  ")
-            _dump(val, pieces, indent + 1)
-            pieces.append(",\n" if i < len(seq) - 1 else "\n")
-        pieces.append(pad + "]")
-    else:
-        # numpy scalars and similar duck-typed numbers
-        if hasattr(obj, "item"):
-            _dump(obj.item(), pieces, indent)
-        else:
-            raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _numpy_item(obj):
+    """json.dumps hook: numpy scalars and similar duck-typed numbers."""
+    if hasattr(obj, "item"):
+        return obj.item()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_json(obj) -> str:
-    pieces: list[str] = []
-    _dump(obj, pieces, 0)
-    pieces.append("\n")
-    return "".join(pieces)
+    return json.dumps(obj, indent=2, default=_numpy_item) + "\n"
 
 
 def csv_text(header: list[str], rows) -> str:
-    """CSV with 17-significant-digit floats; ints stay integral."""
+    """CSV with round-trip floats; ints stay integral, bools read true/false."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, bool):
-                cells.append("true" if cell else "false")
-            elif isinstance(cell, int):
-                cells.append(str(cell))
-            elif isinstance(cell, float):
-                cells.append(fmt_float(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+        lines.append(",".join(json.dumps(cell) if isinstance(cell, (int, float))
+                              else str(cell) for cell in row))
     return "\n".join(lines) + "\n"
 
 

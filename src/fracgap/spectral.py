@@ -14,9 +14,10 @@ boundary rows are modified. The potential enters on the diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 from .numerics import gamma_fn
@@ -43,6 +44,14 @@ __all__ = [
 # Relative eigenvalue spacing below which parity labels are unreliable: the
 # solver may return arbitrary rotations inside a near-degenerate cluster.
 _CLUSTER_RTOL = 1e-10
+
+# Mirror-difference tolerance, relative to the sup, for a parity label.
+_PARITY_TOL = 1e-6
+
+# Entries within this relative distance of an eigenvector's largest
+# magnitude count as tied for the sign rule. Mirrored entries of parity
+# vectors tie up to rounding, so the leftmost of them decides the sign.
+_SIGN_RTOL = 1e-8
 
 # Default extrapolation order when only two grids are available. Free-case
 # eigenvalue errors decay close to first order in h across alpha (the
@@ -124,10 +133,13 @@ def assemble_operator(grid: Grid, alpha: float, potential: Potential) -> Operato
     if not np.all(np.isfinite(vals)):
         bad = float(nodes[np.flatnonzero(~np.isfinite(vals))[0]])
         raise DomainError(f"potential is not finite at node x={bad!r}")
-    g = frac_coeffs(alpha, grid.n).g
-    idx = np.abs(np.arange(grid.n)[:, None] - np.arange(grid.n)[None, :])
-    mat = grid.h ** (-alpha) * g[idx]
-    mat[np.diag_indices(grid.n)] += vals
+    n = grid.n
+    g = frac_coeffs(alpha, n).g
+    # Row i of the reversed windows over (g_(n-1), ..., g_1, g_0, ..., g_(n-1))
+    # is g_|i-j|, without an n x n index array.
+    toeplitz = sliding_window_view(np.concatenate([g[n - 1:0:-1], g[:n]]), n)[::-1]
+    mat = grid.h ** (-alpha) * toeplitz
+    mat[np.diag_indices(n)] += vals
     return OperatorMatrix(mat, grid, alpha, potential)
 
 
@@ -136,8 +148,9 @@ class SpectralResult:
     """Lowest part of the spectrum with parity labels and residuals.
 
     Eigenvectors are columns, normalized so that h * sum(phi^2) = 1, and
-    sign-fixed so the entry of largest magnitude is positive. Residuals are
-    ||H v - lambda v||_2 for the unit-Euclidean eigenvectors.
+    sign-fixed so the leftmost entry within 1e-8 relative of the largest
+    magnitude is positive. Residuals are ||H v - lambda v||_2 for the
+    unit-Euclidean eigenvectors.
     """
 
     grid: Grid
@@ -152,17 +165,17 @@ class SpectralResult:
         return self.eigenvalues.size
 
 
-def _parity_label(vec: np.ndarray, tol: float) -> str:
+def _parity_label(vec: np.ndarray) -> str:
     sup = float(np.max(np.abs(vec)))
     flipped = vec[::-1]
-    if float(np.max(np.abs(vec - flipped))) <= tol * sup:
+    if float(np.max(np.abs(vec - flipped))) <= _PARITY_TOL * sup:
         return "symmetric"
-    if float(np.max(np.abs(vec + flipped))) <= tol * sup:
+    if float(np.max(np.abs(vec + flipped))) <= _PARITY_TOL * sup:
         return "antisymmetric"
     return "mixed"
 
 
-def eigensolve(op: OperatorMatrix, m: int, parity_tol: float = 1e-6) -> SpectralResult:
+def eigensolve(op: OperatorMatrix, m: int) -> SpectralResult:
     """Lowest m eigenpairs of the assembled operator.
 
     Dense symmetric eigensolve; deterministic for fixed input. Parity is
@@ -177,14 +190,13 @@ def eigensolve(op: OperatorMatrix, m: int, parity_tol: float = 1e-6) -> Spectral
     lam = eigvals[:m].copy()
     vec = eigvecs[:, :m].copy()
 
-    for j in range(m):
-        i0 = int(np.argmax(np.abs(vec[:, j])))
-        if vec[i0, j] < 0:
-            vec[:, j] = -vec[:, j]
+    mag = np.abs(vec)
+    lead = np.argmax(mag >= (1.0 - _SIGN_RTOL) * mag.max(axis=0), axis=0)
+    vec *= np.sign(vec[lead, np.arange(m)])
 
     residuals = np.linalg.norm(op.matrix @ vec - vec * lam[None, :], axis=0)
 
-    labels = [_parity_label(vec[:, j], parity_tol) for j in range(m)]
+    labels = [_parity_label(vec[:, j]) for j in range(m)]
     for j in range(m - 1):
         if lam[j + 1] - lam[j] < _CLUSTER_RTOL * max(abs(lam[j]), 1.0):
             labels[j] = "mixed"
@@ -342,10 +354,3 @@ def eigenvector_rows(result: SpectralResult) -> tuple[list[str], list[list[float
             for i in range(result.grid.n)]
     return header, rows
 
-
-def perturbed_copy(result: SpectralResult, column: int, index: int,
-                   bump: float) -> SpectralResult:
-    """Copy with one eigenvector entry bumped; used to exercise shape checks."""
-    vec = result.eigenvectors.copy()
-    vec[index, column] += bump
-    return replace(result, eigenvectors=vec)

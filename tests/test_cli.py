@@ -82,6 +82,19 @@ class TestConfigErrors:
         })
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("potential", [
+        {"kind": "power_well", "kappa": "abc"},
+        {"kind": "power_well", "kappa": None},
+        {"kind": "inverse_boundary_well", "beta": "x"},
+        {"kind": "tabulated", "path": "no_such_potential.csv"},
+    ])
+    def test_bad_potential_values(self, tmp_path, capsys, potential):
+        for command in ("spectrum", "gap", "simulate", "phi", "all"):
+            code, _ = run_quiet(tmp_path, {"command": command, "potential": potential})
+            assert code == EXIT_CONFIG, command
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and err.count("\n") == 1, err
+
 
 class TestExitCodes:
     def test_nonconvergence_exit(self, tmp_path):

@@ -15,7 +15,6 @@ from fracgap.montecarlo import (
     gaussian_chain,
     make_rng,
     sample_subordinator_increment,
-    simulate_killed_path,
 )
 from fracgap.potentials import make_power_well, make_zero
 from fracgap.spectral import Grid, assemble_operator, eigensolve
@@ -134,11 +133,6 @@ class TestFeynmanKac:
             estimate_feynman_kac(np.array([1.0]), FREE, cfg, 100)
         with pytest.raises(DomainError):
             estimate_feynman_kac(np.array([0.0]), FREE, cfg, 1)
-
-    def test_single_path_wrapper(self):
-        cfg = PathConfig(1.5, 0.25, 16, (-1.0, 1.0), seed=21)
-        v = simulate_killed_path(0.0, FREE, cfg, make_rng(21))
-        assert 0.0 <= v <= 1.0
 
     def test_survival_matches_eigenexpansion(self):
         # Independent oracle: semigroup series from the matrix eigensolve,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import gamma as scipy_gamma
 
 from fracgap.errors import DomainError, NonConvergenceError
 from fracgap.numerics import (
@@ -20,10 +21,10 @@ TIGHT = QuadConfig(abs_tol=1e-10, rel_tol=1e-10, max_panels=4096)
 
 
 def levy_oracle(g):
-    # Independent composition straight from math.gamma; the library builds
-    # the same quantity through a Lanczos series plus reflection.
-    return math.gamma((1.0 - g) / 2.0) / (
-        2.0**g * math.sqrt(math.pi) * abs(math.gamma(g / 2.0))
+    # Independent composition from scipy's gamma; the library builds the
+    # same quantity on math.gamma.
+    return scipy_gamma((1.0 - g) / 2.0) / (
+        2.0**g * math.sqrt(math.pi) * abs(scipy_gamma(g / 2.0))
     )
 
 
@@ -36,8 +37,16 @@ class TestGammaFn:
         assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
     def test_negative_noninteger(self):
-        assert gamma_fn(-0.75) == pytest.approx(math.gamma(-0.75), rel=1e-12)
-        assert gamma_fn(-1.5) == pytest.approx(math.gamma(-1.5), rel=1e-12)
+        assert gamma_fn(-0.75) == pytest.approx(scipy_gamma(-0.75), rel=1e-12)
+        assert gamma_fn(-1.5) == pytest.approx(scipy_gamma(-1.5), rel=1e-12)
+
+    def test_accuracy_on_fixed_grid(self):
+        # Steps of 0.01 over [-1.99, 3.5], staying 0.01 away from the poles.
+        xs = np.concatenate([np.linspace(-1.99, -1.01, 99),
+                             np.linspace(-0.99, -0.01, 99),
+                             np.linspace(0.01, 3.5, 350)])
+        rel = np.array([gamma_fn(x) for x in xs]) / scipy_gamma(xs) - 1.0
+        assert np.max(np.abs(rel)) <= 4e-15, xs[np.argmax(np.abs(rel))]
 
     def test_poles_rejected(self):
         for bad in (0.0, -1.0, -2.0):

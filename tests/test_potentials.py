@@ -135,8 +135,3 @@ class TestValidateSingleWell:
         assert not report.passed
         assert not report.symmetric
         assert report.max_symmetry_error > 0.1
-
-    def test_labels(self):
-        assert make_zero((-1.0, 1.0)).label() == "zero"
-        assert "power_well" in make_power_well(5.0, 2.0, (-1.0, 1.0)).label()
-        assert "tabulated" in make_tabulated([0.0, 1.0], [0.0, 0.0]).label()

@@ -1,4 +1,4 @@
-"""Deterministic text output: float formatting, JSON writer, atomic files."""
+"""Deterministic text output: float cells, JSON writer, atomic files."""
 
 import json
 import math
@@ -7,22 +7,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fracgap.serialize import csv_text, dumps_json, fmt_float, write_atomic
+from fracgap.serialize import csv_text, dumps_json, write_atomic
+
+
+def float_cell(x):
+    """The text csv_text writes for a single float cell."""
+    return csv_text(["v"], [[x]]).splitlines()[1]
 
 
 class TestFmtFloat:
     def test_round_trips_doubles(self):
         for x in (0.1, 1.0 / 3.0, 1e-300, 2.0**53, -math.pi):
-            assert float(fmt_float(x)) == x
+            assert float(float_cell(x)) == x
 
     def test_specials(self):
-        assert fmt_float(float("nan")) == "NaN"
-        assert fmt_float(float("inf")) == "Infinity"
-        assert fmt_float(float("-inf")) == "-Infinity"
+        assert float_cell(float("nan")) == "NaN"
+        assert float_cell(float("inf")) == "Infinity"
+        assert float_cell(float("-inf")) == "-Infinity"
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_round_trip_property(self, x):
-        assert float(fmt_float(x)) == x
+        assert float(float_cell(x)) == x
 
 
 class TestDumpsJson:
@@ -43,8 +48,8 @@ class TestDumpsJson:
         assert dumps_json(obj) == dumps_json(obj)
 
     def test_string_escaping(self):
-        text = dumps_json({"msg": 'a "quoted" \\ path'})
-        assert json.loads(text)["msg"] == 'a "quoted" \\ path'
+        for msg in ('a "quoted" \\ path', "line\nbreak\tand tab"):
+            assert json.loads(dumps_json({"msg": msg}))["msg"] == msg
 
     def test_numpy_scalars(self):
         text = dumps_json({"v": np.float64(0.5), "n": np.int64(3)})

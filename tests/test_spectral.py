@@ -19,7 +19,6 @@ from fracgap.spectral import (
     frac_coeffs,
     ground_state_shape_check,
     lambda_star,
-    perturbed_copy,
     result_to_json_dict,
     richardson,
 )
@@ -106,6 +105,15 @@ class TestAssembleOperator:
         op = assemble_operator(Grid(-1.0, 1.0, 24), 1.7, pot)
         assert np.allclose(op.matrix, op.matrix.T, atol=1e-13)
 
+    def test_matches_indexed_toeplitz_bitwise(self):
+        grid = Grid(-1.0, 1.0, 37)
+        pot = make_power_well(3.0, 2.0, (-1.0, 1.0))
+        op = assemble_operator(grid, 1.3, pot)
+        i = np.arange(grid.n)
+        want = grid.h ** -1.3 * frac_coeffs(1.3, grid.n).g[np.abs(i[:, None] - i[None, :])]
+        want[i, i] += pot(grid.nodes())
+        assert np.array_equal(op.matrix, want)
+
 
 class TestEigensolve:
     def test_classical_eigenvalues_exact_discrete_formula(self):
@@ -130,6 +138,18 @@ class TestEigensolve:
 
     def test_ground_state_positive(self, well_15_512):
         assert np.all(well_15_512.eigenvectors[:, 0] > 0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+    def test_sign_rule_leftmost_of_tied_maxima(self, alpha):
+        # Mirrored entries of parity vectors tie in magnitude up to rounding;
+        # the leftmost entry within 1e-8 relative of the largest is positive.
+        for pot in (make_zero((-1.0, 1.0)), make_power_well(5.0, 2.0, (-1.0, 1.0))):
+            for n in (64, 129):
+                res = eigensolve(assemble_operator(Grid(-1.0, 1.0, n), alpha, pot), 6)
+                for j in range(res.m):
+                    mag = np.abs(res.eigenvectors[:, j])
+                    lead = np.flatnonzero(mag >= (1.0 - 1e-8) * mag.max())[0]
+                    assert res.eigenvectors[lead, j] > 0, (n, j)
 
     def test_parities_alternate_in_symmetric_wells(self, free_15_512, well_15_512):
         for res in (free_15_512, well_15_512):
@@ -203,7 +223,9 @@ class TestShapeAndDecay:
             assert rep.unimodality_error < 1e-8
 
     def test_bumped_ground_state_fails_with_location(self, free_15_512):
-        bad = perturbed_copy(free_15_512, column=0, index=100, bump=0.2)
+        vec = free_15_512.eigenvectors.copy()
+        vec[100, 0] += 0.2
+        bad = replace(free_15_512, eigenvectors=vec)
         rep = ground_state_shape_check(bad)
         assert not rep.passed
         assert rep.violation_index is not None
