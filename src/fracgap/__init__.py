@@ -12,7 +12,8 @@ from .forms import (GapBounds, GapReport, check_gaps, gap_bounds,
                     ground_state_weight, rayleigh_gap, weighted_form)
 from .montecarlo import (ChainReport, KernelReport, PathConfig, PathEstimate,
                          cauchy_kernel_check, estimate_feynman_kac,
-                         gaussian_chain, make_rng, sample_subordinator_increment)
+                         gaussian_chain, make_rng, sample_stable_increment,
+                         sample_subordinator_increment)
 from .numerics import (DEFAULT_1D, DEFAULT_2D, FormValue, QuadConfig, gamma_fn,
                        integrate_1d, levy_constant, singular_double_integral)
 from .poincare import (CAMPAIGN_CFG, CounterexampleScan, PiecewiseLinear,
@@ -50,5 +51,6 @@ __all__ = [
     "witness_search", "rescale_unit", "weighted_poincare_check",
     "smooth_step", "counterexample_scan", "random_piecewise_linear",
     "PathConfig", "PathEstimate", "ChainReport", "KernelReport", "make_rng",
-    "sample_subordinator_increment", "estimate_feynman_kac", "gaussian_chain", "cauchy_kernel_check",
+    "sample_subordinator_increment", "sample_stable_increment",
+    "estimate_feynman_kac", "gaussian_chain", "cauchy_kernel_check",
 ]

@@ -4,14 +4,18 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from fracgap import cli
 from fracgap.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_NONCONVERGENCE,
     EXIT_OK,
+    MC_MAX_BYTES,
     run,
 )
 
@@ -96,7 +100,40 @@ class TestConfigErrors:
             assert err.startswith("config error:") and err.count("\n") == 1, err
 
 
+    def test_oversized_monte_carlo_rejected_before_allocating(self, tmp_path, capsys):
+        # The default size sits far below the limit; 10^10 paths far above.
+        assert cli._mc_working_bytes(21, 20_000) * 50 <= MC_MAX_BYTES
+        assert cli._mc_working_bytes(21, 10**10) > MC_MAX_BYTES
+        tracemalloc.start()
+        try:
+            code, out = run_quiet(tmp_path, {"command": "simulate",
+                                             "mc": {"n_paths": 10**10}})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert peak < 1_000_000
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert "GiB" in err
+
+
 class TestExitCodes:
+    def test_internal_error_exit(self, tmp_path, capsys, monkeypatch):
+        def broken_stage(*args):
+            raise RuntimeError("stage broke\nwith a second line")
+
+        monkeypatch.setattr(cli, "_cmd_phi", broken_stage)
+        code, _ = run_quiet(tmp_path, {"command": "phi"})
+        assert code == EXIT_INTERNAL
+        assert EXIT_INTERNAL not in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG,
+                                     EXIT_NONCONVERGENCE)
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RuntimeError: stage broke with a "
+                              "second line (at test_cli.py:")
+        assert err.endswith(" in broken_stage)\n") and err.count("\n") == 1, err
+
     def test_nonconvergence_exit(self, tmp_path):
         code, _ = run_quiet(tmp_path, {
             "command": "gap",

@@ -1,6 +1,7 @@
 """Sampler laws, killed-path estimates, and kernel cross-checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from fracgap.montecarlo import (
     estimates_csv_rows,
     gaussian_chain,
     make_rng,
+    sample_stable_increment,
     sample_subordinator_increment,
 )
-from fracgap.potentials import make_power_well, make_zero
+from fracgap.potentials import (make_inverse_boundary_well, make_power_well,
+                                make_tabulated, make_zero)
 from fracgap.spectral import Grid, assemble_operator, eigensolve
 
 FREE = make_zero((-1.0, 1.0))
@@ -76,6 +79,109 @@ class TestSubordinatorSampler:
                 sample_subordinator_increment(bad, 1.0, rng)
         with pytest.raises(DomainError):
             sample_subordinator_increment(0.5, 0.0, rng)
+
+
+class TestStableSampler:
+    def test_characteristic_function(self):
+        # E cos(u X) = exp(-|u|^alpha) at unit time, within four standard errors.
+        rng = make_rng(13)
+        n = 200_000
+        for alpha in (0.5, 1.0, 1.5, 1.9):
+            x = sample_stable_increment(alpha, 1.0, rng, size=n)
+            for u in (0.5, 1.0, 2.0):
+                vals = np.cos(u * x)
+                want = math.exp(-(u**alpha))
+                se = float(np.std(vals, ddof=1)) / math.sqrt(n)
+                assert abs(float(np.mean(vals)) - want) <= 4.0 * se, (alpha, u)
+
+    def test_cauchy_at_alpha_one(self):
+        x = sample_stable_increment(1.0, 1.0, make_rng(17), size=100_000)
+        assert stats.kstest(x, stats.cauchy.cdf).statistic <= 0.01
+
+    def test_dt_scaling_exact_pathwise(self):
+        # Increments over dt are dt^(1/alpha) times unit-time increments,
+        # exactly, for identical generator states.
+        for alpha in (0.7, 1.0, 1.6):
+            a = sample_stable_increment(alpha, 2.0, make_rng(3), size=64)
+            b = sample_stable_increment(alpha, 1.0, make_rng(3), size=64)
+            assert np.allclose(a, 2.0 ** (1.0 / alpha) * b, rtol=1e-13)
+
+    def test_return_types(self):
+        rng = make_rng(5)
+        assert isinstance(sample_stable_increment(1.5, 1.0, rng), float)
+        arr = sample_stable_increment(1.5, 1.0, rng, size=1000)
+        assert arr.shape == (1000,)
+        assert np.all(np.isfinite(arr))
+
+    def test_domain(self):
+        rng = make_rng(1)
+        for bad in (0.0, 2.0, -0.5):
+            with pytest.raises(DomainError):
+                sample_stable_increment(bad, 1.0, rng)
+        for bad in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                sample_stable_increment(1.5, bad, rng)
+
+
+def masked_loop(x, potential, cfg, n_paths):
+    """Per-point killed-path values written out literally: gather the living
+    paths, add their potential, step all paths, kill the ones that left."""
+    a, b = cfg.interval
+    dt = cfg.t_final / cfg.n_steps
+    rng = make_rng(cfg.seed)
+    free = np.zeros(n_paths)
+    alive = np.ones(n_paths, dtype=bool)
+    v_sum = np.zeros(n_paths)
+    for _ in range(cfg.n_steps):
+        pos = x + free
+        v_sum[alive] += potential(pos[alive]) * dt
+        free += sample_stable_increment(cfg.alpha, dt, rng, size=n_paths)
+        alive &= (x + free > a) & (x + free < b)
+    out = np.zeros(n_paths)
+    out[alive] = np.exp(-v_sum[alive])
+    return out
+
+
+class TestCommonRandomNumbers:
+    WELLS = (
+        make_power_well(5.0, 2.0, (-1.0, 1.0)),
+        make_power_well(2.0, 1.5, (-1.0, 1.0), offset=0.3),
+        make_inverse_boundary_well(0.6, 1.2, (-1.0, 1.0)),
+        make_tabulated([-1.0, -0.4, 0.0, 0.4, 1.0], [4.0, 1.0, 0.0, 1.0, 4.0]),
+    )
+
+    def test_batch_equals_points_run_alone(self):
+        cfg = PathConfig(1.3, 0.3, 48, (-1.0, 1.0), seed=21)
+        xs = np.array([-0.7, -0.1, 0.0, 0.45, 0.9])
+        for pot in self.WELLS:
+            batch = estimate_feynman_kac(xs, pot, cfg, 3000)
+            for x, est in zip(xs, batch):
+                assert estimate_feynman_kac([x], pot, cfg, 3000)[0] == est
+
+    def test_matches_masked_per_point_loop_bitwise(self):
+        n = 2000
+        xs = np.array([-0.8, -0.2, 0.3, 0.85])
+        for alpha in (0.7, 1.5):
+            cfg = PathConfig(alpha, 0.4, 40, (-1.0, 1.0), seed=8)
+            for pot in self.WELLS:
+                ests = estimate_feynman_kac(xs, pot, cfg, n)
+                for x, est in zip(xs, ests):
+                    vals = masked_loop(x, pot, cfg, n)
+                    assert 0.0 < est.mean < 1.0
+                    assert est.mean == float(np.mean(vals)), (alpha, pot.kind, x)
+                    assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(n))
+
+    def test_small_alpha_finite_without_warnings(self):
+        pot = make_power_well(5.0, 2.0, (-1.0, 1.0))
+        xs = np.linspace(-0.9, 0.9, 7)
+        for alpha in (0.1, 0.3):
+            cfg = PathConfig(alpha, 0.25, 64, (-1.0, 1.0), seed=5)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                ests = estimate_feynman_kac(xs, pot, cfg, 5000)
+            for est in ests:
+                assert math.isfinite(est.mean) and math.isfinite(est.stderr)
+                assert 0.0 <= est.mean <= 1.0
 
 
 class TestPathConfig:
