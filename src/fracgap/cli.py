@@ -34,8 +34,7 @@ from .potentials import (load_tabulated_csv, make_inverse_boundary_well,
                          make_power_well, make_zero, validate_single_well)
 from .serialize import csv_text, dumps_json, write_atomic
 from .spectral import (Grid, assemble_operator, boundary_decay_check, eigensolve,
-                       eigenvector_rows, ground_state_shape_check, lambda_star,
-                       result_to_json_dict)
+                       eigenvector_rows, ground_state_shape_check, result_to_json_dict)
 
 __all__ = ["main", "run", "ConfigError"]
 
@@ -45,9 +44,12 @@ EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_INTERNAL = 4
 
-# Largest Monte Carlo working set a config may request, in bytes; larger
-# mc.n_points x mc.n_paths fail as a configuration error before allocating.
-MC_MAX_BYTES = 2 * 1024**3
+# Largest working set a config may request, in bytes: a larger N or
+# mc.n_points x mc.n_paths fails as a configuration error before allocating.
+MAX_WORKING_BYTES = 2 * 1024**3
+# float64 N x N arrays at the eigensolve's peak: 5.3 in resident memory on
+# an asymmetric well (tracemalloc sees 2.0; LAPACK's workspace is not in it).
+_DENSE_ARRAYS = 6
 # float64 arrays of n_points x n_paths that estimate_feynman_kac holds at
 # its peak: sums, positions, potential values and the potential's own
 # temporaries (7.1 under tracemalloc for the inverse boundary well).
@@ -112,6 +114,10 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
 
     n_grid = int(_take(raw, "N", 256))
     _expect(n_grid >= 16, f"N must be at least 16, got {n_grid}")
+    dense_bytes = 8 * _DENSE_ARRAYS * n_grid**2
+    _expect(dense_bytes <= MAX_WORKING_BYTES,
+            f"N = {n_grid} needs about {dense_bytes / 2**30:.3g} GiB, "
+            f"over the {MAX_WORKING_BYTES / 2**30:.3g} GiB limit")
     m = int(_take(raw, "m", 6))
     _expect(1 <= m <= n_grid, f"m must lie in [1, N], got {m}")
 
@@ -136,9 +142,9 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
     _expect(mc_resolved["n_paths"] >= 2, "mc.n_paths must be >= 2")
     _expect(mc_resolved["n_points"] >= 1, "mc.n_points must be >= 1")
     mc_bytes = _mc_working_bytes(mc_resolved["n_points"], mc_resolved["n_paths"])
-    _expect(mc_bytes <= MC_MAX_BYTES,
+    _expect(mc_bytes <= MAX_WORKING_BYTES,
             f"mc.n_points x mc.n_paths needs about {mc_bytes / 2**30:.3g} GiB, "
-            f"over the {MC_MAX_BYTES / 2**30:.3g} GiB limit")
+            f"over the {MAX_WORKING_BYTES / 2**30:.3g} GiB limit")
 
     campaign = dict(_take(raw, "poincare", {}))
     campaign_resolved = {
@@ -240,12 +246,6 @@ class _Reporter:
             print(line)
 
 
-def _solve(cfg: dict, potential):
-    grid = Grid(cfg["interval"][0], cfg["interval"][1], cfg["N"])
-    op = assemble_operator(grid, cfg["alpha"], potential)
-    return eigensolve(op, cfg["m"])
-
-
 def _cmd_spectrum(cfg: dict, out: Path, rep: _Reporter, potential, result) -> None:
     well = validate_single_well(potential)
     rep.check(well.passed, "potential", well.detail)
@@ -269,12 +269,7 @@ def _cmd_spectrum(cfg: dict, out: Path, rep: _Reporter, potential, result) -> No
         rep.info("decay fit skipped (needs N >= 128)")
 
 
-def _cmd_gap(cfg: dict, out: Path, rep: _Reporter, potential, result) -> None:
-    try:
-        lambda_star(result)
-    except LookupError:
-        bigger = dict(cfg, m=min(cfg["N"], 4 * cfg["m"]))
-        result = _solve(bigger, potential)
+def _cmd_gap(cfg: dict, out: Path, rep: _Reporter, result) -> None:
     report = check_gaps(result, _quad_config(cfg))
     write_atomic(out / "gap_report.json", dumps_json(gap_report_to_json_dict(report)))
     rep.check(report.pass_star, "gap_star",
@@ -450,11 +445,14 @@ def _run(config_path: str, output_dir: str | None, seed: int | None,
         out.mkdir(parents=True, exist_ok=True)
         write_atomic(out / "config_echo.json", dumps_json(cfg))
         if command in ("spectrum", "gap", "all"):
-            result = _solve(cfg, potential)
+            grid = Grid(cfg["interval"][0], cfg["interval"][1], cfg["N"])
+            # The gap stage reads lambda_2 and phi_2.
+            m = cfg["m"] if command == "spectrum" else max(cfg["m"], 2)
+            result = eigensolve(assemble_operator(grid, cfg["alpha"], potential), m)
         if command in ("spectrum", "all"):
             _cmd_spectrum(cfg, out, rep, potential, result)
         if command in ("gap", "all"):
-            _cmd_gap(cfg, out, rep, potential, result)
+            _cmd_gap(cfg, out, rep, result)
         if command in ("poincare", "all"):
             _cmd_poincare(cfg, out, rep)
         if command in ("counterexample", "all"):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import DEFAULT_2D, FormValue, QuadConfig, levy_constant, singular_double_integral
-from .spectral import SpectralResult, lambda_star
+from .spectral import SpectralResult
 
 __all__ = [
     "GapBounds",
@@ -185,16 +185,16 @@ _BOUND_SLACK = 1e-9
 def check_gaps(result: SpectralResult, cfg: QuadConfig = DEFAULT_2D) -> GapReport:
     """Compare computed gaps against the closed-form bounds.
 
-    Needs at least two eigenvalues and one antisymmetric level among the
-    computed ones. The rayleigh consistency field is |rayleigh - gap| / gap.
+    Needs m >= 2 and a mirror-symmetric operator (for lambda_star). The
+    rayleigh consistency field is |rayleigh - gap| / gap.
     """
-    if result.m < 2:
-        raise DomainError("check_gaps needs at least two eigenvalues")
+    if result.m < 2 or result.star is None:
+        raise DomainError("check_gaps needs m >= 2 and a mirror-symmetric potential")
     alpha = result.alpha
     a, b = result.grid.a, result.grid.b
     lam = result.eigenvalues
     gap = float(lam[1] - lam[0])
-    idx, lam_s = lambda_star(result)
+    idx, lam_s = result.star
     gap_star = lam_s - float(lam[0])
     bounds = gap_bounds(alpha, a, b)
     rayleigh = rayleigh_gap(result, 2, cfg)

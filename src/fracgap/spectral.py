@@ -41,17 +41,10 @@ __all__ = [
     "eigenvector_rows",
 ]
 
-# Relative eigenvalue spacing below which parity labels are unreliable: the
-# solver may return arbitrary rotations inside a near-degenerate cluster.
-_CLUSTER_RTOL = 1e-10
-
-# Mirror-difference tolerance, relative to the sup, for a parity label.
-_PARITY_TOL = 1e-6
-
-# Entries within this relative distance of an eigenvector's largest
-# magnitude count as tied for the sign rule. Mirrored entries of parity
-# vectors tie up to rounding, so the leftmost of them decides the sign.
-_SIGN_RTOL = 1e-8
+# The Toeplitz part is exactly centrosymmetric, so the diagonal alone decides
+# whether the operator commutes with the grid reflection. Symmetric wells
+# miss exact symmetry by rounding only (1.4e-15 relative on power wells).
+_MIRROR_RTOL = 1e-13
 
 # Default extrapolation order when only two grids are available. Free-case
 # eigenvalue errors decay close to first order in h across alpha (the
@@ -148,9 +141,10 @@ class SpectralResult:
     """Lowest part of the spectrum with parity labels and residuals.
 
     Eigenvectors are columns, normalized so that h * sum(phi^2) = 1, and
-    sign-fixed so the leftmost entry within 1e-8 relative of the largest
-    magnitude is positive. Residuals are ||H v - lambda v||_2 for the
-    unit-Euclidean eigenvectors.
+    sign-fixed so the leftmost entry of largest magnitude is positive.
+    Residuals are ||H v - lambda v||_2 for the unit-Euclidean eigenvectors.
+    star is the 1-based index and value of the lowest antisymmetric level,
+    known beyond m; None, with all parities "mixed", if H is asymmetric.
     """
 
     grid: Grid
@@ -159,69 +153,77 @@ class SpectralResult:
     eigenvectors: np.ndarray = field(repr=False)
     parities: tuple[str, ...]
     residuals: np.ndarray = field(repr=False)
+    star: tuple[int, float] | None = None
 
     @property
     def m(self) -> int:
         return self.eigenvalues.size
 
 
-def _parity_label(vec: np.ndarray) -> str:
-    sup = float(np.max(np.abs(vec)))
-    flipped = vec[::-1]
-    if float(np.max(np.abs(vec - flipped))) <= _PARITY_TOL * sup:
-        return "symmetric"
-    if float(np.max(np.abs(vec + flipped))) <= _PARITY_TOL * sup:
-        return "antisymmetric"
-    return "mixed"
-
-
 def eigensolve(op: OperatorMatrix, m: int) -> SpectralResult:
-    """Lowest m eigenpairs of the assembled operator.
+    """Lowest m eigenpairs of the assembled operator; deterministic.
 
-    Dense symmetric eigensolve; deterministic for fixed input. Parity is
-    classified against the grid reflection, and eigenvalues closer than
-    1e-10 relative spacing are labeled mixed pairwise since their computed
-    eigenvectors are only determined up to rotation.
+    A diagonal mirror-symmetric to 1e-13 of its sup is averaged with its
+    mirror image and the even and odd blocks are solved apart, merged by a
+    stable sort (even first on a tie); parities are then exact. Otherwise
+    the full matrix is solved and every level is "mixed". Residuals use
+    the assembled matrix. A ground state that is not strictly positive
+    (for a symmetric operator: not even) raises DomainError.
     """
     n = op.grid.n
     if not (1 <= m <= n):
         raise DomainError(f"m must lie in [1, {n}], got {m}")
-    eigvals, eigvecs = np.linalg.eigh(op.matrix)
-    lam = eigvals[:m].copy()
-    vec = eigvecs[:, :m].copy()
+    diag = np.diagonal(op.matrix)
+    if np.max(np.abs(diag - diag[::-1])) <= _MIRROR_RTOL * np.max(np.abs(diag)):
+        # On (u, [sqrt 2 u_mid,] +-J u) / sqrt 2, J reversing k = n // 2 nodes,
+        # H acts as A11 +- A12 J; an odd n's middle node joins the even block.
+        k, ke = n // 2, (n + 1) // 2
+        near = op.matrix[:ke, :ke].copy()
+        near[np.diag_indices(ke)] = 0.5 * (diag + diag[::-1])[:ke]
+        far = op.matrix[:ke, ::-1][:, :ke]
+        lam_o, vec_o = np.linalg.eigh(near[:k, :k] - far[:k, :k])
+        even = near + far
+        even[k:] /= math.sqrt(2.0)
+        even[:, k:] /= math.sqrt(2.0)
+        even[k:, k:] = diag[k:ke]
+        lam_e, vec_e = np.linalg.eigh(even)
+        both = np.concatenate([lam_e, lam_o])
+        order = np.argsort(both, kind="stable")[:m]
+        lam = both[order]
+        odd = order >= ke
+        u = np.zeros((ke, m))
+        u[:, ~odd] = vec_e[:, order[~odd]]
+        u[:k, odd] = vec_o[:, order[odd] - ke]
+        half = u[:k] / math.sqrt(2.0)
+        vec = np.concatenate([half, u[k:], np.where(odd, -half, half)[::-1]])
+        labels = tuple("antisymmetric" if o else "symmetric" for o in odd)
+        star = (int(np.sum(lam_e <= lam_o[0])) + 1, float(lam_o[0]))
+    else:
+        lam, vec = np.linalg.eigh(op.matrix)
+        lam, vec = lam[:m], vec[:, :m].copy()
+        labels, star = ("mixed",) * m, None
 
-    mag = np.abs(vec)
-    lead = np.argmax(mag >= (1.0 - _SIGN_RTOL) * mag.max(axis=0), axis=0)
-    vec *= np.sign(vec[lead, np.arange(m)])
-
+    # Mirrored entries tie bitwise, so the first maximum is the leftmost.
+    vec *= np.sign(vec[np.argmax(np.abs(vec), axis=0), np.arange(m)])
     residuals = np.linalg.norm(op.matrix @ vec - vec * lam[None, :], axis=0)
-
-    labels = [_parity_label(vec[:, j]) for j in range(m)]
-    for j in range(m - 1):
-        if lam[j + 1] - lam[j] < _CLUSTER_RTOL * max(abs(lam[j]), 1.0):
-            labels[j] = "mixed"
-            labels[j + 1] = "mixed"
 
     vec /= math.sqrt(op.grid.h)
     if np.any(vec[:, 0] <= 0):
         # The lowest eigenvector of this class of matrices is strictly
         # positive; hitting this indicates a degenerate assembly.
         raise DomainError("ground state is not strictly positive after sign fix")
-    return SpectralResult(op.grid, op.alpha, lam, vec, tuple(labels), residuals)
+    return SpectralResult(op.grid, op.alpha, lam, vec, labels, residuals, star)
 
 
 def lambda_star(result: SpectralResult) -> tuple[int, float]:
     """Index (1-based) and value of the lowest antisymmetric eigenvalue.
 
-    Raises LookupError when no antisymmetric pair is among the computed m;
-    callers should re-solve with a larger m in that case.
+    Known for any m when the operator is mirror-symmetric; LookupError
+    otherwise (result.star is None).
     """
-    for j, label in enumerate(result.parities):
-        if label == "antisymmetric":
-            return j + 1, float(result.eigenvalues[j])
-    raise LookupError(
-        f"no antisymmetric eigenpair among the lowest {result.m}; "
-        "recompute with larger m")
+    if result.star is None:
+        raise LookupError("no antisymmetric eigenvalue: operator is not mirror-symmetric")
+    return result.star
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from fracgap.spectral import (
     boundary_decay_check,
     eigensolve,
     ground_state_shape_check,
+    lambda_star,
     richardson,
 )
 
@@ -56,20 +57,6 @@ def report(name, detail):
 def solve(alpha, interval, potential, n, m=6):
     op = assemble_operator(Grid(interval[0], interval[1], n), alpha, potential)
     return eigensolve(op, m)
-
-
-def star_value(result):
-    """Lowest antisymmetric eigenvalue, widening m if six levels miss it."""
-    for j, label in enumerate(result.parities):
-        if label == "antisymmetric":
-            return j + 1, float(result.eigenvalues[j])
-    wide = eigensolve(
-        assemble_operator(result.grid, result.alpha,
-                          make_zero((result.grid.a, result.grid.b))), 24)
-    for j, label in enumerate(wide.parities):
-        if label == "antisymmetric":
-            return j + 1, float(wide.eigenvalues[j])
-    raise AssertionError("no antisymmetric level among 24 eigenvalues")
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +79,7 @@ def random_well_campaign():
         stars = {}
         for n in (256, 512):
             res = solve(alpha, interval, pot, n)
-            idx, val = star_value(res)
+            idx, val = lambda_star(res)
             levels[n] = res
             stars[n] = (idx, val)
         lam1 = richardson([(n, levels[n].eigenvalues[:1]) for n in (256, 512)])[0]

@@ -15,7 +15,7 @@ from fracgap.cli import (
     EXIT_INTERNAL,
     EXIT_NONCONVERGENCE,
     EXIT_OK,
-    MC_MAX_BYTES,
+    MAX_WORKING_BYTES,
     run,
 )
 
@@ -102,8 +102,8 @@ class TestConfigErrors:
 
     def test_oversized_monte_carlo_rejected_before_allocating(self, tmp_path, capsys):
         # The default size sits far below the limit; 10^10 paths far above.
-        assert cli._mc_working_bytes(21, 20_000) * 50 <= MC_MAX_BYTES
-        assert cli._mc_working_bytes(21, 10**10) > MC_MAX_BYTES
+        assert cli._mc_working_bytes(21, 20_000) * 50 <= MAX_WORKING_BYTES
+        assert cli._mc_working_bytes(21, 10**10) > MAX_WORKING_BYTES
         tracemalloc.start()
         try:
             code, out = run_quiet(tmp_path, {"command": "simulate",
@@ -117,6 +117,35 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert "GiB" in err
+
+    def test_oversized_grid_rejected_before_allocating(self, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            code, out = run_quiet(tmp_path, {"command": "spectrum", "N": 10**6})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert peak < 1_000_000
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: N = 1000000 needs about")
+        assert err.count("\n") == 1 and "GiB limit" in err, err
+
+    @pytest.mark.parametrize("command", ["gap", "all"])
+    def test_asymmetric_potential_under_gap(self, tmp_path, capsys, command):
+        # lambda_star belongs to mirror-symmetric wells; an off-centre well
+        # is bad input for the gap stage, not a defect.
+        csv = tmp_path / "off.csv"
+        csv.write_text("x,V\n-1.0,8.0\n0.3,0.0\n1.0,4.0\n")
+        code, _ = run_quiet(tmp_path, {
+            "command": command, "N": 64,
+            "potential": {"kind": "tabulated", "path": str(csv)},
+        })
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert "mirror-symmetric" in err
 
 
 class TestExitCodes:
@@ -209,7 +238,7 @@ class TestGapCommand:
         assert report["star_index"] == 2
         assert report["gap"] > report["bound_main"]
 
-    def test_retries_with_larger_m_when_star_missing(self, tmp_path):
+    def test_star_index_with_one_requested_level(self, tmp_path):
         code, out = run_quiet(tmp_path, {"command": "gap", "N": 64, "m": 1})
         assert code == EXIT_OK
         report = json.loads((out / "gap_report.json").read_text())

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fracgap.errors import DomainError
-from fracgap.potentials import make_power_well, make_zero
+from fracgap.potentials import (make_inverse_boundary_well, make_power_well,
+                                make_tabulated, make_zero)
 from fracgap.spectral import (
     Grid,
     OperatorMatrix,
@@ -187,11 +188,19 @@ class TestEigensolve:
                         .eigenvalues[0])
         assert lams[0] < lams[1] < lams[2]
 
-    def test_near_degenerate_pair_labeled_mixed(self):
+    def test_near_degenerate_pair_gets_exact_parities(self):
+        # The blocks separate the pair, however close the two levels are.
         mat = np.array([[1.0, -1e-13], [-1e-13, 1.0]])
         op = OperatorMatrix(mat, Grid(0.0, 3.0, 2), 1.5, make_zero((0.0, 3.0)))
         res = eigensolve(op, 2)
-        assert res.parities == ("mixed", "mixed")
+        assert res.parities == ("symmetric", "antisymmetric")
+
+    def test_odd_lowest_level_raises(self):
+        # The lowest level of [[1, 1], [1, 1]] is the odd one, at 0.
+        mat = np.array([[1.0, 1.0], [1.0, 1.0]])
+        op = OperatorMatrix(mat, Grid(0.0, 3.0, 2), 1.5, make_zero((0.0, 3.0)))
+        with pytest.raises(DomainError, match="strictly positive"):
+            eigensolve(op, 1)
 
     def test_m_domain(self):
         op = assemble_operator(Grid(0.0, 1.0, 8), 1.5, make_zero((0.0, 1.0)))
@@ -207,11 +216,58 @@ class TestLambdaStar:
         assert idx == 2
         assert val == pytest.approx(free_15_512.eigenvalues[1])
 
-    def test_missing_antisymmetric_raises(self):
+    def test_known_with_one_level(self):
         op = assemble_operator(Grid(-1.0, 1.0, 64), 1.5, make_zero((-1.0, 1.0)))
-        res = eigensolve(op, 1)
+        idx, val = lambda_star(eigensolve(op, 1))
+        assert idx == 2
+        assert val == eigensolve(op, 2).eigenvalues[1]
+
+    def test_asymmetric_well_is_mixed_without_star(self):
+        xs = np.linspace(-1.0, 1.0, 17)
+        op = assemble_operator(Grid(-1.0, 1.0, 64), 1.5,
+                               make_tabulated(xs, 10.0 * np.abs(xs - 0.4) ** 2))
+        res = eigensolve(op, 4)
+        assert res.parities == ("mixed",) * 4
+        assert res.star is None
         with pytest.raises(LookupError):
             lambda_star(res)
+
+
+class TestParitySplit:
+    """The parity blocks against the full solve of the same matrix."""
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 129, 512])
+    @pytest.mark.parametrize("pot", [make_power_well(5.0, 2.0, (-1.0, 1.0)),
+                                     make_inverse_boundary_well(0.5, 1.5, (-1.0, 1.0))],
+                             ids=["power", "inverse_boundary"])
+    def test_matches_full_eigh(self, n, pot):
+        op = assemble_operator(Grid(-1.0, 1.0, n), 1.5, pot)
+        m = min(n, 6)
+        res = eigensolve(op, m)
+        lam, vec = np.linalg.eigh(op.matrix)
+        assert np.allclose(res.eigenvalues, lam[:m], rtol=1e-11, atol=0.0)
+        overlap = np.abs(np.sum(res.eigenvectors * vec[:, :m], axis=0)) * math.sqrt(op.grid.h)
+        assert np.allclose(overlap, 1.0, rtol=0.0, atol=1e-8)
+        mirrored = res.eigenvectors[::-1]
+        for j, parity in enumerate(res.parities):
+            sign = 1.0 if parity == "symmetric" else -1.0
+            assert np.array_equal(mirrored[:, j], sign * res.eigenvectors[:, j]), j
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_kwasnicki_asymptotics(self, alpha):
+        # Kwasnicki (J. Funct. Anal. 2012): on (-1, 1) the free levels are
+        # (n pi / 2 - (2 - alpha) pi / 8)^alpha + O(1/n), of alternating parity.
+        levels = []
+        for n in (256, 512, 1024):
+            res = eigensolve(assemble_operator(Grid(-1.0, 1.0, n), alpha,
+                                               make_zero((-1.0, 1.0))), 10)
+            levels.append((n, res.eigenvalues))
+        k = np.arange(1, 11)
+        asym = (k * math.pi / 2.0 - (2.0 - alpha) * math.pi / 8.0) ** alpha
+        err = np.abs(richardson(levels) / asym - 1.0)
+        assert err[9] <= 1e-4
+        assert err[9] < err[4]
+        assert res.parities == ("symmetric", "antisymmetric") * 5
 
 
 class TestShapeAndDecay:
