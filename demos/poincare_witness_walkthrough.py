@@ -15,6 +15,7 @@ Run as: python3 demos/poincare_witness_walkthrough.py
 
 import numpy as np
 
+from fracgap.numerics import QuadConfig, singular_double_integral
 from fracgap.poincare import (
     CAMPAIGN_CFG,
     PiecewiseLinear,
@@ -52,11 +53,27 @@ print(f"  certified bound {cert.certified_bound:.6e} "
 
 # ---------------------------------------------------------------------------
 # 3. Soundness, spelled out: the certificate's bound, rescaled by f(1)^2,
-#    must sit below the independently computed form value.
+#    must sit below the independently computed form value. For a
+#    piecewise-linear f that value is the closed form d^T W d, exact up to
+#    rounding; the graded quadrature gets within its estimate here.
 check = poincare_check(f, alpha, cfg=CAMPAIGN_CFG)
+quad = singular_double_integral(f, None, alpha, (0.0, 1.0), CAMPAIGN_CFG)
+print(f"  form value: exact {check.lhs:.9f} (rounding bound {check.lhs_error:.1e}), "
+      f"quadrature {quad.value:.9f} (estimate {quad.error_estimate:.1e})")
+assert abs(quad.value - check.lhs) <= quad.error_estimate
 lower = cert.certified_bound * cert.scale**2
 print(f"  certified lower bound {lower:.6e} <= form value {check.lhs:.6e}: "
       f"{lower <= check.lhs + 3 * check.lhs_error}")
+
+# The quadrature's estimate is the difference of its last two refinement
+# levels, not a bound. On this kinked ramp two levels agree to 1e-7 while
+# the value is off by about 100 times that.
+ramp = PiecewiseLinear([0.0, 0.3, 1.0], [0.0, 1.0, 1.0])
+exact = poincare_check(ramp, 1.1).lhs
+quad = singular_double_integral(ramp, None, 1.1, (0.0, 1.0), QuadConfig(1e-7, 1e-7, 2048))
+print(f"\nramp to 0.3 at alpha = 1.1: exact {exact:.12f}, quadrature "
+      f"{quad.value:.12f}\n  estimate {quad.error_estimate:.1e}, "
+      f"true error {abs(quad.value - exact):.1e}")
 
 # ---------------------------------------------------------------------------
 # 4. A small random campaign. Every draw passes and every certificate is

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import DEFAULT_2D, FormValue, QuadConfig, levy_constant, singular_double_integral
+from .numerics import (DEFAULT_2D, FormValue, QuadConfig, levy_constant,
+                       piecewise_linear_mass, singular_double_integral)
 from .spectral import SpectralResult
 
 __all__ = [
@@ -36,8 +37,6 @@ __all__ = [
 # Ground-state fringe below this fraction of the sup is excluded from the
 # eigenfunction-ratio interpolant; the ratio is noise there.
 _FRINGE_RTOL = 1e-12
-
-_GL3_X, _GL3_W = np.polynomial.legendre.leggauss(3)
 
 
 def ground_state_weight(result: SpectralResult):
@@ -73,21 +72,6 @@ def _interp_callable(xs: np.ndarray, ys: np.ndarray):
     return call
 
 
-def _norm_squared(f_xs, f_ys, w_xs, w_ys, a: float, b: float) -> float:
-    """Exact integral of (f * w)^2 for piecewise-linear f and w.
-
-    Between consecutive breakpoints the integrand is a quartic polynomial,
-    so 3-point Gauss per cell is exact.
-    """
-    edges = np.unique(np.concatenate([f_xs, w_xs, [a, b]]))
-    edges = edges[(edges >= a) & (edges <= b)]
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    pts = mid[:, None] + half[:, None] * _GL3_X[None, :]
-    vals = (np.interp(pts, f_xs, f_ys) * np.interp(pts, w_xs, w_ys)) ** 2
-    return float(np.sum(half[:, None] * _GL3_W[None, :] * vals))
-
-
 def rayleigh_gap(result: SpectralResult, n: int = 2,
                  cfg: QuadConfig = DEFAULT_2D) -> float:
     """Variational gap estimate from the eigenfunction ratio phi_n / phi_1.
@@ -114,7 +98,7 @@ def rayleigh_gap(result: SpectralResult, n: int = 2,
 
     w_xs = np.concatenate([[grid.a], grid.nodes(), [grid.b]])
     w_ys = np.concatenate([[0.0], phi1, [0.0]])
-    norm_sq = _norm_squared(kept_x, ratio, w_xs, w_ys, grid.a, grid.b)
+    norm_sq = piecewise_linear_mass(kept_x, ratio, w_xs, w_ys, (grid.a, grid.b)).value
     if norm_sq <= 0:
         raise DomainError("degenerate eigenfunction ratio: zero weighted norm")
     return form.value / norm_sq

@@ -9,6 +9,9 @@ offending panel. The two-dimensional engine evaluates symmetric double
 integrals with an |x-y|^(-1-alpha) kernel by substituting u = y - x, grading
 the outer mesh toward u = 0 where the kernel concentrates, and refining outer
 and inner resolution in lockstep until two consecutive levels agree.
+Piecewise-linear inputs skip both engines: their unweighted form (alpha in
+(1, 2)) and their weighted L2 mass have closed forms, evaluated here with
+floating-point error bounds.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ __all__ = [
     "levy_constant",
     "integrate_1d",
     "singular_double_integral",
+    "piecewise_linear_form",
+    "piecewise_linear_mass",
 ]
 
 
@@ -243,8 +248,15 @@ def singular_double_integral(f, w, alpha: float,
     w may be None for the unweighted case. The diagonal x = y is excluded
     exactly by the u = y - x substitution; the integrand is assumed symmetric
     under swapping x and y, which holds for this form. Resolution is doubled
-    in lockstep until two consecutive levels agree within cfg tolerances;
-    the error estimate is the last refinement difference.
+    in lockstep until two consecutive levels agree within cfg tolerances.
+
+    The error estimate is the last refinement difference, not a bound. On
+    kinked integrands the level sequence can oscillate, and the estimate
+    then understates the true error: on the 1000 random piecewise-linear
+    functions (3 to 32 segments) of the Poincare acceptance campaign, at its
+    settings (rel_tol 1e-2) and alpha in {1.1, 1.5, 1.9}, it fell below the
+    error against the closed form in 815 of 3000 cases, by up to 886x.
+    Piecewise-linear inputs therefore go through piecewise_linear_form.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (0.0 < alpha < 2.0):
@@ -271,3 +283,119 @@ def singular_double_integral(f, w, alpha: float,
         prev = val
         n_outer *= 2
         n_inner *= 2
+
+
+_GL3_X, _GL3_W = np.polynomial.legendre.leggauss(3)
+_EPS = float(np.finfo(float).eps)
+
+
+def _pl_form_terms(edges: np.ndarray, slopes: np.ndarray, alpha):
+    """d^T W d and the magnitude of its summed terms, for cell slopes d.
+
+    W_ij integrates 2/(alpha(alpha-1)) K(s, t) over cell i x cell j, with
+    K(s, t) = |t-s|^(1-alpha) - (max-a)^(1-alpha) - (b-min)^(1-alpha)
+    + L^(1-alpha). Works in the dtype of edges, so a test can replay it in
+    extended precision.
+    """
+    a, b = edges[0], edges[-1]
+    h = edges[1:] - edges[:-1]
+    e2, e3 = 2 - alpha, 3 - alpha
+    span = np.abs(edges[None, :] - edges[:, None])
+    # G(u) = |u|^(3-alpha)/((2-alpha)(3-alpha)) has G'' = |u|^(1-alpha), so
+    # the |t-s| part of d^T W d is -r^T G r, with r the slope jumps at the
+    # edges (f is constant outside [a, b]); |r_k| <= c_k.
+    g = span ** e3 / (e2 * e3)
+    padded = np.concatenate([[0], slopes, [0]])
+    r = padded[1:] - padded[:-1]
+    c = np.abs(padded[1:]) + np.abs(padded[:-1])
+    # (max-a)^(1-alpha) over cells i < j is h_i (P(q_j-a) - P(p_j-a)), with
+    # P(u) = u^(2-alpha)/(2-alpha), so summed against d_i d_j it pairs each
+    # cell with its rise f(p_j) - f(a); over cell j x cell j it is
+    # 2 (h_j P(q_j-a) - G(q_j-a) + G(p_j-a)). (b-min)^(1-alpha) mirrors
+    # this with the fall f(b) - f(q_j).
+    pa, pb = span[0] ** e2 / e2, span[-1] ** e2 / e2
+    ga, gb = g[0], g[-1]
+    step = slopes * h
+    total = step.cumsum()
+    rise, fall = total - step, total[-1] - total
+    diag = h * (pa[1:] + pb[:-1])
+    sides = 2 * slopes @ ((pa[1:] - pa[:-1]) * rise + (pb[:-1] - pb[1:]) * fall
+                          + slopes * (diag - ga[1:] + ga[:-1] + gb[1:] - gb[:-1]))
+    mag_d = np.abs(slopes)
+    mag_step = mag_d * h
+    mag_total = mag_step.cumsum()
+    mag_sides = 2 * mag_d @ ((pa[1:] + pa[:-1]) * (mag_total - mag_step)
+                             + (pb[:-1] + pb[1:]) * (mag_total[-1] - mag_total)
+                             + mag_d * (diag + ga[1:] + ga[:-1] + gb[1:] + gb[:-1]))
+    const = (b - a) ** (1 - alpha)
+    scale = 2 / (alpha * (alpha - 1))
+    value = scale * (const * total[-1] ** 2 - r @ g @ r - sides)
+    magnitude = scale * (const * mag_total[-1] ** 2 + c @ g @ c + mag_sides)
+    return value, magnitude
+
+
+def _pl_data(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints and values as float arrays, rejected unless well formed."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.size < 2 or xs.shape != ys.shape:
+        raise DomainError("piecewise-linear data must be matching 1d arrays, length >= 2")
+    if not (xs[1:] > xs[:-1]).all():
+        raise DomainError("breakpoints must be strictly increasing")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise DomainError("piecewise-linear data must be finite")
+    return xs, ys
+
+
+def _cell_edges(xs: np.ndarray, interval: tuple[float, float]) -> np.ndarray:
+    """The interval's ends with the breakpoints strictly inside it."""
+    a, b = float(interval[0]), float(interval[1])
+    if not (math.isfinite(a) and math.isfinite(b) and b > a):
+        raise DomainError(f"degenerate interval ({a}, {b})")
+    return np.concatenate([[a], xs[(xs > a) & (xs < b)], [b]])
+
+
+def piecewise_linear_form(xs, ys, alpha: float,
+                          interval: tuple[float, float]) -> FormValue:
+    """Exact unweighted form of the piecewise-linear interpolant of (xs, ys).
+
+    The interpolant is constant outside [xs[0], xs[-1]], as np.interp makes
+    it. For alpha in (1, 2), writing (f(x)-f(y))^2 as the double integral of
+    f'(s) f'(t) over s, t between y and x and integrating the kernel
+    |x-y|^(-1-alpha) first gives E = d^T W d, with d the slopes on the cells
+    between consecutive breakpoints (clipped to the interval and merged
+    with its ends) and W a closed-form matrix of cell-pair integrals. No
+    quadrature is involved. The error estimate is a floating-point bound
+    from the magnitudes of the summed terms.
+    """
+    alpha = float(alpha)
+    if not (1.0 < alpha < 2.0):
+        raise DomainError(f"piecewise_linear_form requires alpha in (1, 2), got {alpha}")
+    xs, ys = _pl_data(xs, ys)
+    edges = _cell_edges(xs, interval)
+    vals = np.interp(edges, xs, ys)
+    slopes = (vals[1:] - vals[:-1]) / (edges[1:] - edges[:-1])
+    value, magnitude = _pl_form_terms(edges, slopes, alpha)
+    # Each term takes a few dozen roundings (powers with rounded exponents,
+    # differences, products), each slope 3, and the sums over the edges
+    # about 2n.
+    return FormValue(float(value), float((2 * slopes.size + 64) * _EPS * magnitude))
+
+
+def piecewise_linear_mass(f_xs, f_ys, w_xs, w_ys,
+                          interval: tuple[float, float]) -> FormValue:
+    """Exact integral of (f * w)^2 for piecewise-linear f and w.
+
+    Between consecutive breakpoints the integrand is a quartic polynomial,
+    so 3-point Gauss per cell is exact. Every summed term is nonnegative,
+    so the error estimate is a rounding bound relative to the value.
+    """
+    f_xs, f_ys = _pl_data(f_xs, f_ys)
+    w_xs, w_ys = _pl_data(w_xs, w_ys)
+    edges = np.union1d(_cell_edges(f_xs, interval), _cell_edges(w_xs, interval))
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    pts = mid[:, None] + half[:, None] * _GL3_X[None, :]
+    vals = (np.interp(pts, f_xs, f_ys) * np.interp(pts, w_xs, w_ys)) ** 2
+    value = float(np.sum(half[:, None] * _GL3_W[None, :] * vals))
+    return FormValue(value, (pts.size + 16) * _EPS * value)

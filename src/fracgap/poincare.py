@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, WitnessSearchError
-from .numerics import (DEFAULT_1D, DEFAULT_2D, FormValue, QuadConfig,
-                       integrate_1d, singular_double_integral)
+from .numerics import (DEFAULT_1D, DEFAULT_2D, FormValue, QuadConfig, _pl_data,
+                       integrate_1d, piecewise_linear_form, piecewise_linear_mass,
+                       singular_double_integral)
 
 __all__ = [
     "CAMPAIGN_CFG",
@@ -46,7 +47,8 @@ _BOUNDARY_TOL = 1e-10
 _PASS_SLACK = 1e-12
 
 # Loose settings for bulk campaigns: the inequality passes by orders of
-# magnitude, so cheap form values with honest error estimates suffice.
+# magnitude, so cheap form values suffice. PiecewiseLinear inputs to
+# poincare_check take the exact route and ignore them.
 CAMPAIGN_CFG = QuadConfig(abs_tol=1e-6, rel_tol=1e-2, max_panels=512)
 
 
@@ -71,14 +73,7 @@ class PiecewiseLinear:
     """
 
     def __init__(self, xs, ys):
-        self.xs = np.asarray(xs, dtype=float)
-        self.ys = np.asarray(ys, dtype=float)
-        if self.xs.ndim != 1 or self.xs.size < 2 or self.xs.shape != self.ys.shape:
-            raise DomainError("piecewise-linear data must be matching 1d arrays, length >= 2")
-        if not np.all(np.diff(self.xs) > 0):
-            raise DomainError("breakpoints must be strictly increasing")
-        if not (np.all(np.isfinite(self.xs)) and np.all(np.isfinite(self.ys))):
-            raise DomainError("piecewise-linear data must be finite")
+        self.xs, self.ys = _pl_data(xs, ys)
 
     def __call__(self, x):
         return np.interp(x, self.xs, self.ys)
@@ -109,6 +104,11 @@ def poincare_check(f, alpha: float, interval: tuple[float, float] = (0.0, 1.0),
     within 1e-10; the bound then involves the value at the opposite
     endpoint. The ratio lhs/rhs is inf when the bound is vacuous (rhs = 0
     with positive lhs) and nan when both sides vanish.
+
+    A PiecewiseLinear f takes the closed form (piecewise_linear_form), so
+    lhs is exact up to rounding, lhs_error is a floating-point bound, and
+    cfg goes unused. Other callables go through singular_double_integral
+    with cfg, whose lhs_error is the last refinement difference.
     """
     _require_alpha_12(alpha)
     a, b = float(interval[0]), float(interval[1])
@@ -123,7 +123,10 @@ def poincare_check(f, alpha: float, interval: tuple[float, float] = (0.0, 1.0),
         raise DomainError(
             f"f must vanish at the {side} endpoint; got {anchored!r}")
 
-    lhs = singular_double_integral(f, None, alpha, (a, b), cfg)
+    if isinstance(f, PiecewiseLinear):
+        lhs = piecewise_linear_form(f.xs, f.ys, alpha, (a, b))
+    else:
+        lhs = singular_double_integral(f, None, alpha, (a, b), cfg)
     rhs = poincare_constant(alpha) * free ** 2 / (b - a) ** (alpha - 1.0)
     if rhs > 0:
         ratio = lhs.value / rhs
@@ -284,7 +287,10 @@ def weighted_poincare_check(f, g, alpha: float,
 
     Requires f(a) = 0, g positive and nonincreasing on the interval (checked
     on a sample mesh; violations are rejected). The bound constant is the
-    same universal one divided by the interval length to the alpha.
+    same universal one divided by the interval length to the alpha. When f
+    and g are both PiecewiseLinear the mass of (f g)^2 is exact
+    (piecewise_linear_mass) and rhs_error is rounding-level; otherwise it
+    comes from integrate_1d.
     """
     _require_alpha_12(alpha)
     a, b = float(interval[0]), float(interval[1])
@@ -310,8 +316,11 @@ def weighted_poincare_check(f, g, alpha: float,
             f"and x={mesh[j + 1]!r}")
 
     lhs = singular_double_integral(f, g, alpha, (a, b), cfg)
-    mass = integrate_1d(lambda x: (np.asarray(f(x)) * np.asarray(g(x))) ** 2,
-                        a, b, _mass_cfg(cfg))
+    if isinstance(f, PiecewiseLinear) and isinstance(g, PiecewiseLinear):
+        mass = piecewise_linear_mass(f.xs, f.ys, g.xs, g.ys, (a, b))
+    else:
+        mass = integrate_1d(lambda x: (np.asarray(f(x)) * np.asarray(g(x))) ** 2,
+                            a, b, _mass_cfg(cfg))
     const = poincare_constant(alpha) / (b - a) ** alpha
     rhs = const * mass.value
     passed = lhs.value >= rhs - _PASS_SLACK

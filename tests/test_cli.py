@@ -1,5 +1,6 @@
 """CLI behavior: config resolution, commands, exit codes, output files."""
 
+import csv
 import json
 import shutil
 import subprocess
@@ -18,6 +19,9 @@ from fracgap.cli import (
     MAX_WORKING_BYTES,
     run,
 )
+from fracgap.montecarlo import make_rng
+from fracgap.numerics import piecewise_linear_form
+from fracgap.poincare import random_piecewise_linear
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -274,6 +278,23 @@ class TestPoincareCommand:
             "id", "n_breakpoints", "lipschitz", "f1", "lhs", "lhs_error",
             "rhs", "ratio", "n0", "certified_bound", "sound", "passed"]
         assert len(lines) == 4
+
+    def test_lhs_column_is_the_exact_form(self, tmp_path):
+        code, out = run_quiet(tmp_path, {
+            "command": "poincare", "alpha": 1.3,
+            "poincare": {"n_functions": 12, "seed": 11, "max_segments": 32},
+        })
+        assert code == EXIT_OK
+        with open(out / "poincare_campaign.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rng = make_rng(11)
+        assert len(rows) == 12
+        for row in rows:
+            f = random_piecewise_linear(rng, 32)
+            exact = piecewise_linear_form(f.xs, f.ys, 1.3, (0.0, 1.0))
+            assert float(row["lhs"]) == exact.value
+            assert float(row["lhs_error"]) <= 1e-6 * float(row["lhs"])
+            assert row["sound"] == row["passed"] == "true"
 
 
 class TestCounterexampleCommand:

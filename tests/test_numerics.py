@@ -8,14 +8,18 @@ from hypothesis import given, strategies as st
 from scipy.special import gamma as scipy_gamma
 
 from fracgap.errors import DomainError, NonConvergenceError
+from fracgap.montecarlo import make_rng
 from fracgap.numerics import (
     DEFAULT_2D,
     QuadConfig,
+    _pl_form_terms,
     gamma_fn,
     integrate_1d,
     levy_constant,
+    piecewise_linear_form,
     singular_double_integral,
 )
+from fracgap.poincare import PiecewiseLinear, random_piecewise_linear
 
 TIGHT = QuadConfig(abs_tol=1e-10, rel_tol=1e-10, max_panels=4096)
 
@@ -189,6 +193,19 @@ class TestSingularDoubleIntegral:
         r2 = singular_double_integral(f, one, alpha, (0.0, 1.0), DEFAULT_2D)
         assert r2.value == pytest.approx(r1.value, rel=1e-10)
 
+    def test_refinement_difference_is_not_a_bound(self):
+        # A kinked input on which two levels agree to 1e-7 relative while
+        # the value is off by 1e-5: the reported error is the last
+        # refinement difference, not a bound. The reference is a 30-digit
+        # mpmath evaluation (outer integral over u split at the kink
+        # distances, exact inner pieces), independent of the closed form.
+        f = PiecewiseLinear([0.0, 0.3, 1.0], [0.0, 1.0, 1.0])
+        ref = 2.1995418514963731
+        r = singular_double_integral(f, None, 1.1, (0.0, 1.0),
+                                     QuadConfig(1e-7, 1e-7, 2048))
+        assert r.error_estimate <= 1e-7 * r.value
+        assert abs(r.value - ref) > 10.0 * r.error_estimate
+
     def test_budget_exhaustion_raises(self):
         with pytest.raises(NonConvergenceError):
             singular_double_integral(
@@ -204,3 +221,98 @@ class TestSingularDoubleIntegral:
             singular_double_integral(lambda x: x, None, 2.0, (0.0, 1.0))
         with pytest.raises(DomainError):
             singular_double_integral(lambda x: x, None, 0.0, (0.0, 1.0))
+
+
+def linear_form_oracle(alpha, length):
+    # f(x) = x: (f(x)-f(y))^2 |x-y|^(-1-alpha) = |x-y|^(1-alpha), whose
+    # integral over a square of side L is 2 L^(3-alpha) / ((2-alpha)(3-alpha)).
+    return 2.0 * length ** (3.0 - alpha) / ((2.0 - alpha) * (3.0 - alpha))
+
+
+class TestPiecewiseLinearForm:
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_linear_closed_form(self, alpha):
+        unit = piecewise_linear_form([0.0, 1.0], [0.0, 1.0], alpha, (0.0, 1.0))
+        assert unit.value == pytest.approx(linear_form_oracle(alpha, 1.0), rel=1e-13)
+        wide = piecewise_linear_form([-2.0, 1.0], [-2.0, 1.0], alpha, (-2.0, 1.0))
+        assert wide.value == pytest.approx(linear_form_oracle(alpha, 3.0), rel=1e-13)
+        # The unit ramp (x - a) / L on (-2, 1) carries the factor L^(1-alpha).
+        ramp = piecewise_linear_form([-2.0, 1.0], [0.0, 1.0], alpha, (-2.0, 1.0))
+        want = 2.0 / ((2.0 - alpha) * (3.0 - alpha)) * 3.0 ** (1.0 - alpha)
+        assert ramp.value == pytest.approx(want, rel=1e-13)
+        for r in (unit, wide, ramp):
+            assert 0.0 < r.error_estimate <= 1e-10 * r.value
+
+    def test_mpmath_references_for_kinked_inputs(self):
+        # 30-digit mpmath evaluations of the double integral (outer integral
+        # over u split at the kink distances, exact inner pieces).
+        cases = [([0.0, 0.5, 1.0], [0.0, 1.0, 0.0], 3.0114946277372597),
+                 ([0.0, 0.3, 1.0], [0.0, 1.0, 1.0], 2.1995418514963731)]
+        for xs, ys, ref in cases:
+            r = piecewise_linear_form(xs, ys, 1.1, (0.0, 1.0))
+            assert abs(r.value - ref) <= 1e-12 * ref
+
+    def test_homogeneous_and_blind_to_constants(self):
+        rng = make_rng(31)
+        for alpha in (1.1, 1.5, 1.9):
+            f = random_piecewise_linear(rng)
+            base = piecewise_linear_form(f.xs, f.ys, alpha, (0.0, 1.0)).value
+            scaled = piecewise_linear_form(f.xs, -3.7 * f.ys, alpha, (0.0, 1.0)).value
+            shifted = piecewise_linear_form(f.xs, f.ys + 2.25, alpha, (0.0, 1.0)).value
+            assert scaled == pytest.approx(3.7**2 * base, rel=1e-12)
+            assert shifted == pytest.approx(base, rel=1e-12)
+
+    def test_knots_outside_interval_match_clipped_function(self):
+        alpha = 1.4
+        f = PiecewiseLinear([-0.5, 0.2, 0.6, 1.7], [1.0, -0.4, 0.8, 2.0])
+        a, b = 0.0, 1.0
+        clipped_xs = [a, 0.2, 0.6, b]
+        clipped = piecewise_linear_form(clipped_xs, f(np.array(clipped_xs)), alpha, (a, b))
+        r = piecewise_linear_form(f.xs, f.ys, alpha, (a, b))
+        assert r.value == pytest.approx(clipped.value, rel=1e-13)
+        # An interval wider than the knots sees the clamped constant ends.
+        g = PiecewiseLinear([0.25, 0.5, 0.75], [0.0, 1.0, 0.5])
+        padded = piecewise_linear_form([0.0, 0.25, 0.5, 0.75, 1.0],
+                                       [0.0, 0.0, 1.0, 0.5, 0.5], alpha, (0.0, 1.0))
+        r = piecewise_linear_form(g.xs, g.ys, alpha, (0.0, 1.0))
+        assert r.value == pytest.approx(padded.value, rel=1e-13)
+
+    def test_agrees_with_tight_quadrature(self):
+        # Inputs on which the tight quadrature's own estimate holds (checked
+        # against mpmath); measured agreement 2e-9..5e-9.
+        cases = [([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]),
+                 ([0.0, 0.25, 0.75, 1.0], [0.0, 1.0, -0.5, 0.5]),
+                 ([0.0, 0.375, 0.625, 1.0], [0.0, 1.0, 0.25, 1.25])]
+        for xs, ys in cases:
+            exact = piecewise_linear_form(xs, ys, 1.1, (0.0, 1.0))
+            quad = singular_double_integral(PiecewiseLinear(xs, ys), None, 1.1,
+                                            (0.0, 1.0), QuadConfig(1e-7, 1e-7, 2048))
+            assert abs(exact.value - quad.value) <= 1e-6 * exact.value
+
+    def test_error_estimate_bounds_rounding(self):
+        # The 3000 (function, alpha) pairs of acceptance criterion 8: the
+        # float64 value against the same d^T W d in extended precision.
+        rng = make_rng(20260115 + 1)
+        functions = [random_piecewise_linear(rng) for _ in range(1000)]
+        ld = np.longdouble
+        worst = 0.0
+        for alpha in (1.1, 1.5, 1.9):
+            for f in functions:
+                r = piecewise_linear_form(f.xs, f.ys, alpha, (0.0, 1.0))
+                xs, ys = f.xs.astype(ld), f.ys.astype(ld)
+                v_ld, _ = _pl_form_terms(xs, np.diff(ys) / np.diff(xs), ld(alpha))
+                err = float(abs(ld(r.value) - v_ld))
+                assert err <= r.error_estimate, (alpha, f.xs, f.ys)
+                assert r.error_estimate <= 1e-6 * r.value
+                worst = max(worst, err / r.error_estimate)
+        assert worst > 0.0
+
+    def test_domain(self):
+        for alpha in (1.0, 0.5, 2.0, 2.5):
+            with pytest.raises(DomainError):
+                piecewise_linear_form([0.0, 1.0], [0.0, 1.0], alpha, (0.0, 1.0))
+        for interval in ((1.0, 1.0), (1.0, 0.0)):
+            with pytest.raises(DomainError):
+                piecewise_linear_form([0.0, 1.0], [0.0, 1.0], 1.5, interval)
+        with pytest.raises(DomainError):
+            piecewise_linear_form([0.0, 0.0, 1.0], [0.0, 1.0, 1.0], 1.5, (0.0, 1.0))

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from hypothesis import given, strategies as st
 
 from fracgap.errors import DomainError, WitnessSearchError
-from fracgap.numerics import QuadConfig
+from fracgap.montecarlo import make_rng
+from fracgap.numerics import QuadConfig, piecewise_linear_form
 from fracgap.poincare import (
     CAMPAIGN_CFG,
     PiecewiseLinear,
@@ -114,6 +116,27 @@ class TestPoincareCheck:
         with pytest.raises(DomainError):
             poincare_check(lambda x: x, 0.9)
 
+    def test_piecewise_linear_input_is_exact(self):
+        rng = make_rng(17)
+        for alpha in (1.1, 1.5, 1.9):
+            f = random_piecewise_linear(rng)
+            res = poincare_check(f, alpha, cfg=CAMPAIGN_CFG)
+            exact = piecewise_linear_form(f.xs, f.ys, alpha, (0.0, 1.0))
+            assert (res.lhs, res.lhs_error) == (exact.value, exact.error_estimate)
+
+    def test_mirror_invariance(self):
+        # g(x) = f(a + b - x) vanishes at b and has the same form value.
+        rng = make_rng(23)
+        a, b = -1.0, 2.5
+        for alpha in (1.1, 1.5, 1.9):
+            f = random_piecewise_linear(rng)
+            xs = a + (b - a) * f.xs
+            res = poincare_check(PiecewiseLinear(xs, f.ys), alpha, (a, b))
+            mirror = poincare_check(PiecewiseLinear((a + b - xs)[::-1], f.ys[::-1]),
+                                    alpha, (a, b), mirrored=True)
+            assert mirror.lhs == pytest.approx(res.lhs, rel=1e-12)
+            assert mirror.rhs == pytest.approx(res.rhs, rel=1e-14)
+
 
 class TestWitnessSearch:
     def test_identity_terminates_at_first_step(self):
@@ -207,6 +230,33 @@ class TestWeightedCheck:
         res = weighted_poincare_check(
             lambda x: x, lambda x: 1.0 - 0.4 * np.asarray(x), 1.5)
         assert res.passed
+
+    def test_piecewise_linear_mass_is_exact(self):
+        # The mass of (f g)^2, integrated cell by cell as a polynomial.
+        def poly_mass(f, g, a, b):
+            edges = np.union1d(np.union1d(f.xs, g.xs), [a, b])
+            edges = edges[(edges >= a) & (edges <= b)]
+            total = 0.0
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                fl, fh, gl, gh = f(lo), f(hi), g(lo), g(hi)
+                prod = (Polynomial([fl, fh - fl]) * Polynomial([gl, gh - gl])) ** 2
+                total += (hi - lo) * prod.integ()(1.0)
+            return total
+
+        rng = make_rng(29)
+        for interval in ((0.0, 1.0), (-1.0, 2.0)):
+            a, b = interval
+            alpha = float(rng.uniform(1.05, 1.95))
+            for _ in range(20):
+                f0 = random_piecewise_linear(rng)
+                f = PiecewiseLinear(a + (b - a) * f0.xs, f0.ys)
+                k = int(rng.integers(2, 9))
+                xs = np.concatenate([[a - 0.1], np.sort(rng.uniform(a, b, size=k)), [b]])
+                g = PiecewiseLinear(xs, np.sort(rng.uniform(0.1, 2.0, size=k + 2))[::-1])
+                res = weighted_poincare_check(f, g, alpha, interval, CAMPAIGN_CFG)
+                want = poincare_constant(alpha) / (b - a) ** alpha * poly_mass(f, g, a, b)
+                assert res.rhs == pytest.approx(want, rel=1e-12)
+                assert res.rhs_error <= 1e-12 * res.rhs
 
     def test_weight_gating(self):
         with pytest.raises(DomainError, match="nonincreasing"):
