@@ -16,7 +16,8 @@ from .montecarlo import (ChainReport, KernelReport, PathConfig, PathEstimate,
                          sample_subordinator_increment)
 from .numerics import (DEFAULT_1D, DEFAULT_2D, FormValue, QuadConfig, gamma_fn,
                        integrate_1d, levy_constant, piecewise_linear_form,
-                       piecewise_linear_mass, singular_double_integral)
+                       piecewise_linear_mass, piecewise_linear_weighted_form,
+                       singular_double_integral)
 from .poincare import (CAMPAIGN_CFG, CounterexampleScan, PiecewiseLinear,
                        PoincareResult, WeightedPoincareResult, WitnessCertificate,
                        WitnessStep, counterexample_scan, poincare_check,
@@ -37,7 +38,7 @@ __all__ = [
     "DomainError", "NonConvergenceError", "WitnessSearchError",
     "QuadConfig", "FormValue", "DEFAULT_1D", "DEFAULT_2D",
     "gamma_fn", "levy_constant", "integrate_1d", "singular_double_integral",
-    "piecewise_linear_form", "piecewise_linear_mass",
+    "piecewise_linear_form", "piecewise_linear_mass", "piecewise_linear_weighted_form",
     "Potential", "WellReport", "make_zero", "make_power_well",
     "make_inverse_boundary_well", "make_tabulated", "load_tabulated_csv",
     "validate_single_well",

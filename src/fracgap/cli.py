@@ -7,8 +7,9 @@ simulate, phi, or all) plus the problem parameters; defaults fill every
 omitted key and the fully resolved config is echoed to config_echo.json
 next to the other outputs for provenance. Each command prints one PASS or
 FAIL line per check. Exit codes: 0 all checks passed, 1 a check failed,
-2 configuration error, 3 a quadrature or search failed to converge, 4 an
-unexpected internal error (a defect; one line on stderr, no traceback).
+2 configuration error, 3 the counterexample quadrature or the witness search
+failed to converge, 4 an unexpected internal error (a defect; one line on
+stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import DomainError, NonConvergenceError, WitnessSearchError
 from .forms import check_gaps, gap_report_to_json_dict
 from .montecarlo import (PathConfig, cauchy_kernel_check, estimate_feynman_kac,
                          estimates_csv_rows, gaussian_chain, make_rng)
-from .numerics import QuadConfig
 from .poincare import (CAMPAIGN_CFG, certificate_to_json_dict, counterexample_scan,
                        poincare_check, poincare_constant, random_piecewise_linear,
                        witness_search)
@@ -81,9 +81,11 @@ def _mc_working_bytes(n_points: int, n_paths: int) -> int:
 def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict:
     """Validate the raw config and fill defaults; returns the echo dict."""
     _expect(isinstance(raw, dict), "config root must be a JSON object")
+    _expect("quadrature" not in raw,
+            "the 'quadrature' section is no longer read: the gap form is now exact; "
+            "remove it")
     known = {"command", "alpha", "interval", "potential", "N", "m",
-             "quadrature", "mc", "poincare", "counterexample", "chain",
-             "output_dir"}
+             "mc", "poincare", "counterexample", "chain", "output_dir"}
     unknown = set(raw) - known
     _expect(not unknown, f"unknown config keys: {sorted(unknown)}")
 
@@ -120,15 +122,6 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
             f"over the {MAX_WORKING_BYTES / 2**30:.3g} GiB limit")
     m = int(_take(raw, "m", 6))
     _expect(1 <= m <= n_grid, f"m must lie in [1, N], got {m}")
-
-    quad = dict(_take(raw, "quadrature", {}))
-    quad_resolved = {
-        "abs_tol": float(quad.pop("abs_tol", 1e-6)),
-        "rel_tol": float(quad.pop("rel_tol", 1e-6)),
-        "max_panels": int(quad.pop("max_panels", 1024)),
-        "grading_exponent": float(quad.pop("grading_exponent", 3.0)),
-    }
-    _expect(not quad, f"unknown quadrature keys: {sorted(quad)}")
 
     mc = dict(_take(raw, "mc", {}))
     mc_resolved = {
@@ -189,7 +182,6 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
         "potential": pot,
         "N": n_grid,
         "m": m,
-        "quadrature": quad_resolved,
         "mc": mc_resolved,
         "poincare": campaign_resolved,
         "counterexample": counter_resolved,
@@ -218,15 +210,6 @@ def _build_potential(cfg: dict):
     _expect(abs(pa - interval[0]) <= 1e-12 and abs(pb - interval[1]) <= 1e-12,
             f"tabulated potential covers [{pa}, {pb}], config interval is {list(interval)}")
     return potential
-
-
-def _quad_config(cfg: dict) -> QuadConfig:
-    q = cfg["quadrature"]
-    try:
-        return QuadConfig(q["abs_tol"], q["rel_tol"], q["max_panels"],
-                          q["grading_exponent"])
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 class _Reporter:
@@ -270,7 +253,7 @@ def _cmd_spectrum(cfg: dict, out: Path, rep: _Reporter, potential, result) -> No
 
 
 def _cmd_gap(cfg: dict, out: Path, rep: _Reporter, result) -> None:
-    report = check_gaps(result, _quad_config(cfg))
+    report = check_gaps(result)
     write_atomic(out / "gap_report.json", dumps_json(gap_report_to_json_dict(report)))
     rep.check(report.pass_star, "gap_star",
               f"gap_star {report.gap_star:.8g} >= bound {report.bound_star:.8g} "

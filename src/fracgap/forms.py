@@ -7,8 +7,11 @@ it is the infimum over mean-zero, normalized test functions f of
 
 where phi1 is the ground state and A the jump-kernel normalizing constant,
 and the infimum is attained at f = phi2/phi1. This module evaluates that
-form by quadrature, independently of the matrix eigensolve, and checks both
-routes against closed-form lower bounds for the gap.
+form independently of the matrix eigensolve and checks both routes against
+closed-form lower bounds for the gap. The eigenfunction ratio and the
+interpolated ground state are piecewise linear, so rayleigh_gap evaluates
+the form exactly (piecewise_linear_weighted_form); weighted_form keeps the
+singularity-graded quadrature for callable f.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import (DEFAULT_2D, FormValue, QuadConfig, levy_constant,
-                       piecewise_linear_mass, singular_double_integral)
+                       piecewise_linear_mass, piecewise_linear_weighted_form,
+                       singular_double_integral)
 from .spectral import SpectralResult
 
 __all__ = [
@@ -57,19 +61,15 @@ def weighted_form(f, result: SpectralResult,
 
     f must accept numpy arrays. The weight is the interpolated ground state
     of the given spectral result; constants are in the kernel's null space,
-    so the value vanishes iff f is constant on the interval.
+    so the value vanishes iff f is constant on the interval. Evaluated by
+    singular_double_integral with cfg; piecewise-linear f has the exact
+    route piecewise_linear_weighted_form, which rayleigh_gap takes.
     """
     weight = ground_state_weight(result)
     half_const = 0.5 * levy_constant(-result.alpha)
     raw = singular_double_integral(f, weight, result.alpha,
                                    (result.grid.a, result.grid.b), cfg)
     return FormValue(half_const * raw.value, half_const * raw.error_estimate)
-
-
-def _interp_callable(xs: np.ndarray, ys: np.ndarray):
-    def call(x):
-        return np.interp(x, xs, ys)
-    return call
 
 
 def rayleigh_gap(result: SpectralResult, n: int = 2,
@@ -80,7 +80,8 @@ def rayleigh_gap(result: SpectralResult, n: int = 2,
     sup, interpolated linearly between them and extended constantly through
     the fringe to the endpoints. The returned value is the weighted form of
     that ratio divided by its phi1^2-weighted L2 norm, an upper bound for
-    lambda_n - lambda_1 up to discretization error.
+    lambda_n - lambda_1 up to discretization error. Both are exact for these
+    piecewise-linear inputs; cfg is unused and kept for callers that pass it.
     """
     if not (2 <= n <= result.m):
         raise DomainError(f"n must lie in [2, {result.m}], got {n}")
@@ -88,20 +89,24 @@ def rayleigh_gap(result: SpectralResult, n: int = 2,
     phi1 = result.eigenvectors[:, 0]
     phin = result.eigenvectors[:, n - 1]
     keep = phi1 >= _FRINGE_RTOL * float(np.max(np.abs(phi1)))
-    # np.interp extends constantly outside the kept range, which is exactly
+    # The interpolants are constant outside their knots, which is exactly
     # the intended treatment of the excluded fringe.
-    kept_x = grid.nodes()[keep]
     ratio = phin[keep] / phi1[keep]
+    w_ys = np.concatenate([[0.0], phi1, [0.0]])
 
-    f = _interp_callable(kept_x, ratio)
-    form = weighted_form(f, result, cfg)
+    # In grid-index coordinates 0..N+1 every cell has width exactly 1, so the
+    # moments depend on the cell offset alone; the form scales as h^(1-alpha).
+    index = np.arange(grid.n + 2, dtype=float)
+    form = piecewise_linear_weighted_form(index[1:-1][keep], ratio, index, w_ys,
+                                          result.alpha, (0.0, grid.n + 1.0))
+    scale = 0.5 * levy_constant(-result.alpha) * grid.h ** (1.0 - result.alpha)
 
     w_xs = np.concatenate([[grid.a], grid.nodes(), [grid.b]])
-    w_ys = np.concatenate([[0.0], phi1, [0.0]])
-    norm_sq = piecewise_linear_mass(kept_x, ratio, w_xs, w_ys, (grid.a, grid.b)).value
+    norm_sq = piecewise_linear_mass(grid.nodes()[keep], ratio, w_xs, w_ys,
+                                    (grid.a, grid.b)).value
     if norm_sq <= 0:
         raise DomainError("degenerate eigenfunction ratio: zero weighted norm")
-    return form.value / norm_sq
+    return scale * form.value / norm_sq
 
 
 @dataclass(frozen=True)
@@ -170,7 +175,9 @@ def check_gaps(result: SpectralResult, cfg: QuadConfig = DEFAULT_2D) -> GapRepor
     """Compare computed gaps against the closed-form bounds.
 
     Needs m >= 2 and a mirror-symmetric operator (for lambda_star). The
-    rayleigh consistency field is |rayleigh - gap| / gap.
+    rayleigh consistency field is |rayleigh - gap| / gap. The Rayleigh form
+    is exact (see rayleigh_gap), so cfg is unused; it is kept for callers
+    that pass it.
     """
     if result.m < 2 or result.star is None:
         raise DomainError("check_gaps needs m >= 2 and a mirror-symmetric potential")

@@ -10,12 +10,14 @@ integrals with an |x-y|^(-1-alpha) kernel by substituting u = y - x, grading
 the outer mesh toward u = 0 where the kernel concentrates, and refining outer
 and inner resolution in lockstep until two consecutive levels agree.
 Piecewise-linear inputs skip both engines: their unweighted form (alpha in
-(1, 2)) and their weighted L2 mass have closed forms, evaluated here with
-floating-point error bounds.
+(1, 2)), their weighted form (alpha in (0, 2)) and their weighted L2 mass
+are evaluated from closed-form and fixed-order cell-pair integrals, with
+error bounds in place of refinement differences.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ __all__ = [
     "singular_double_integral",
     "piecewise_linear_form",
     "piecewise_linear_mass",
+    "piecewise_linear_weighted_form",
 ]
 
 
@@ -380,6 +383,247 @@ def piecewise_linear_form(xs, ys, alpha: float,
     # differences, products), each slope 3, and the sums over the edges
     # about 2n.
     return FormValue(float(value), float((2 * slopes.size + 64) * _EPS * magnitude))
+
+
+# Gauss-Legendre orders for the cell-pair kernel moments (_kernel_moments
+# picks the lowest one that its Bernstein-ellipse bound allows).
+_MOMENT_ORDERS = (4, 6, 8, 12, 16, 24, 32)
+
+
+@functools.cache
+def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1) / 2, w / 2
+
+
+def _gauss_tail(sigma, spread, alpha):
+    """Log-prefactor c and log rho of a Gauss-Legendre bound e^c rho^(-2n).
+
+    The bound is on |error|/value of n-point Gauss-Legendre on [0, 1] for
+    an integrand x^p D(x)^(-1-alpha), p <= 3, with D affine and vanishing
+    sigma interval lengths beyond one end. On the Bernstein ellipse halfway
+    to that zero (semi-axis 1 + sigma in [-1, 1] units) |x| is at most
+    (2 + sigma)/2 and |D| at least D_min/2, so the Chebyshev coefficients
+    are at most 2 M rho^-k and the error at most 4 M rho^(-2n)/(1 - 1/rho)
+    (Trefethen, SIAM Rev. 50, 2008). A moment of degree <= 3 in each of two
+    variables is at least D_max^(-1-alpha)/16; spread = D_max/D_min.
+    """
+    semi = 1 + sigma
+    log_rho = np.log(semi + np.sqrt(semi * semi - 1))
+    return (math.log(64) + 3 * np.log1p(sigma / 2) + (1 + alpha) * np.log(2 * spread)
+            - np.log(-np.expm1(-log_rho))), log_rho
+
+
+def _kernel_moments(gap, hx, hy, alpha):
+    """M[p, q] = iint s^p t^q (gap + hx (1 - s) + hy t)^(-1-alpha), p, q <= 3.
+
+    The moments of two cells of widths hx and hy, the second gap to the
+    right of the first, by tensor Gauss-Legendre on [0, 1]^2; gap, hx and
+    hy are 1-d arrays. Each pair takes the lowest order in _MOMENT_ORDERS
+    at which the tail bounds in s and in t (_gauss_tail) are each below
+    _EPS/2. Returns the moments (m, 4, 4) and the sum of the two bounds.
+    """
+    spread = (gap + hx + hy) / gap
+    (c_s, r_s), (c_t, r_t) = (_gauss_tail(gap / h, spread, alpha) for h in (hx, hy))
+    need = np.maximum((c_s - math.log(_EPS / 2)) / (2 * r_s),
+                      (c_t - math.log(_EPS / 2)) / (2 * r_t))
+    pick = np.minimum(np.searchsorted(_MOMENT_ORDERS, need), len(_MOMENT_ORDERS) - 1)
+    order = np.asarray(_MOMENT_ORDERS)[pick]
+    moments = np.empty(gap.shape + (4, 4), dtype=gap.dtype)
+    for level in np.unique(pick):
+        x, w = (v.astype(gap.dtype) for v in _gauss01(_MOMENT_ORDERS[level]))
+        vander = w[:, None] * x[:, None] ** np.arange(4)
+        which = np.flatnonzero(pick == level)
+        chunk = max(1, _PAIR_BLOCK // x.size ** 2)
+        for start in range(0, which.size, chunk):
+            sel = which[start:start + chunk]
+            kernel = (gap[sel, None, None] + hx[sel, None, None] * (1 - x[:, None])
+                      + hy[sel, None, None] * x) ** (-1 - alpha)
+            moments[sel] = vander.T @ kernel @ vander
+    return moments, np.exp(c_s - 2 * order * r_s) + np.exp(c_t - 2 * order * r_t)
+
+
+def _edge_moments(hx, hy, alpha):
+    """N[p, q] = iint u^p t^q (hx u + hy t)^(-1-alpha) for p + q >= 2, else 0.
+
+    u and t are distances from the edge two cells share, in units of their
+    widths. Split at t = u r and u = t r (Duffy, SIAM J. Numer. Anal. 19,
+    1982), the radial integral is 1/(p + q + 1 - alpha) and what remains
+    is J_q(a, b) = int_0^1 r^q (a + b r)^(-1-alpha) dr, by Gauss-Legendre.
+    Returns the moments (m, 4, 4) and their relative truncation bound (m,).
+    """
+    n = _MOMENT_ORDERS[-1]
+    x, w = (v.astype(hx.dtype) for v in _gauss01(n))
+    powers = w[:, None] * x[:, None] ** np.arange(4)
+    j_x = (hx[:, None] + hy[:, None] * x) ** (-1 - alpha) @ powers
+    j_y = (hy[:, None] + hx[:, None] * x) ** (-1 - alpha) @ powers
+    deg = np.arange(4)[:, None] + np.arange(4)
+    radial = np.where(deg >= 2, 1 / np.maximum(deg + 1 - alpha, 1), 0)
+    moments = (j_x[:, None, :] + j_y[:, :, None]) * radial
+    spread = (hx + hy) / np.minimum(hx, hy)
+    tails = [c - 2 * n * r for c, r in (_gauss_tail(hx / hy, spread, alpha),
+                                         _gauss_tail(hy / hx, spread, alpha))]
+    return moments, np.exp(np.maximum(*tails))
+
+
+def _pair_sums(delta, x, y, m, sign):
+    """iint (delta + d_x s + sign d_y t)^2 w_x(s) w_y(t) against moments m.
+
+    x and y are (W, g, d) of the two cells, with w = W + g s and
+    f = F + d s on a cell in local coordinates; m[..., p, q] holds the
+    moments of s^p t^q. sign -1 gives the value; sign +1 on absolute
+    inputs, the sum of the magnitudes of its terms.
+    """
+    wx, gx, dx = x
+    wy, gy, dy = y
+
+    def lin(r, s):
+        return (wx * (wy * m[..., r, s] + gy * m[..., r, s + 1])
+                + gx * (wy * m[..., r + 1, s] + gy * m[..., r + 1, s + 1]))
+
+    return (delta * delta * lin(0, 0) + 2 * delta * (dx * lin(1, 0) + sign * dy * lin(0, 1))
+            + dx * dx * lin(2, 0) + 2 * sign * dx * dy * lin(1, 1) + dy * dy * lin(0, 2))
+
+
+# Array elements per block of the pair sums and of the moment kernels:
+# bounds their temporaries whatever the number of cells.
+_PAIR_BLOCK = 2**14
+
+
+def _pl_weighted_terms(edges, fv, wv, alpha):
+    """The weighted form, the magnitude of its summed terms and its Gauss tail.
+
+    f and w are linear between consecutive edges, with values fv and wv
+    there. Works in the dtype of edges, so a test can replay it in extended
+    precision. Each pair of cells is integrated in local coordinates s, t in
+    [0, 1], with f = F + d s and w = W + g s on each cell:
+    - same cell: (f(x) - f(y))^2 = d^2 (s - t)^2, and the moments of
+      s^p t^q |s - t|^(1-alpha), p, q <= 1, are closed forms;
+    - adjacent cells: f(x) - f(y) vanishes at the shared edge, see
+      _edge_moments;
+    - cells further apart: see _kernel_moments. delta = F_x - F_y is kept
+      per pair, not expanded into products of values, which would cancel.
+      Every moment is at most M[0, 0], which bounds the magnitude. When all
+      widths are equal the moments depend on the offset alone and are
+      computed once per offset.
+    """
+    h = edges[1:] - edges[:-1]
+    d = fv[1:] - fv[:-1]
+    g = wv[1:] - wv[:-1]
+    w0 = wv[:-1]
+    n = h.size
+
+    beta = 1 - alpha
+    d00 = 2 / ((beta + 1) * (beta + 2))
+    d11 = ((1 / (beta + 4) + 2 / ((beta + 2) * (beta + 3) * (beta + 4))) / (beta + 1)
+           - 1 / ((beta + 3) * (beta + 4)))
+    same = h ** beta * d * d
+    # D10 = D00/2 by the symmetry s -> 1 - s, t -> 1 - t.
+    value = same @ (w0 * w0 * d00 + w0 * g * d00 + g * g * d11)
+    magnitude = same @ (w0 * w0 * d00 + np.abs(w0 * g) * d00 + g * g * d11)
+    tail = 0 * value
+    if n < 2:
+        return value, magnitude, tail
+
+    # Adjacent cells, the left one read from the shared edge: u = 1 - s.
+    moments, tails = _edge_moments(h[:-1], h[1:], alpha)
+    moments = moments * (h[:-1] * h[1:])[:, None, None]
+    zero = np.zeros(n - 1, dtype=h.dtype)
+    right = (w0[1:], g[1:], d[1:])
+    value = value + 2 * _pair_sums(zero, (w0[1:], -g[:-1], -d[:-1]), right, moments, -1).sum()
+    adjacent = _pair_sums(zero, tuple(np.abs((w0[1:], g[:-1], d[:-1]))),
+                          tuple(np.abs(right)), moments, 1)
+    magnitude = magnitude + 2 * adjacent.sum()
+    tail = tail + 2 * tails @ adjacent
+
+    # Cells further apart, a block of offsets k at a time: row i pairs cell
+    # i with cell i + k. Cells past the end get zero weight, so the pairs
+    # they complete add nothing.
+    uniform = bool((h == h[0]).all())
+    if uniform:
+        table, table_tails = _kernel_moments(np.arange(1, n - 1, dtype=h.dtype) * h[0],
+                                             h[1:-1], h[1:-1], alpha)
+        table = table * h[0] * h[0]
+
+    fv_p, w_p, g_p, d_p, h_p, right_p = (np.concatenate([a, np.zeros(n, dtype=h.dtype)])
+                                         for a in (fv[:-1], w0, g, d, h, edges[1:]))
+    x = (w0[:, None], g[:, None], d[:, None])
+    weight_x = np.abs(w0) + np.abs(g)
+    block = max(1, _PAIR_BLOCK // n)
+    for k0 in range(2, n, block):
+        kb = min(block, n - k0)
+
+        def window(a):
+            return np.lib.stride_tricks.sliding_window_view(a[k0:k0 + n + kb - 1], kb)
+
+        y = (window(w_p), window(g_p), window(d_p))
+        delta = fv[:-1, None] - window(fv_p)
+        if uniform:
+            moments, tails = table[k0 - 2:k0 - 2 + kb], table_tails[k0 - 2:k0 - 2 + kb]
+        else:
+            # Only the pairs that exist: i + k < n.
+            real = np.add.outer(np.arange(n), np.arange(k0, k0 + kb)) < n
+            hy = window(h_p)[real]
+            moments = np.zeros((n, kb, 4, 4), dtype=h.dtype)
+            tails = np.zeros((n, kb), dtype=h.dtype)
+            hx = np.broadcast_to(h[:, None], real.shape)[real]
+            moments[real], tails[real] = _kernel_moments(
+                (window(right_p) - edges[1:, None])[real] - hy, hx, hy, alpha)
+            moments[real] *= (hx * hy)[:, None, None]
+        value = value + 2 * _pair_sums(delta, x, y, moments, -1).sum()
+        bound = ((np.abs(delta) + np.abs(d[:, None]) + np.abs(y[2])) ** 2
+                 * weight_x[:, None] * (np.abs(y[0]) + np.abs(y[1])) * moments[..., 0, 0])
+        magnitude = magnitude + 2 * bound.sum()
+        tail = tail + 2 * (tails * bound).sum()
+    return value, magnitude, tail
+
+
+def _balanced(edges: np.ndarray) -> np.ndarray:
+    """Halve every cell wider than twice a neighbour until none is.
+
+    Then a cell's gap to any non-adjacent cell is at least half its width,
+    which keeps every Gauss order in _MOMENT_ORDERS within reach.
+    """
+    while True:
+        h = np.diff(edges)
+        narrower = np.minimum(np.append(h[1:], np.inf), np.insert(h[:-1], 0, np.inf))
+        mid = edges[:-1] + h / 2
+        wide = (h > 2 * narrower) & (mid > edges[:-1]) & (mid < edges[1:])
+        if not wide.any():
+            return edges
+        edges = np.insert(edges, np.flatnonzero(wide) + 1, mid[wide])
+
+
+def piecewise_linear_weighted_form(f_xs, f_ys, w_xs, w_ys, alpha: float,
+                                   interval: tuple[float, float]) -> FormValue:
+    """Exact iint (f(x)-f(y))^2 w(x) w(y) |x-y|^(-1-alpha) for piecewise-linear f, w.
+
+    alpha in (0, 2). f and w are the interpolants of (f_xs, f_ys) and
+    (w_xs, w_ys), constant outside their knots as np.interp makes them. The
+    two knot sets, clipped to the interval and merged with its ends, cut it
+    into cells; cells wider than twice a neighbour are halved until none
+    is. On each pair of cells the integrand is a polynomial times the
+    kernel, integrated by closed forms (same or adjacent cells) and by
+    tensor Gauss-Legendre whose order is chosen from a Bernstein-ellipse
+    bound (cells further apart); no adaptive quadrature is involved (see
+    _pl_weighted_terms). The cost is O(n^2) in the number of cells n, with
+    O(n) moment work when all cells have exactly the same width and
+    O(n^2) otherwise. The error estimate bounds the rounding from the
+    magnitudes of the summed terms, plus the Gauss truncation bound.
+    """
+    alpha = float(alpha)
+    if not (0.0 < alpha < 2.0):
+        raise DomainError(f"piecewise_linear_weighted_form requires alpha in (0, 2), got {alpha}")
+    f_xs, f_ys = _pl_data(f_xs, f_ys)
+    w_xs, w_ys = _pl_data(w_xs, w_ys)
+    edges = _balanced(np.union1d(_cell_edges(f_xs, interval), _cell_edges(w_xs, interval)))
+    value, magnitude, tail = _pl_weighted_terms(edges, np.interp(edges, f_xs, f_ys),
+                                                np.interp(edges, w_xs, w_ys), alpha)
+    # Each pair term takes about a hundred roundings (the Gauss sums of
+    # up to 32 x 32 positive terms, the polynomial products), and the sums
+    # over pairs about n more.
+    return FormValue(float(value), float((edges.size + 128) * _EPS * magnitude + tail))
 
 
 def piecewise_linear_mass(f_xs, f_ys, w_xs, w_ys,

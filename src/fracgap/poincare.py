@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, WitnessSearchError
 from .numerics import (DEFAULT_1D, DEFAULT_2D, FormValue, QuadConfig, _pl_data,
                        integrate_1d, piecewise_linear_form, piecewise_linear_mass,
-                       singular_double_integral)
+                       piecewise_linear_weighted_form, singular_double_integral)
 
 __all__ = [
     "CAMPAIGN_CFG",
@@ -288,9 +288,11 @@ def weighted_poincare_check(f, g, alpha: float,
     Requires f(a) = 0, g positive and nonincreasing on the interval (checked
     on a sample mesh; violations are rejected). The bound constant is the
     same universal one divided by the interval length to the alpha. When f
-    and g are both PiecewiseLinear the mass of (f g)^2 is exact
-    (piecewise_linear_mass) and rhs_error is rounding-level; otherwise it
-    comes from integrate_1d.
+    and g are both PiecewiseLinear, lhs and the mass of (f g)^2 are exact
+    (piecewise_linear_weighted_form, piecewise_linear_mass), lhs_error and
+    rhs_error are rounding-level bounds, and cfg goes unused. Other
+    callables go through singular_double_integral with cfg, whose lhs_error
+    is the last refinement difference, and integrate_1d.
     """
     _require_alpha_12(alpha)
     a, b = float(interval[0]), float(interval[1])
@@ -315,10 +317,11 @@ def weighted_poincare_check(f, g, alpha: float,
             f"weight must be nonincreasing; increases between x={mesh[j]!r} "
             f"and x={mesh[j + 1]!r}")
 
-    lhs = singular_double_integral(f, g, alpha, (a, b), cfg)
     if isinstance(f, PiecewiseLinear) and isinstance(g, PiecewiseLinear):
+        lhs = piecewise_linear_weighted_form(f.xs, f.ys, g.xs, g.ys, alpha, (a, b))
         mass = piecewise_linear_mass(f.xs, f.ys, g.xs, g.ys, (a, b))
     else:
+        lhs = singular_double_integral(f, g, alpha, (a, b), cfg)
         mass = integrate_1d(lambda x: (np.asarray(f(x)) * np.asarray(g(x))) ** 2,
                             a, b, _mass_cfg(cfg))
     const = poincare_constant(alpha) / (b - a) ** alpha

@@ -19,6 +19,7 @@ from fracgap.cli import (
     MAX_WORKING_BYTES,
     run,
 )
+from fracgap.errors import NonConvergenceError
 from fracgap.montecarlo import make_rng
 from fracgap.numerics import piecewise_linear_form
 from fracgap.poincare import random_piecewise_linear
@@ -65,12 +66,17 @@ class TestConfigErrors:
         code, _ = run_quiet(tmp_path, {"command": "counterexample", "alpha": 1.5})
         assert code == EXIT_CONFIG
 
-    def test_bad_quadrature(self, tmp_path):
-        code, _ = run_quiet(tmp_path, {
+    def test_bad_quadrature(self, tmp_path, capsys):
+        # The gap form is exact, so a quadrature section is refused, not ignored.
+        code, out = run_quiet(tmp_path, {
             "command": "gap",
             "quadrature": {"max_panels": 2},
         })
         assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "the gap form is now exact" in err
+        assert err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_tabulated_interval_mismatch(self, tmp_path):
         csv = tmp_path / "pot.csv"
@@ -167,14 +173,15 @@ class TestExitCodes:
                               "second line (at test_cli.py:")
         assert err.endswith(" in broken_stage)\n") and err.count("\n") == 1, err
 
-    def test_nonconvergence_exit(self, tmp_path):
-        code, _ = run_quiet(tmp_path, {
-            "command": "gap",
-            "N": 64,
-            "m": 4,
-            "quadrature": {"abs_tol": 1e-14, "rel_tol": 1e-14, "max_panels": 4},
-        })
+    def test_nonconvergence_exit(self, tmp_path, capsys, monkeypatch):
+        def stalled_stage(*args):
+            raise NonConvergenceError("budget exhausted", value=1.0, error_estimate=0.5)
+
+        monkeypatch.setattr(cli, "_cmd_counterexample", stalled_stage)
+        code, _ = run_quiet(tmp_path, {"command": "counterexample", "alpha": 0.5})
         assert code == EXIT_NONCONVERGENCE
+        err = capsys.readouterr().err
+        assert err == "nonconvergence: budget exhausted\n", err
 
     def test_failed_check_exit(self, tmp_path, capsys):
         # W-shaped tabulated potential: symmetric but not a single well.

@@ -1,4 +1,8 @@
-"""Weighted-form quadrature vs the eigensolve, and the closed-form gap bounds."""
+"""Weighted forms vs the eigensolve, and the closed-form gap bounds.
+
+rayleigh_gap evaluates the weighted form of the piecewise-linear
+eigenfunction ratio exactly; weighted_form evaluates callables by quadrature.
+"""
 
 import math
 

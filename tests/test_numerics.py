@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,11 +13,15 @@ from fracgap.montecarlo import make_rng
 from fracgap.numerics import (
     DEFAULT_2D,
     QuadConfig,
+    _balanced,
+    _cell_edges,
     _pl_form_terms,
+    _pl_weighted_terms,
     gamma_fn,
     integrate_1d,
     levy_constant,
     piecewise_linear_form,
+    piecewise_linear_weighted_form,
     singular_double_integral,
 )
 from fracgap.poincare import PiecewiseLinear, random_piecewise_linear
@@ -316,3 +321,176 @@ class TestPiecewiseLinearForm:
                 piecewise_linear_form([0.0, 1.0], [0.0, 1.0], 1.5, interval)
         with pytest.raises(DomainError):
             piecewise_linear_form([0.0, 0.0, 1.0], [0.0, 1.0, 1.0], 1.5, (0.0, 1.0))
+
+
+def weighted_form_oracle(f_xs, f_ys, w_xs, w_ys, alpha, interval, dps=20):
+    """mpmath value of iint (f(x)-f(y))^2 w(x) w(y) |x-y|^(-1-alpha).
+
+    Substituting u = y - x gives 2 int_0^L u^(-1-alpha) inner(u) du, with
+    inner(u) the integral over x of (f(x+u)-f(x))^2 w(x) w(x+u), exact by
+    3-point Gauss between the breakpoints {knots} and {knots - u}. inner is
+    smooth between knot distances. Below the smallest one, u1, it is a
+    polynomial of degree <= 5 vanishing to second order at 0, so it is
+    fitted there from eight values and integrated against u^(-1-alpha) in
+    closed form.
+    """
+    with mp.workdps(dps):
+        a, b = mp.mpf(interval[0]), mp.mpf(interval[1])
+        fx, fy, wx, wy = ([mp.mpf(float(v)) for v in arr] for arr in (f_xs, f_ys, w_xs, w_ys))
+
+        def interp(x, xs, ys):
+            if x <= xs[0]:
+                return ys[0]
+            k = next((k for k in range(len(xs) - 1) if x <= xs[k + 1]), None)
+            if k is None:
+                return ys[-1]
+            return ys[k] + (ys[k + 1] - ys[k]) * (x - xs[k]) / (xs[k + 1] - xs[k])
+
+        knots = sorted({a, b} | {k for k in fx + wx if a < k < b})
+        nodes, weights = (list(map(mp.mpf, v)) for v in np.polynomial.legendre.leggauss(3))
+
+        def inner(u):
+            pts = sorted({a, b - u} | {k for k in knots if a < k < b - u}
+                         | {k - u for k in knots if a < k - u < b - u})
+            total = mp.mpf(0)
+            for lo, hi in zip(pts[:-1], pts[1:]):
+                for z, wt in zip(nodes, weights):
+                    x = (lo + hi) / 2 + (hi - lo) / 2 * z
+                    df = interp(x + u, fx, fy) - interp(x, fx, fy)
+                    total += (hi - lo) / 2 * wt * df * df * interp(x, wx, wy) * interp(x + u, wx, wy)
+            return total
+
+        al = mp.mpf(float(alpha))
+        splits = sorted({mp.mpf(0), b - a} | {abs(p - q) for p in knots for q in knots
+                                               if 0 < abs(p - q) < b - a})
+        u1 = splits[1]
+        pts = [u1 * (j + 1) / 8 for j in range(8)]
+        coef = mp.lu_solve(mp.matrix([[u ** j for j in range(8)] for u in pts]),
+                           mp.matrix([inner(u) for u in pts]))
+        head = sum(coef[j] * u1 ** (j - al) / (j - al) for j in range(2, 8))
+        tail = mp.quad(lambda u: u ** (-1 - al) * inner(u), splits[1:], method="gauss-legendre")
+        return float(2 * (head + tail))
+
+
+# 2-4 cells of unequal widths (cells are cut at the knots of both functions).
+ORACLE_CASES = [
+    ([0.0, 0.3, 1.0], [0.0, 1.0, 0.5], [0.0, 0.6, 1.0], [1.0, 0.7, 0.2], (0.0, 1.0)),
+    ([0.0, 0.1, 0.45, 1.0], [1.0, -1.0, 2.0, 0.0], [0.2, 0.8], [2.0, 1.0], (0.0, 1.0)),
+    ([-1.0, 0.5], [0.0, 1.0], [-1.0, -0.2, 0.5], [0.5, 1.0, 0.25], (-1.0, 0.5)),
+]
+
+
+def weighted_replay_ld(f_xs, f_ys, w_xs, w_ys, alpha, interval):
+    """The same computation in np.longdouble, from the same cells and values."""
+    ld = np.longdouble
+    edges = _balanced(np.union1d(_cell_edges(np.asarray(f_xs, float), interval),
+                                 _cell_edges(np.asarray(w_xs, float), interval)))
+    value, _, _ = _pl_weighted_terms(edges.astype(ld), np.interp(edges, f_xs, f_ys).astype(ld),
+                                     np.interp(edges, w_xs, w_ys).astype(ld), ld(alpha))
+    return value
+
+
+class TestPiecewiseLinearWeightedForm:
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_unit_weight_matches_unweighted_form(self, alpha):
+        # piecewise_linear_form integrates the kernel against slopes
+        # (d^T W d); this function integrates cell-pair moments. Grids in
+        # index coordinates (equal widths) and random knots.
+        rng = make_rng(41)
+        inputs = []
+        for n in (8, 64, 512):
+            xs = np.arange(n + 2.0)
+            inputs.append((xs, np.cumsum(rng.standard_normal(n + 2)), (0.0, n + 1.0)))
+        for _ in range(4):
+            f = random_piecewise_linear(rng)
+            inputs.append((f.xs, f.ys, (0.0, 1.0)))
+        for xs, ys, interval in inputs:
+            r = piecewise_linear_weighted_form(xs, ys, [0.0, 1.0], [1.0, 1.0], alpha, interval)
+            want = piecewise_linear_form(xs, ys, alpha, interval).value
+            assert r.value == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 1.0, 1.3])
+    def test_linear_closed_form(self, alpha):
+        r = piecewise_linear_weighted_form([0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 1.0],
+                                           alpha, (0.0, 1.0))
+        want = 2.0 / ((2.0 - alpha) * (3.0 - alpha))
+        assert r.value == pytest.approx(want, rel=1e-14)
+        assert abs(r.value - want) <= r.error_estimate <= 1e-12 * want
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.95])
+    def test_mpmath_references(self, alpha):
+        for case in ORACLE_CASES:
+            *data, interval = case
+            ref = weighted_form_oracle(*data, alpha, interval)
+            r = piecewise_linear_weighted_form(*data, alpha, interval)
+            assert abs(r.value - ref) <= 1e-13 * ref
+            assert abs(r.value - ref) <= r.error_estimate <= 1e-12 * ref
+
+    def test_quadrature_breakdown_case(self):
+        # On this 8-cell pair at alpha = 1.95, singular_double_integral with
+        # QuadConfig(1e-9, 1e-9, 4096) exhausts its budget (refinement
+        # difference 4e-3 after 113 s, NonConvergenceError).
+        f = ([0.0, 0.15, 0.4, 0.6, 0.85, 1.0], [0.0, 0.8, -0.3, 0.5, 1.2, 1.0])
+        w = ([0.0, 0.3, 0.5, 0.7, 1.0], [1.5, 1.2, 1.0, 0.6, 0.4])
+        r = piecewise_linear_weighted_form(*f, *w, 1.95, (0.0, 1.0))
+        ref = weighted_form_oracle(*f, *w, 1.95, (0.0, 1.0))
+        assert math.isfinite(r.value)
+        assert abs(r.value - ref) <= r.error_estimate <= 1e-12 * ref
+
+    def test_homogeneity_and_invariances(self):
+        rng = make_rng(43)
+        for alpha in (0.4, 1.0, 1.6):
+            f = random_piecewise_linear(rng)
+            w = random_piecewise_linear(rng, 6)
+            wy = 0.5 + w.ys ** 2
+            base = piecewise_linear_weighted_form(f.xs, f.ys, w.xs, wy, alpha, (0.0, 1.0)).value
+
+            def form(fx, fy, wx, wy_):
+                return piecewise_linear_weighted_form(fx, fy, wx, wy_, alpha, (0.0, 1.0)).value
+
+            assert form(f.xs, -2.5 * f.ys, w.xs, wy) == pytest.approx(6.25 * base, rel=1e-13)
+            assert form(f.xs, f.ys, w.xs, 3.0 * wy) == pytest.approx(9.0 * base, rel=1e-13)
+            assert form(f.xs, f.ys + 4.75, w.xs, wy) == pytest.approx(base, rel=1e-12)
+            mirrored = form(1.0 - f.xs[::-1], f.ys[::-1], 1.0 - w.xs[::-1], wy[::-1])
+            assert mirrored == pytest.approx(base, rel=1e-12)
+
+    def test_error_estimate_bounds_rounding(self):
+        # Against the same computation in extended precision: equal-width
+        # grids (the Rayleigh quotient's shape: a random-walk ratio against
+        # a positive weight) and random knots at every alpha.
+        rng = make_rng(47)
+        worst = 0.0
+        for trial in range(24):
+            alpha = (0.3, 1.0, 1.5, 1.95)[trial % 4]
+            if trial % 3 == 0:
+                n = int(rng.integers(2, 200))
+                xs = np.arange(n + 2.0)
+                data = (xs, np.cumsum(rng.standard_normal(n + 2)) + 3.0,
+                        xs, np.abs(rng.standard_normal(n + 2)))
+                interval = (0.0, n + 1.0)
+            else:
+                f = random_piecewise_linear(rng)
+                w = random_piecewise_linear(rng, 8)
+                data = (f.xs, f.ys, w.xs, 1.0 + w.ys ** 2)
+                interval = (0.0, 1.0)
+            r = piecewise_linear_weighted_form(*data, alpha, interval)
+            err = float(abs(np.longdouble(r.value) - weighted_replay_ld(*data, alpha, interval)))
+            assert err <= r.error_estimate, (trial, err, r.error_estimate)
+            assert r.error_estimate <= 1e-11 * r.value
+            worst = max(worst, err / r.error_estimate)
+        assert worst > 0.0
+
+    def test_domain(self):
+        args = ([0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 1.0])
+        for alpha in (0.0, 2.0, -0.5, 2.5):
+            with pytest.raises(DomainError):
+                piecewise_linear_weighted_form(*args, alpha, (0.0, 1.0))
+        for interval in ((1.0, 1.0), (1.0, 0.0)):
+            with pytest.raises(DomainError):
+                piecewise_linear_weighted_form(*args, 1.5, interval)
+        with pytest.raises(DomainError):
+            piecewise_linear_weighted_form([0.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                                           [0.0, 1.0], [1.0, 1.0], 1.5, (0.0, 1.0))
+        with pytest.raises(DomainError):
+            piecewise_linear_weighted_form([0.0, 1.0], [0.0, 1.0],
+                                           [0.0, 0.5, 0.5], [1.0, 1.0, 1.0], 1.5, (0.0, 1.0))

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from fracgap.errors import DomainError, WitnessSearchError
 from fracgap.montecarlo import make_rng
-from fracgap.numerics import QuadConfig, piecewise_linear_form
+from fracgap.numerics import QuadConfig, piecewise_linear_form, piecewise_linear_weighted_form
 from fracgap.poincare import (
     CAMPAIGN_CFG,
     PiecewiseLinear,
@@ -257,6 +257,20 @@ class TestWeightedCheck:
                 want = poincare_constant(alpha) / (b - a) ** alpha * poly_mass(f, g, a, b)
                 assert res.rhs == pytest.approx(want, rel=1e-12)
                 assert res.rhs_error <= 1e-12 * res.rhs
+
+    def test_piecewise_linear_lhs_is_exact(self):
+        # The lhs of a PiecewiseLinear pair is the exact weighted form, whose
+        # own accuracy tests/test_numerics.py checks against mpmath.
+        rng = make_rng(37)
+        for alpha in (1.1, 1.5, 1.9):
+            f = random_piecewise_linear(rng)
+            k = int(rng.integers(2, 9))
+            xs = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, size=k)), [1.0]])
+            g = PiecewiseLinear(xs, np.sort(rng.uniform(0.1, 2.0, size=k + 2))[::-1])
+            res = weighted_poincare_check(f, g, alpha, (0.0, 1.0), CAMPAIGN_CFG)
+            exact = piecewise_linear_weighted_form(f.xs, f.ys, g.xs, g.ys, alpha, (0.0, 1.0))
+            assert (res.lhs, res.lhs_error) == (exact.value, exact.error_estimate)
+            assert res.lhs_error <= 1e-11 * res.lhs
 
     def test_weight_gating(self):
         with pytest.raises(DomainError, match="nonincreasing"):
