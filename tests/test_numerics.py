@@ -364,11 +364,19 @@ def weighted_form_oracle(f_xs, f_ys, w_xs, w_ys, alpha, interval, dps=20):
         splits = sorted({mp.mpf(0), b - a} | {abs(p - q) for p in knots for q in knots
                                                if 0 < abs(p - q) < b - a})
         u1 = splits[1]
-        pts = [u1 * (j + 1) / 8 for j in range(8)]
-        coef = mp.lu_solve(mp.matrix([[u ** j for j in range(8)] for u in pts]),
-                           mp.matrix([inner(u) for u in pts]))
-        head = sum(coef[j] * u1 ** (j - al) / (j - al) for j in range(2, 8))
-        tail = mp.quad(lambda u: u ** (-1 - al) * inner(u), splits[1:], method="gauss-legendre")
+        # Fitted in v = u / u1, so the fit stays well conditioned for tiny u1.
+        vs = [mp.mpf(j + 1) / 8 for j in range(8)]
+        coef = mp.lu_solve(mp.matrix([[v ** j for j in range(8)] for v in vs]),
+                           mp.matrix([inner(u1 * v) for v in vs]))
+        head = sum(coef[j] * u1 ** (-al) / (j - al) for j in range(2, 8))
+        # Pieces span at most a factor two in u, so u^(-1-alpha) stays
+        # resolved when the knot distances span many scales.
+        pieces = [u1]
+        for hi in splits[2:]:
+            while 2 * pieces[-1] < hi:
+                pieces.append(2 * pieces[-1])
+            pieces.append(hi)
+        tail = mp.quad(lambda u: u ** (-1 - al) * inner(u), pieces, method="gauss-legendre")
         return float(2 * (head + tail))
 
 
@@ -425,6 +433,14 @@ class TestPiecewiseLinearWeightedForm:
             r = piecewise_linear_weighted_form(*data, alpha, interval)
             assert abs(r.value - ref) <= 1e-13 * ref
             assert abs(r.value - ref) <= r.error_estimate <= 1e-12 * ref
+
+    def test_mpmath_reference_across_scales(self):
+        # A 1e-12 cell next to cells of width 0.5: the balanced mesh grades
+        # between them, and value and bound still hold.
+        data = ([0.0, 1e-12, 0.5, 1.0], [0.0, 1.0, -1.0, 0.3], [0.0, 1.0], [1.0, 2.0])
+        ref = weighted_form_oracle(*data, 1.95, (0.0, 1.0))
+        r = piecewise_linear_weighted_form(*data, 1.95, (0.0, 1.0))
+        assert abs(r.value - ref) <= r.error_estimate <= 1e-12 * ref
 
     def test_quadrature_breakdown_case(self):
         # On this 8-cell pair at alpha = 1.95, singular_double_integral with
