@@ -92,7 +92,9 @@ print(f"\n25 random piecewise-linear draws: all passed, "
 # ---------------------------------------------------------------------------
 # 5. Below alpha = 1 the story collapses. Compressing a fixed smooth step
 #    into f(n x) keeps the endpoint values but sends the form to zero like
-#    n^(alpha-1), so no constant can hold on.
+#    n^(alpha-1), so no constant can hold on. Each step is a piecewise-linear
+#    interpolant, itself a counterexample, so its form value is exact up to
+#    rounding.
 scan = counterexample_scan(0.5)
 print(f"\nalpha = 0.5 compression scan (slope should be near -0.5):")
 for n, v in zip(scan.n_list, scan.values):

@@ -7,9 +7,9 @@ simulate, phi, or all) plus the problem parameters; defaults fill every
 omitted key and the fully resolved config is echoed to config_echo.json
 next to the other outputs for provenance. Each command prints one PASS or
 FAIL line per check. Exit codes: 0 all checks passed, 1 a check failed,
-2 configuration error, 3 the counterexample quadrature or the witness search
-failed to converge, 4 an unexpected internal error (a defect; one line on
-stderr, no traceback).
+2 configuration error, 3 the witness search failed to terminate (no stage
+runs an adaptive quadrature any more), 4 an unexpected internal error (a
+defect; one line on stderr, no traceback).
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ integrals with an |x-y|^(-1-alpha) kernel by substituting u = y - x, grading
 the outer mesh toward u = 0 where the kernel concentrates, and refining outer
 and inner resolution in lockstep until two consecutive levels agree.
 Piecewise-linear inputs skip both engines: their unweighted form (alpha in
-(1, 2)), their weighted form (alpha in (0, 2)) and their weighted L2 mass
-are evaluated from closed-form and fixed-order cell-pair integrals, with
-error bounds in place of refinement differences.
+(0, 1) or (1, 2)), their weighted form (alpha in (0, 2)) and their weighted
+L2 mass are evaluated from closed-form and fixed-order cell-pair integrals,
+with error bounds in place of refinement differences.
 """
 
 from __future__ import annotations
@@ -297,8 +297,10 @@ def _pl_form_terms(edges: np.ndarray, slopes: np.ndarray, alpha):
 
     W_ij integrates 2/(alpha(alpha-1)) K(s, t) over cell i x cell j, with
     K(s, t) = |t-s|^(1-alpha) - (max-a)^(1-alpha) - (b-min)^(1-alpha)
-    + L^(1-alpha). Works in the dtype of edges, so a test can replay it in
-    extended precision.
+    + L^(1-alpha). The derivation holds for alpha in (0, 1) and (1, 2); below
+    1 the prefactor is negative, so the magnitude takes its absolute value.
+    Works in the dtype of edges, so a test can replay it in extended
+    precision.
     """
     a, b = edges[0], edges[-1]
     h = edges[1:] - edges[:-1]
@@ -333,7 +335,7 @@ def _pl_form_terms(edges: np.ndarray, slopes: np.ndarray, alpha):
     const = (b - a) ** (1 - alpha)
     scale = 2 / (alpha * (alpha - 1))
     value = scale * (const * total[-1] ** 2 - r @ g @ r - sides)
-    magnitude = scale * (const * mag_total[-1] ** 2 + c @ g @ c + mag_sides)
+    magnitude = abs(scale) * (const * mag_total[-1] ** 2 + c @ g @ c + mag_sides)
     return value, magnitude
 
 
@@ -363,17 +365,26 @@ def piecewise_linear_form(xs, ys, alpha: float,
     """Exact unweighted form of the piecewise-linear interpolant of (xs, ys).
 
     The interpolant is constant outside [xs[0], xs[-1]], as np.interp makes
-    it. For alpha in (1, 2), writing (f(x)-f(y))^2 as the double integral of
-    f'(s) f'(t) over s, t between y and x and integrating the kernel
-    |x-y|^(-1-alpha) first gives E = d^T W d, with d the slopes on the cells
-    between consecutive breakpoints (clipped to the interval and merged
-    with its ends) and W a closed-form matrix of cell-pair integrals. No
-    quadrature is involved. The error estimate is a floating-point bound
-    from the magnitudes of the summed terms.
+    it. For alpha in (0, 1) or (1, 2), writing (f(x)-f(y))^2 as the double
+    integral of f'(s) f'(t) over s, t between y and x and integrating the
+    kernel |x-y|^(-1-alpha) first gives E = d^T W d, with d the slopes on
+    the cells between consecutive breakpoints (clipped to the interval and
+    merged with its ends) and W a closed-form matrix of cell-pair
+    integrals. No quadrature is involved. At alpha = 1 the kernel integrals
+    are logarithms, which this form does not cover.
+
+    The error estimate is a floating-point bound from the magnitudes of the
+    summed terms. The terms cancel, the more so the narrower the cells are
+    against the interval and the nearer alpha is to 1. On the
+    counterexample scan's steps at alpha = 0.5, the n = 32 step (256 cells
+    of width 1/32768 and two wide ones) loses about 5e-10 relative against
+    an extended-precision replay, and its bound reads about 1.3e-5
+    relative.
     """
     alpha = float(alpha)
-    if not (1.0 < alpha < 2.0):
-        raise DomainError(f"piecewise_linear_form requires alpha in (1, 2), got {alpha}")
+    if not (0.0 < alpha < 2.0) or alpha == 1.0:
+        raise DomainError(
+            f"piecewise_linear_form requires alpha in (0, 1) or (1, 2), got {alpha}")
     xs, ys = _pl_data(xs, ys)
     edges = _cell_edges(xs, interval)
     vals = np.interp(edges, xs, ys)

@@ -8,7 +8,8 @@ c = 9^(-1/(alpha-1)), following level sets of f until it finds a rectangle
 on which f is separated by 3^(-n), whose kernel mass alone certifies the
 bound. For alpha in (0, 1) the inequality fails, and counterexample_scan
 exhibits smoothed steps with constant boundary values whose form values
-decay like n^(alpha-1).
+decay like n^(alpha-1); the steps are piecewise linear, so those values are
+exact up to rounding.
 """
 
 from __future__ import annotations
@@ -367,15 +368,31 @@ class CounterexampleScan:
     slope: float
 
 
-def counterexample_scan(alpha: float, n_list=(1, 2, 4, 8, 16, 32),
-                        cfg: QuadConfig | None = None) -> CounterexampleScan:
+# Knots of the piecewise-linear counterexample across each transition band:
+# 256 cells keep its form within about 1e-5 relative of the smooth step's.
+_STEP_KNOTS = 257
+
+
+def _compressed_step(n: int) -> PiecewiseLinear:
+    """Interpolant of smooth_step(n x), knots equally spaced on [1/(4n), 1/(2n)].
+
+    It is exactly 0 left of that band and 1 right of it, and Lipschitz, so
+    it is a counterexample in its own right.
+    """
+    u = np.linspace(0.25, 0.5, _STEP_KNOTS)
+    return PiecewiseLinear(u / n, smooth_step(u))
+
+
+def counterexample_scan(alpha: float, n_list=(1, 2, 4, 8, 16, 32)) -> CounterexampleScan:
     """Show the inequality failing for alpha in (0, 1).
 
-    Each f_n(x) = smooth_step(n x) keeps the boundary values 0 and 1, yet
+    Each f_n = _compressed_step(n) keeps the boundary values 0 and 1, yet
     the unweighted form value over [0, 1]^2 decays like n^(alpha-1) as the
     transition is compressed toward the left endpoint, so no positive
-    constant can work. Returns the values and the fitted slope of
-    log(value) against log(n).
+    constant can work. The values are exact up to rounding
+    (piecewise_linear_form), and the error estimates are its floating-point
+    bounds. Returns the values and the fitted slope of log(value) against
+    log(n).
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"counterexample requires alpha in (0, 1), got {alpha}")
@@ -383,21 +400,13 @@ def counterexample_scan(alpha: float, n_list=(1, 2, 4, 8, 16, 32),
     if len(n_arr) < 2 or any(n <= 0 for n in n_arr) or \
             any(n_arr[i] >= n_arr[i + 1] for i in range(len(n_arr) - 1)):
         raise DomainError("n_list must be strictly increasing positive integers")
-    if cfg is None:
-        # The transition band has width ~ 1/(4n): the inner rule needs
-        # panels at that scale before the refinement loop can settle.
-        cfg = QuadConfig(abs_tol=1e-6, rel_tol=1e-4, max_panels=2048)
 
-    values = []
-    errors = []
-    for n in n_arr:
-        def f_n(x, n=n):
-            return smooth_step(n * np.asarray(x, dtype=float))
-        fv = singular_double_integral(f_n, None, alpha, (0.0, 1.0), cfg)
-        values.append(fv.value)
-        errors.append(fv.error_estimate)
+    forms = [piecewise_linear_form(f.xs, f.ys, alpha, (0.0, 1.0))
+             for f in map(_compressed_step, n_arr)]
+    values = tuple(fv.value for fv in forms)
     slope = float(np.polyfit(np.log(n_arr), np.log(values), 1)[0])
-    return CounterexampleScan(alpha, n_arr, tuple(values), tuple(errors), slope)
+    return CounterexampleScan(alpha, n_arr, values,
+                              tuple(fv.error_estimate for fv in forms), slope)
 
 
 def random_piecewise_linear(rng: np.random.Generator,

@@ -183,7 +183,7 @@ def test_criterion_06_rayleigh_consistency():
             rel = abs(ray - gap) / gap
             assert rel <= 0.03, (alpha, pot_name, rel)
             cases.append(rel)
-    report("criterion 6", f"quadrature route vs eigensolve gap: 6 cases, "
+    report("criterion 6", f"exact weighted form vs eigensolve gap: 6 cases, "
                           f"max relative deviation {max(cases):.2e} (<=0.03)")
 
 

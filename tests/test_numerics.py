@@ -24,7 +24,8 @@ from fracgap.numerics import (
     piecewise_linear_weighted_form,
     singular_double_integral,
 )
-from fracgap.poincare import PiecewiseLinear, random_piecewise_linear
+from fracgap.poincare import (PiecewiseLinear, _compressed_step, counterexample_scan,
+                              random_piecewise_linear)
 
 TIGHT = QuadConfig(abs_tol=1e-10, rel_tol=1e-10, max_panels=4096)
 
@@ -234,11 +235,21 @@ def linear_form_oracle(alpha, length):
     return 2.0 * length ** (3.0 - alpha) / ((2.0 - alpha) * (3.0 - alpha))
 
 
+def pl_form_longdouble(xs, ys, alpha, interval):
+    """_pl_form_terms replayed in extended precision on the float64 cells."""
+    ld = np.longdouble
+    edges = _cell_edges(np.asarray(xs, dtype=float), interval)
+    vals = np.interp(edges, xs, ys)
+    edges, vals = edges.astype(ld), vals.astype(ld)
+    return _pl_form_terms(edges, np.diff(vals) / np.diff(edges), ld(alpha))[0]
+
+
 class TestPiecewiseLinearForm:
-    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 1.1, 1.5, 1.9])
     def test_linear_closed_form(self, alpha):
         unit = piecewise_linear_form([0.0, 1.0], [0.0, 1.0], alpha, (0.0, 1.0))
         assert unit.value == pytest.approx(linear_form_oracle(alpha, 1.0), rel=1e-13)
+        assert abs(unit.value - linear_form_oracle(alpha, 1.0)) <= unit.error_estimate
         wide = piecewise_linear_form([-2.0, 1.0], [-2.0, 1.0], alpha, (-2.0, 1.0))
         assert wide.value == pytest.approx(linear_form_oracle(alpha, 3.0), rel=1e-13)
         # The unit ramp (x - a) / L on (-2, 1) carries the factor L^(1-alpha).
@@ -259,13 +270,17 @@ class TestPiecewiseLinearForm:
 
     def test_homogeneous_and_blind_to_constants(self):
         rng = make_rng(31)
-        for alpha in (1.1, 1.5, 1.9):
+        for alpha in (1.1, 1.5, 1.9, 0.3, 0.6, 0.9):
             f = random_piecewise_linear(rng)
-            base = piecewise_linear_form(f.xs, f.ys, alpha, (0.0, 1.0)).value
+            base = piecewise_linear_form(f.xs, f.ys, alpha, (0.0, 1.0))
             scaled = piecewise_linear_form(f.xs, -3.7 * f.ys, alpha, (0.0, 1.0)).value
             shifted = piecewise_linear_form(f.xs, f.ys + 2.25, alpha, (0.0, 1.0)).value
-            assert scaled == pytest.approx(3.7**2 * base, rel=1e-12)
-            assert shifted == pytest.approx(base, rel=1e-12)
+            assert scaled == pytest.approx(3.7**2 * base.value, rel=1e-12)
+            assert shifted == pytest.approx(base.value, rel=1e-12)
+            # Mirror image x -> 1 - x: the same form, summed in another order.
+            mirrored = piecewise_linear_form(1.0 - f.xs[::-1], f.ys[::-1], alpha, (0.0, 1.0))
+            bound = mirrored.error_estimate + base.error_estimate
+            assert abs(mirrored.value - base.value) <= bound
 
     def test_knots_outside_interval_match_clipped_function(self):
         alpha = 1.4
@@ -301,7 +316,7 @@ class TestPiecewiseLinearForm:
         functions = [random_piecewise_linear(rng) for _ in range(1000)]
         ld = np.longdouble
         worst = 0.0
-        for alpha in (1.1, 1.5, 1.9):
+        for alpha in (1.1, 1.5, 1.9, 0.3, 0.6, 0.9):
             for f in functions:
                 r = piecewise_linear_form(f.xs, f.ys, alpha, (0.0, 1.0))
                 xs, ys = f.xs.astype(ld), f.ys.astype(ld)
@@ -312,10 +327,28 @@ class TestPiecewiseLinearForm:
                 worst = max(worst, err / r.error_estimate)
         assert worst > 0.0
 
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.7, 0.95])
+    def test_counterexample_steps(self, alpha):
+        # The scan's steps against the cell-pair moments of the weighted form
+        # at w = 1, and each reported estimate against an extended-precision
+        # replay of the same d^T W d.
+        for n in (1, 8, 32):
+            f = _compressed_step(n)
+            r = piecewise_linear_form(f.xs, f.ys, alpha, (0.0, 1.0))
+            w = piecewise_linear_weighted_form(f.xs, f.ys, [0.0, 1.0], [1.0, 1.0],
+                                               alpha, (0.0, 1.0))
+            assert abs(r.value - w.value) <= r.error_estimate + w.error_estimate
+        scan = counterexample_scan(alpha)
+        for n, value, err in zip(scan.n_list, scan.values, scan.error_estimates):
+            f = _compressed_step(n)
+            exact = pl_form_longdouble(f.xs, f.ys, alpha, (0.0, 1.0))
+            assert 0.0 < err and float(abs(np.longdouble(value) - exact)) <= err, (alpha, n)
+
     def test_domain(self):
-        for alpha in (1.0, 0.5, 2.0, 2.5):
+        for alpha in (1.0, 2.0, 2.5, 0.0):
             with pytest.raises(DomainError):
                 piecewise_linear_form([0.0, 1.0], [0.0, 1.0], alpha, (0.0, 1.0))
+        assert piecewise_linear_form([0.0, 1.0], [0.0, 1.0], 0.5, (0.0, 1.0)).value > 0.0
         for interval in ((1.0, 1.0), (1.0, 0.0)):
             with pytest.raises(DomainError):
                 piecewise_linear_form([0.0, 1.0], [0.0, 1.0], 1.5, interval)
