@@ -3,21 +3,17 @@
 The gap lambda_2 - lambda_1 comes out of the eigensolve directly; it also
 equals a ground-state-weighted quadratic form evaluated at the eigenfunction
 ratio, computed here with no reference to the matrix. The ratio and the
-ground state are piecewise linear, so that form is exact up to rounding.
-Both routes are compared against the closed-form bounds; the form of other
-functions (section 4) goes through the singular quadrature.
+ground state are piecewise linear, so that form is exact up to rounding, as
+it is for any piecewise-linear test function (section 4). Both routes are
+compared against the closed-form bounds.
 
 Run as: python3 demos/gap_bounds_tour.py
 """
 
-import numpy as np
-
 from fracgap.forms import check_gaps, gap_bounds, weighted_form
-from fracgap.numerics import QuadConfig
+from fracgap.poincare import PiecewiseLinear
 from fracgap.potentials import make_power_well, make_zero
 from fracgap.spectral import Grid, assemble_operator, eigensolve
-
-CFG = QuadConfig(abs_tol=1e-7, rel_tol=1e-6, max_panels=1024)
 
 # ---------------------------------------------------------------------------
 # 1. The bounds themselves. The antisymmetric-level bound exists for every
@@ -52,10 +48,10 @@ print(f"\nwell 40 |x|^2: gap = {wr.gap:.8f}, star index {wr.star_index}, "
 
 # ---------------------------------------------------------------------------
 # 4. The weighted form is a quadratic functional: constants vanish, scaling
-#    is quadratic, and f = x gives a nondegenerate reference value. These f
-#    are callables, so weighted_form evaluates them by quadrature.
-for f, label in ((lambda x: np.ones_like(x), "f = 1"),
-                 (lambda x: x, "f = x"),
-                 (lambda x: 2.0 * x, "f = 2x")):
-    fv = weighted_form(f, free, CFG)
-    print(f"  form[{label:6s}] = {fv.value:.9f}  (est. error {fv.error_estimate:.1e})")
+#    is quadratic, and f = x gives a nondegenerate reference value. Each f
+#    is piecewise linear on (-1, 1), so its form is exact up to the printed
+#    rounding bound.
+print()
+for ys, label in (([1.0, 1.0], "f = 1"), ([-1.0, 1.0], "f = x"), ([-2.0, 2.0], "f = 2x")):
+    fv = weighted_form(PiecewiseLinear([-1.0, 1.0], ys), free)
+    print(f"  form[{label:6s}] = {fv.value:.9f}  (error bound {fv.error_estimate:.1e})")

@@ -7,23 +7,20 @@ spectral gap bounds, a constructive Poincare-type inequality with witness
 certificates, and killed Feynman-Kac Monte Carlo.
 """
 
-from .errors import DomainError, NonConvergenceError, WitnessSearchError
+from .errors import DomainError, WitnessSearchError
 from .forms import (GapBounds, GapReport, check_gaps, gap_bounds,
                     ground_state_weight, rayleigh_gap, weighted_form)
 from .montecarlo import (ChainReport, KernelReport, PathConfig, PathEstimate,
                          cauchy_kernel_check, estimate_feynman_kac,
                          gaussian_chain, make_rng, sample_stable_increment,
                          sample_subordinator_increment)
-from .numerics import (DEFAULT_1D, DEFAULT_2D, FormValue, QuadConfig, gamma_fn,
-                       integrate_1d, levy_constant, piecewise_linear_form,
-                       piecewise_linear_mass, piecewise_linear_weighted_form,
-                       singular_double_integral)
-from .poincare import (CAMPAIGN_CFG, CounterexampleScan, PiecewiseLinear,
-                       PoincareResult, WeightedPoincareResult, WitnessCertificate,
-                       WitnessStep, counterexample_scan, poincare_check,
-                       poincare_constant, random_piecewise_linear, rescale_unit,
-                       smooth_step, step_contraction, weighted_poincare_check,
-                       witness_search)
+from .numerics import (FormValue, gamma_fn, levy_constant, piecewise_linear_form,
+                       piecewise_linear_mass, piecewise_linear_weighted_form)
+from .poincare import (CounterexampleScan, PiecewiseLinear, PoincareResult,
+                       WeightedPoincareResult, WitnessCertificate, WitnessStep,
+                       counterexample_scan, poincare_check, poincare_constant,
+                       random_piecewise_linear, rescale_unit, smooth_step,
+                       step_contraction, weighted_poincare_check, witness_search)
 from .potentials import (Potential, WellReport, load_tabulated_csv,
                          make_inverse_boundary_well, make_power_well,
                          make_tabulated, make_zero, validate_single_well)
@@ -35,9 +32,8 @@ from .spectral import (DecayReport, FracCoeffs, Grid, OperatorMatrix,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainError", "NonConvergenceError", "WitnessSearchError",
-    "QuadConfig", "FormValue", "DEFAULT_1D", "DEFAULT_2D",
-    "gamma_fn", "levy_constant", "integrate_1d", "singular_double_integral",
+    "DomainError", "WitnessSearchError",
+    "FormValue", "gamma_fn", "levy_constant",
     "piecewise_linear_form", "piecewise_linear_mass", "piecewise_linear_weighted_form",
     "Potential", "WellReport", "make_zero", "make_power_well",
     "make_inverse_boundary_well", "make_tabulated", "load_tabulated_csv",
@@ -48,7 +44,7 @@ __all__ = [
     "richardson",
     "GapBounds", "GapReport", "ground_state_weight", "weighted_form",
     "rayleigh_gap", "gap_bounds", "check_gaps",
-    "CAMPAIGN_CFG", "PiecewiseLinear", "PoincareResult", "WitnessStep",
+    "PiecewiseLinear", "PoincareResult", "WitnessStep",
     "WitnessCertificate", "WeightedPoincareResult", "CounterexampleScan",
     "poincare_constant", "step_contraction", "poincare_check",
     "witness_search", "rescale_unit", "weighted_poincare_check",

@@ -7,9 +7,8 @@ simulate, phi, or all) plus the problem parameters; defaults fill every
 omitted key and the fully resolved config is echoed to config_echo.json
 next to the other outputs for provenance. Each command prints one PASS or
 FAIL line per check. Exit codes: 0 all checks passed, 1 a check failed,
-2 configuration error, 3 the witness search failed to terminate (no stage
-runs an adaptive quadrature any more), 4 an unexpected internal error (a
-defect; one line on stderr, no traceback).
+2 configuration error, 3 the witness search failed to terminate, 4 an
+unexpected internal error (a defect; one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -23,13 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, WitnessSearchError
+from .errors import DomainError, WitnessSearchError
 from .forms import check_gaps, gap_report_to_json_dict
 from .montecarlo import (PathConfig, cauchy_kernel_check, estimate_feynman_kac,
                          estimates_csv_rows, gaussian_chain, make_rng)
-from .poincare import (CAMPAIGN_CFG, certificate_to_json_dict, counterexample_scan,
-                       poincare_check, poincare_constant, random_piecewise_linear,
-                       witness_search)
+from .poincare import (certificate_to_json_dict, counterexample_scan, poincare_check,
+                       poincare_constant, random_piecewise_linear, witness_search)
 from .potentials import (load_tabulated_csv, make_inverse_boundary_well,
                          make_power_well, make_zero, validate_single_well)
 from .serialize import csv_text, dumps_json, write_atomic
@@ -277,7 +275,7 @@ def _cmd_poincare(cfg: dict, out: Path, rep: _Reporter) -> None:
     max_n0 = 0
     for i in range(pc["n_functions"]):
         f = random_piecewise_linear(rng, pc["max_segments"])
-        res = poincare_check(f, alpha, (0.0, 1.0), CAMPAIGN_CFG)
+        res = poincare_check(f, alpha)
         cert = witness_search(f, alpha)
         write_atomic(out / f"witness_{i:04d}.json",
                      dumps_json(certificate_to_json_dict(cert)))
@@ -447,7 +445,7 @@ def _run(config_path: str, output_dir: str | None, seed: int | None,
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonConvergenceError, WitnessSearchError) as exc:
+    except WitnessSearchError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except DomainError as exc:

@@ -2,25 +2,11 @@
 
 from __future__ import annotations
 
-__all__ = ["DomainError", "NonConvergenceError", "WitnessSearchError"]
+__all__ = ["DomainError", "WitnessSearchError"]
 
 
 class DomainError(ValueError):
     """A parameter lies outside the documented domain of an operation."""
-
-
-class NonConvergenceError(RuntimeError):
-    """An iterative routine exhausted its budget before meeting tolerance.
-
-    Carries the best value and error estimate reached so callers can decide
-    whether the partial result is still usable.
-    """
-
-    def __init__(self, message: str, value: float | None = None,
-                 error_estimate: float | None = None):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
 
 
 class WitnessSearchError(RuntimeError):

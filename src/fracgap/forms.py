@@ -8,10 +8,9 @@ it is the infimum over mean-zero, normalized test functions f of
 where phi1 is the ground state and A the jump-kernel normalizing constant,
 and the infimum is attained at f = phi2/phi1. This module evaluates that
 form independently of the matrix eigensolve and checks both routes against
-closed-form lower bounds for the gap. The eigenfunction ratio and the
-interpolated ground state are piecewise linear, so rayleigh_gap evaluates
-the form exactly (piecewise_linear_weighted_form); weighted_form keeps the
-singularity-graded quadrature for callable f.
+closed-form lower bounds for the gap. Test functions, the eigenfunction
+ratio among them, are piecewise linear, as is the interpolated ground
+state, so the form is exact up to rounding (piecewise_linear_weighted_form).
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import (DEFAULT_2D, FormValue, QuadConfig, levy_constant,
-                       piecewise_linear_mass, piecewise_linear_weighted_form,
-                       singular_double_integral)
+from .numerics import (FormValue, levy_constant, piecewise_linear_mass,
+                       piecewise_linear_weighted_form)
+from .poincare import PiecewiseLinear, _require_piecewise_linear
 from .spectral import SpectralResult
 
 __all__ = [
@@ -43,37 +42,44 @@ __all__ = [
 _FRINGE_RTOL = 1e-12
 
 
-def ground_state_weight(result: SpectralResult):
+def ground_state_weight(result: SpectralResult) -> PiecewiseLinear:
     """Piecewise-linear interpolant of phi1, pinned to zero at the endpoints."""
     grid = result.grid
-    xs = np.concatenate([[grid.a], grid.nodes(), [grid.b]])
-    ys = np.concatenate([[0.0], result.eigenvectors[:, 0], [0.0]])
-
-    def weight(x):
-        return np.interp(x, xs, ys)
-
-    return weight
+    return PiecewiseLinear(np.concatenate([[grid.a], grid.nodes(), [grid.b]]),
+                           np.concatenate([[0.0], result.eigenvectors[:, 0], [0.0]]))
 
 
-def weighted_form(f, result: SpectralResult,
-                  cfg: QuadConfig = DEFAULT_2D) -> FormValue:
+def _index_form(t_xs, f_ys, result: SpectralResult) -> FormValue:
+    """weighted_form of the interpolant of (t_xs, f_ys) in grid-index coordinates.
+
+    Coordinate t = (x - a) / h puts the ground-state knots on the integers
+    0..N+1, where every cell has width exactly 1, so the moments depend on
+    the cell offset alone; the form scales as h^(1-alpha).
+    """
+    grid = result.grid
+    index = np.arange(grid.n + 2, dtype=float)
+    raw = piecewise_linear_weighted_form(t_xs, f_ys, index, ground_state_weight(result).ys,
+                                         result.alpha, (0.0, grid.n + 1.0))
+    scale = 0.5 * levy_constant(-result.alpha) * grid.h ** (1.0 - result.alpha)
+    return FormValue(scale * raw.value, scale * raw.error_estimate)
+
+
+def weighted_form(f: PiecewiseLinear, result: SpectralResult) -> FormValue:
     """Ground-state-weighted form of f, with the normalizing prefactor A/2.
 
-    f must accept numpy arrays. The weight is the interpolated ground state
-    of the given spectral result; constants are in the kernel's null space,
-    so the value vanishes iff f is constant on the interval. Evaluated by
-    singular_double_integral with cfg; piecewise-linear f has the exact
-    route piecewise_linear_weighted_form, which rayleigh_gap takes.
+    The weight is the interpolated ground state of the given spectral
+    result; constants are in the kernel's null space, so the value vanishes
+    iff f is constant on the interval. Exact up to rounding, with a
+    floating-point error bound (piecewise_linear_weighted_form).
     """
-    weight = ground_state_weight(result)
-    half_const = 0.5 * levy_constant(-result.alpha)
-    raw = singular_double_integral(f, weight, result.alpha,
-                                   (result.grid.a, result.grid.b), cfg)
-    return FormValue(half_const * raw.value, half_const * raw.error_estimate)
+    _require_piecewise_linear(f)
+    grid = result.grid
+    # (x - a) / (b - a) is exactly 1 at x = b, so knots at the ends stay
+    # on the ends.
+    return _index_form((f.xs - grid.a) / (grid.b - grid.a) * (grid.n + 1), f.ys, result)
 
 
-def rayleigh_gap(result: SpectralResult, n: int = 2,
-                 cfg: QuadConfig = DEFAULT_2D) -> float:
+def rayleigh_gap(result: SpectralResult, n: int = 2) -> float:
     """Variational gap estimate from the eigenfunction ratio phi_n / phi_1.
 
     The ratio is formed at nodes where phi1 exceeds a 1e-12 fringe of its
@@ -81,7 +87,7 @@ def rayleigh_gap(result: SpectralResult, n: int = 2,
     the fringe to the endpoints. The returned value is the weighted form of
     that ratio divided by its phi1^2-weighted L2 norm, an upper bound for
     lambda_n - lambda_1 up to discretization error. Both are exact for these
-    piecewise-linear inputs; cfg is unused and kept for callers that pass it.
+    piecewise-linear inputs.
     """
     if not (2 <= n <= result.m):
         raise DomainError(f"n must lie in [2, {result.m}], got {n}")
@@ -92,21 +98,14 @@ def rayleigh_gap(result: SpectralResult, n: int = 2,
     # The interpolants are constant outside their knots, which is exactly
     # the intended treatment of the excluded fringe.
     ratio = phin[keep] / phi1[keep]
-    w_ys = np.concatenate([[0.0], phi1, [0.0]])
+    form = _index_form(np.arange(1.0, grid.n + 1)[keep], ratio, result)
 
-    # In grid-index coordinates 0..N+1 every cell has width exactly 1, so the
-    # moments depend on the cell offset alone; the form scales as h^(1-alpha).
-    index = np.arange(grid.n + 2, dtype=float)
-    form = piecewise_linear_weighted_form(index[1:-1][keep], ratio, index, w_ys,
-                                          result.alpha, (0.0, grid.n + 1.0))
-    scale = 0.5 * levy_constant(-result.alpha) * grid.h ** (1.0 - result.alpha)
-
-    w_xs = np.concatenate([[grid.a], grid.nodes(), [grid.b]])
-    norm_sq = piecewise_linear_mass(grid.nodes()[keep], ratio, w_xs, w_ys,
+    w = ground_state_weight(result)
+    norm_sq = piecewise_linear_mass(grid.nodes()[keep], ratio, w.xs, w.ys,
                                     (grid.a, grid.b)).value
     if norm_sq <= 0:
         raise DomainError("degenerate eigenfunction ratio: zero weighted norm")
-    return scale * form.value / norm_sq
+    return form.value / norm_sq
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ def gap_bounds(alpha: float, a: float, b: float) -> GapBounds:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Gap values, bounds, the quadrature cross-check, and pass flags.
+    """Gap values, bounds, the exact-form cross-check, and pass flags.
 
     pass_main is None when alpha <= 1 (the bound does not apply there).
     star_index records which eigenvalue is the lowest antisymmetric one;
@@ -171,13 +170,13 @@ class GapReport:
 _BOUND_SLACK = 1e-9
 
 
-def check_gaps(result: SpectralResult, cfg: QuadConfig = DEFAULT_2D) -> GapReport:
+def check_gaps(result: SpectralResult, cfg=None) -> GapReport:
     """Compare computed gaps against the closed-form bounds.
 
     Needs m >= 2 and a mirror-symmetric operator (for lambda_star). The
-    rayleigh consistency field is |rayleigh - gap| / gap. The Rayleigh form
-    is exact (see rayleigh_gap), so cfg is unused; it is kept for callers
-    that pass it.
+    rayleigh consistency field is |rayleigh - gap| / gap. cfg is ignored;
+    the benchmark harness passes it, and it goes with the next change to
+    the benchmark definition.
     """
     if result.m < 2 or result.star is None:
         raise DomainError("check_gaps needs m >= 2 and a mirror-symmetric potential")
@@ -188,7 +187,7 @@ def check_gaps(result: SpectralResult, cfg: QuadConfig = DEFAULT_2D) -> GapRepor
     idx, lam_s = result.star
     gap_star = lam_s - float(lam[0])
     bounds = gap_bounds(alpha, a, b)
-    rayleigh = rayleigh_gap(result, 2, cfg)
+    rayleigh = rayleigh_gap(result, 2)
     consistency = abs(rayleigh - gap) / gap if gap > 0 else math.inf
     pass_star = gap_star >= bounds.bound_star - _BOUND_SLACK
     pass_main = None

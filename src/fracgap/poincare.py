@@ -20,12 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, WitnessSearchError
-from .numerics import (DEFAULT_1D, DEFAULT_2D, FormValue, QuadConfig, _pl_data,
-                       integrate_1d, piecewise_linear_form, piecewise_linear_mass,
-                       piecewise_linear_weighted_form, singular_double_integral)
+from .numerics import (QuadConfig, _pl_data, piecewise_linear_form, piecewise_linear_mass,
+                       piecewise_linear_weighted_form)
 
 __all__ = [
-    "CAMPAIGN_CFG",
     "PiecewiseLinear",
     "PoincareResult",
     "WitnessStep",
@@ -47,9 +45,13 @@ __all__ = [
 _BOUNDARY_TOL = 1e-10
 _PASS_SLACK = 1e-12
 
-# Loose settings for bulk campaigns: the inequality passes by orders of
-# magnitude, so cheap form values suffice. PiecewiseLinear inputs to
-# poincare_check take the exact route and ignore them.
+# Depth cap of the witness recursion: (alpha - 1) log_3(L / _DEPTH_SCALE) + 10
+# steps for a function of Lipschitz constant L.
+_DEPTH_SCALE = 1e-9
+
+# Read by nothing. The benchmark harness passes it as the cfg argument of
+# poincare_check and weighted_poincare_check; remove it, and those cfg
+# parameters, with the next change to the benchmark definition.
 CAMPAIGN_CFG = QuadConfig(abs_tol=1e-6, rel_tol=1e-2, max_panels=512)
 
 
@@ -68,9 +70,11 @@ def step_contraction(alpha: float) -> float:
 class PiecewiseLinear:
     """Piecewise-linear function through (xs, ys); xs strictly increasing.
 
-    Evaluation clamps to the boundary values outside [xs[0], xs[-1]]. Level
-    sets of these functions are computed exactly segment by segment, which
-    the witness recursion exploits.
+    The package's one test-function type: Lipschitz, dense among Lipschitz
+    functions, and with forms in closed form (see numerics). Evaluation
+    clamps to the boundary values outside [xs[0], xs[-1]]. Level sets are
+    computed exactly segment by segment, which the witness recursion
+    exploits.
     """
 
     def __init__(self, xs, ys):
@@ -97,26 +101,24 @@ class PoincareResult:
     passed: bool
 
 
-def poincare_check(f, alpha: float, interval: tuple[float, float] = (0.0, 1.0),
-                   cfg: QuadConfig = DEFAULT_2D, mirrored: bool = False) -> PoincareResult:
+def poincare_check(f: PiecewiseLinear, alpha: float,
+                   interval: tuple[float, float] = (0.0, 1.0), cfg=None,
+                   mirrored: bool = False) -> PoincareResult:
     """Check the inequality for one function.
 
     f must vanish at the left endpoint (right endpoint when mirrored=True)
     within 1e-10; the bound then involves the value at the opposite
     endpoint. The ratio lhs/rhs is inf when the bound is vacuous (rhs = 0
-    with positive lhs) and nan when both sides vanish.
-
-    A PiecewiseLinear f takes the closed form (piecewise_linear_form), so
-    lhs is exact up to rounding, lhs_error is a floating-point bound, and
-    cfg goes unused. Other callables go through singular_double_integral
-    with cfg, whose lhs_error is the last refinement difference.
+    with positive lhs) and nan when both sides vanish. lhs is the closed
+    form (piecewise_linear_form), exact up to rounding, and lhs_error its
+    floating-point bound. cfg is ignored (see CAMPAIGN_CFG).
     """
+    _require_piecewise_linear(f)
     _require_alpha_12(alpha)
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise DomainError(f"degenerate interval ({a}, {b})")
-    fa = float(np.asarray(f(np.array([a])))[0])
-    fb = float(np.asarray(f(np.array([b])))[0])
+    fa, fb = (float(v) for v in f(np.array([a, b])))
     anchored, free = (fb, fa) if mirrored else (fa, fb)
     scale = max(1.0, abs(free))
     if abs(anchored) > _BOUNDARY_TOL * scale:
@@ -124,10 +126,7 @@ def poincare_check(f, alpha: float, interval: tuple[float, float] = (0.0, 1.0),
         raise DomainError(
             f"f must vanish at the {side} endpoint; got {anchored!r}")
 
-    if isinstance(f, PiecewiseLinear):
-        lhs = piecewise_linear_form(f.xs, f.ys, alpha, (a, b))
-    else:
-        lhs = singular_double_integral(f, None, alpha, (a, b), cfg)
+    lhs = piecewise_linear_form(f.xs, f.ys, alpha, (a, b))
     rhs = poincare_constant(alpha) * free ** 2 / (b - a) ** (alpha - 1.0)
     if rhs > 0:
         ratio = lhs.value / rhs
@@ -173,7 +172,7 @@ class WitnessCertificate:
     scale: float
 
 
-def witness_search(f, alpha: float, root_tol: float = 1e-9) -> WitnessCertificate:
+def witness_search(f: PiecewiseLinear, alpha: float) -> WitnessCertificate:
     """Run the constructive zoom recursion until it terminates.
 
     f is Lipschitz on [0, 1] with f(0) = 0 and f(1) != 0; it is normalized
@@ -186,28 +185,21 @@ def witness_search(f, alpha: float, root_tol: float = 1e-9) -> WitnessCertificat
     rectangle between the probe points witnesses the separation and the
     recursion stops. Termination within the depth cap is guaranteed by the
     Lipschitz bound, since anchor levels separate by 3^(-n) across intervals
-    of width c^n and c^n shrinks strictly faster.
-
-    Level sets are located exactly for PiecewiseLinear inputs, otherwise by
-    a dense bracket scan refined by bisection to root_tol.
+    of width c^n and c^n shrinks strictly faster. Level sets are located
+    exactly, segment by segment.
     """
+    _require_piecewise_linear(f)
     _require_alpha_12(alpha)
-    f0 = float(np.asarray(f(np.array([0.0])))[0])
-    f1 = float(np.asarray(f(np.array([1.0])))[0])
+    f0, f1 = (float(v) for v in f(np.array([0.0, 1.0])))
     if abs(f0) > _BOUNDARY_TOL * max(1.0, abs(f1)):
         raise DomainError(f"witness_search requires f(0) = 0, got {f0!r}")
     if f1 == 0.0:
         raise DomainError("witness_search requires f(1) != 0")
 
-    if isinstance(f, PiecewiseLinear):
-        fn = f.scaled(1.0 / f1)
-        lip = fn.lipschitz()
-    else:
-        fn = _normalized(f, f1)
-        lip = _estimate_lipschitz(fn)
-
+    fn = f.scaled(1.0 / f1)
+    lip = fn.lipschitz()
     c = step_contraction(alpha)
-    n_cap = math.ceil((alpha - 1.0) * math.log(max(lip, 1.0) / root_tol, 3.0)) + 10
+    n_cap = math.ceil((alpha - 1.0) * math.log(max(lip, 1.0) / _DEPTH_SCALE, 3.0)) + 10
 
     a_n, b_n = 0.0, 1.0
     level_a, level_b = 0.0, 1.0
@@ -218,8 +210,8 @@ def witness_search(f, alpha: float, root_tol: float = 1e-9) -> WitnessCertificat
         y_n = b_n - shift
         level_low = level_a + 3.0 ** (-n)
         level_high = level_b - 3.0 ** (-n)
-        first = min(_crossings(fn, level_low, a_n, b_n, root_tol), default=None)
-        last = max(_crossings(fn, level_high, a_n, b_n, root_tol), default=None)
+        first = min(_crossings(fn, level_low, a_n, b_n), default=None)
+        last = max(_crossings(fn, level_high, a_n, b_n), default=None)
 
         go_left = first is not None and a_n < first < x_n
         go_right = last is not None and y_n < last < b_n
@@ -244,10 +236,10 @@ def witness_search(f, alpha: float, root_tol: float = 1e-9) -> WitnessCertificat
                                       (a_n, x_n, y_n, b_n), bound, f1)
     raise WitnessSearchError(
         f"witness recursion did not terminate within {n_cap} steps "
-        f"(lipschitz ~ {lip:.3g}, root_tol {root_tol:g})")
+        f"(lipschitz {lip:.3g})")
 
 
-def rescale_unit(f, interval: tuple[float, float], alpha: float):
+def rescale_unit(f: PiecewiseLinear, interval: tuple[float, float], alpha: float):
     """Affine pullback of f onto [0, 1] and the form scale factor.
 
     Returns (g, factor) with g(t) = f(a + (b-a) t) and
@@ -255,19 +247,13 @@ def rescale_unit(f, interval: tuple[float, float], alpha: float):
     the original square equals the one of g over the unit square divided by
     factor.
     """
+    _require_piecewise_linear(f)
     _require_alpha_12(alpha)
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise DomainError(f"degenerate interval ({a}, {b})")
     length = b - a
-
-    if isinstance(f, PiecewiseLinear):
-        g = PiecewiseLinear((f.xs - a) / length, f.ys)
-    else:
-        def g(t):
-            return f(a + length * np.asarray(t, dtype=float))
-
-    return g, length ** (alpha - 1.0)
+    return PiecewiseLinear((f.xs - a) / length, f.ys), length ** (alpha - 1.0)
 
 
 @dataclass(frozen=True)
@@ -281,30 +267,30 @@ class WeightedPoincareResult:
     passed: bool
 
 
-def weighted_poincare_check(f, g, alpha: float,
+def weighted_poincare_check(f: PiecewiseLinear, g: PiecewiseLinear, alpha: float,
                             interval: tuple[float, float] = (0.0, 1.0),
-                            cfg: QuadConfig = DEFAULT_2D) -> WeightedPoincareResult:
+                            cfg=None) -> WeightedPoincareResult:
     """Weighted variant: kernel mass with weight g dominates the g^2 mass of f^2.
 
     Requires f(a) = 0, g positive and nonincreasing on the interval (checked
     on a sample mesh; violations are rejected). The bound constant is the
-    same universal one divided by the interval length to the alpha. When f
-    and g are both PiecewiseLinear, lhs and the mass of (f g)^2 are exact
-    (piecewise_linear_weighted_form, piecewise_linear_mass), lhs_error and
-    rhs_error are rounding-level bounds, and cfg goes unused. Other
-    callables go through singular_double_integral with cfg, whose lhs_error
-    is the last refinement difference, and integrate_1d.
+    same universal one divided by the interval length to the alpha. lhs and
+    the mass of (f g)^2 are exact (piecewise_linear_weighted_form,
+    piecewise_linear_mass), and lhs_error and rhs_error are rounding-level
+    bounds. cfg is ignored (see CAMPAIGN_CFG).
     """
+    _require_piecewise_linear(f)
+    _require_piecewise_linear(g, "g")
     _require_alpha_12(alpha)
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise DomainError(f"degenerate interval ({a}, {b})")
-    fa = float(np.asarray(f(np.array([a])))[0])
+    fa = float(f(a))
     if abs(fa) > _BOUNDARY_TOL:
         raise DomainError(f"weighted check requires f(a) = 0, got {fa!r}")
 
     mesh = np.linspace(a, b, 513)
-    gv = np.asarray(g(mesh), dtype=float)
+    gv = g(mesh)
     if not np.all(np.isfinite(gv)):
         raise DomainError("weight must be finite on the interval")
     scale = max(1.0, float(np.max(np.abs(gv))))
@@ -318,25 +304,13 @@ def weighted_poincare_check(f, g, alpha: float,
             f"weight must be nonincreasing; increases between x={mesh[j]!r} "
             f"and x={mesh[j + 1]!r}")
 
-    if isinstance(f, PiecewiseLinear) and isinstance(g, PiecewiseLinear):
-        lhs = piecewise_linear_weighted_form(f.xs, f.ys, g.xs, g.ys, alpha, (a, b))
-        mass = piecewise_linear_mass(f.xs, f.ys, g.xs, g.ys, (a, b))
-    else:
-        lhs = singular_double_integral(f, g, alpha, (a, b), cfg)
-        mass = integrate_1d(lambda x: (np.asarray(f(x)) * np.asarray(g(x))) ** 2,
-                            a, b, _mass_cfg(cfg))
+    lhs = piecewise_linear_weighted_form(f.xs, f.ys, g.xs, g.ys, alpha, (a, b))
+    mass = piecewise_linear_mass(f.xs, f.ys, g.xs, g.ys, (a, b))
     const = poincare_constant(alpha) / (b - a) ** alpha
     rhs = const * mass.value
     passed = lhs.value >= rhs - _PASS_SLACK
     return WeightedPoincareResult(lhs.value, lhs.error_estimate,
                                   rhs, const * mass.error_estimate, passed)
-
-
-def _mass_cfg(cfg: QuadConfig) -> QuadConfig:
-    return QuadConfig(abs_tol=min(cfg.abs_tol, DEFAULT_1D.abs_tol),
-                      rel_tol=min(cfg.rel_tol, DEFAULT_1D.rel_tol),
-                      max_panels=max(cfg.max_panels, DEFAULT_1D.max_panels),
-                      grading_exponent=cfg.grading_exponent)
 
 
 def smooth_step(x) -> np.ndarray:
@@ -453,25 +427,17 @@ def certificate_to_json_dict(cert: WitnessCertificate) -> dict:
     }
 
 
+def _require_piecewise_linear(f, name: str = "f") -> None:
+    if not isinstance(f, PiecewiseLinear):
+        raise DomainError(f"{name} must be a PiecewiseLinear, got {type(f).__name__}")
+
+
 def _require_alpha_12(alpha: float) -> None:
     if not (1.0 < alpha < 2.0):
         raise DomainError(f"requires alpha in (1, 2), got {alpha}")
 
 
-def _normalized(f, f1: float):
-    def call(x):
-        return np.asarray(f(x), dtype=float) / f1
-    return call
-
-
-def _estimate_lipschitz(f, n_mesh: int = 4097) -> float:
-    xs = np.linspace(0.0, 1.0, n_mesh)
-    ys = np.asarray(f(xs), dtype=float)
-    return float(np.max(np.abs(np.diff(ys))) * (n_mesh - 1))
-
-
-def _crossings_exact(f: PiecewiseLinear, level: float,
-                     lo: float, hi: float) -> list[float]:
+def _crossings(f: PiecewiseLinear, level: float, lo: float, hi: float) -> list[float]:
     """All x in the open (lo, hi) with f(x) = level, segment by segment.
 
     For a flat segment sitting exactly on the level only its extreme
@@ -501,39 +467,3 @@ def _crossings_exact(f: PiecewiseLinear, level: float,
         elif (p - level) * (q - level) < 0.0:
             out.append(u + (level - p) * (v - u) / (q - p))
     return [x for x in out if lo < x < hi]
-
-
-def _crossings_scan(f, level: float, lo: float, hi: float,
-                    root_tol: float, n_scan: int = 4097) -> list[float]:
-    xs = np.linspace(lo, hi, n_scan)
-    ys = np.asarray(f(xs), dtype=float) - level
-    out: list[float] = []
-    exact = np.flatnonzero(ys == 0.0)
-    for j in exact:
-        if lo < xs[j] < hi:
-            out.append(float(xs[j]))
-    sign_change = np.flatnonzero(ys[:-1] * ys[1:] < 0.0)
-    for j in sign_change:
-        u, v = xs[j], xs[j + 1]
-        fu = ys[j]
-        while v - u > root_tol:
-            mid = 0.5 * (u + v)
-            fm = float(np.asarray(f(np.array([mid])))[0]) - level
-            if fm == 0.0:
-                u = v = mid
-                break
-            if fu * fm < 0.0:
-                v = mid
-            else:
-                u, fu = mid, fm
-        x_star = 0.5 * (u + v)
-        if lo < x_star < hi:
-            out.append(x_star)
-    return out
-
-
-def _crossings(f, level: float, lo: float, hi: float,
-               root_tol: float) -> list[float]:
-    if isinstance(f, PiecewiseLinear):
-        return _crossings_exact(f, level, lo, hi)
-    return _crossings_scan(f, level, lo, hi, root_tol)

@@ -24,9 +24,8 @@ from fracgap.montecarlo import (
     make_rng,
     sample_subordinator_increment,
 )
-from fracgap.numerics import QuadConfig, levy_constant
+from fracgap.numerics import levy_constant
 from fracgap.poincare import (
-    CAMPAIGN_CFG,
     PiecewiseLinear,
     counterexample_scan,
     poincare_check,
@@ -169,7 +168,6 @@ def test_criterion_05_full_gap_bound(random_well_campaign):
 
 
 def test_criterion_06_rayleigh_consistency():
-    cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-6, max_panels=1024)
     cases = []
     for alpha in (1.3, 1.7):
         for pot_name, pot in (
@@ -179,7 +177,7 @@ def test_criterion_06_rayleigh_consistency():
         ):
             res = solve(alpha, (-1.0, 1.0), pot, 512, m=2)
             gap = float(res.eigenvalues[1] - res.eigenvalues[0])
-            ray = rayleigh_gap(res, 2, cfg)
+            ray = rayleigh_gap(res, 2)
             rel = abs(ray - gap) / gap
             assert rel <= 0.03, (alpha, pot_name, rel)
             cases.append(rel)
@@ -210,7 +208,7 @@ def test_criterion_08_poincare_campaign():
     for alpha in (1.1, 1.5, 1.9):
         const = poincare_constant(alpha)
         for f in functions:
-            res = poincare_check(f, alpha, (0.0, 1.0), CAMPAIGN_CFG)
+            res = poincare_check(f, alpha)
             assert res.passed, (alpha, f.xs, f.ys)
             cert = witness_search(f, alpha)
             assert abs(cert.certified_bound - const) <= 1e-12 * const
@@ -242,7 +240,7 @@ def test_criterion_10_weighted_campaign():
         xs = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, size=k)), [1.0]])
         ys = np.sort(rng.uniform(0.1, 2.0, size=k + 2))[::-1]
         g = PiecewiseLinear(xs, ys)
-        res = weighted_poincare_check(f, g, alpha, (0.0, 1.0), CAMPAIGN_CFG)
+        res = weighted_poincare_check(f, g, alpha)
         assert res.passed, (i, f.xs, f.ys, ys)
     report("criterion 10", "100/100 weighted checks passed with random "
                            "nonincreasing positive weights")

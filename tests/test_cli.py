@@ -19,7 +19,7 @@ from fracgap.cli import (
     MAX_WORKING_BYTES,
     run,
 )
-from fracgap.errors import NonConvergenceError
+from fracgap.errors import WitnessSearchError
 from fracgap.montecarlo import make_rng
 from fracgap.numerics import piecewise_linear_form
 from fracgap.poincare import random_piecewise_linear
@@ -175,13 +175,13 @@ class TestExitCodes:
 
     def test_nonconvergence_exit(self, tmp_path, capsys, monkeypatch):
         def stalled_stage(*args):
-            raise NonConvergenceError("budget exhausted", value=1.0, error_estimate=0.5)
+            raise WitnessSearchError("depth cap reached")
 
         monkeypatch.setattr(cli, "_cmd_counterexample", stalled_stage)
         code, _ = run_quiet(tmp_path, {"command": "counterexample", "alpha": 0.5})
         assert code == EXIT_NONCONVERGENCE
         err = capsys.readouterr().err
-        assert err == "nonconvergence: budget exhausted\n", err
+        assert err == "nonconvergence: depth cap reached\n", err
 
     def test_failed_check_exit(self, tmp_path, capsys):
         # W-shaped tabulated potential: symmetric but not a single well.

@@ -1,7 +1,7 @@
 """Weighted forms vs the eigensolve, and the closed-form gap bounds.
 
-rayleigh_gap evaluates the weighted form of the piecewise-linear
-eigenfunction ratio exactly; weighted_form evaluates callables by quadrature.
+rayleigh_gap and weighted_form evaluate the weighted form of
+piecewise-linear functions exactly.
 """
 
 import math
@@ -18,11 +18,15 @@ from fracgap.forms import (
     rayleigh_gap,
     weighted_form,
 )
-from fracgap.numerics import QuadConfig, levy_constant
+from fracgap.numerics import levy_constant
+from fracgap.poincare import PiecewiseLinear
 from fracgap.potentials import make_power_well, make_zero
 from fracgap.spectral import Grid, assemble_operator, eigensolve
 
-FORM_CFG = QuadConfig(abs_tol=1e-7, rel_tol=1e-6, max_panels=1024)
+
+def linear(slope=1.0, intercept=0.0):
+    """slope * x + intercept on the fixtures' interval (-1, 1)."""
+    return PiecewiseLinear([-1.0, 1.0], [intercept - slope, intercept + slope])
 
 
 class TestGroundStateWeight:
@@ -40,47 +44,46 @@ class TestGroundStateWeight:
 
 class TestWeightedForm:
     def test_constant_in_null_space(self, free_15_512):
-        r = weighted_form(lambda x: np.full_like(x, 3.0), free_15_512, FORM_CFG)
+        r = weighted_form(linear(0.0, 3.0), free_15_512)
         assert abs(r.value) < 1e-12
 
     def test_golden_identity_value(self, free_15_512):
         # Frozen regression: f(x) = x against the alpha = 1.5 free ground
         # state on (-1, 1) at N = 256, resolved to ten digits.
-        tight = QuadConfig(abs_tol=1e-9, rel_tol=1e-9, max_panels=2048)
         n256 = eigensolve(assemble_operator(Grid(-1.0, 1.0, 256), 1.5,
                                             make_zero((-1.0, 1.0))), 2)
-        r256 = weighted_form(lambda x: x, n256, tight)
+        r256 = weighted_form(linear(), n256)
         assert r256.value == pytest.approx(0.532013819563, abs=1e-8)
         # The N = 512 weight moves the value only at discretization order.
-        r512 = weighted_form(lambda x: x, free_15_512, FORM_CFG)
+        r512 = weighted_form(linear(), free_15_512)
         assert r512.value == pytest.approx(r256.value, rel=1e-3)
 
     def test_reflection_invariance(self, free_15_512):
-        r1 = weighted_form(lambda x: x, free_15_512, FORM_CFG)
-        r2 = weighted_form(lambda x: -x, free_15_512, FORM_CFG)
+        r1 = weighted_form(linear(), free_15_512)
+        r2 = weighted_form(linear(-1.0), free_15_512)
         assert r1.value == pytest.approx(r2.value, rel=1e-8)
 
     def test_prefactor_is_half_levy_constant(self, free_15_512):
         # Doubling f scales the form by 4; checks the quadratic homogeneity.
-        r1 = weighted_form(lambda x: x, free_15_512, FORM_CFG)
-        r2 = weighted_form(lambda x: 2.0 * x, free_15_512, FORM_CFG)
+        r1 = weighted_form(linear(), free_15_512)
+        r2 = weighted_form(linear(2.0), free_15_512)
         assert r2.value == pytest.approx(4.0 * r1.value, rel=1e-9)
 
 
 class TestRayleighGap:
     def test_free_case_matches_eigenvalue_gap(self, free_15_512):
         gap = free_15_512.eigenvalues[1] - free_15_512.eigenvalues[0]
-        val = rayleigh_gap(free_15_512, 2, FORM_CFG)
+        val = rayleigh_gap(free_15_512, 2)
         assert abs(val - gap) <= 0.02 * gap
 
     def test_third_level(self, free_15_512):
         gap3 = free_15_512.eigenvalues[2] - free_15_512.eigenvalues[0]
-        val = rayleigh_gap(free_15_512, 3, FORM_CFG)
+        val = rayleigh_gap(free_15_512, 3)
         assert abs(val - gap3) <= 0.03 * gap3
 
     def test_power_well(self, well_15_512):
         gap = well_15_512.eigenvalues[1] - well_15_512.eigenvalues[0]
-        val = rayleigh_gap(well_15_512, 2, FORM_CFG)
+        val = rayleigh_gap(well_15_512, 2)
         assert abs(val - gap) <= 0.02 * gap
 
     def test_n_domain(self, free_15_512):
@@ -122,7 +125,7 @@ class TestGapBounds:
 
 class TestCheckGaps:
     def test_free_case_report(self, free_15_512):
-        rep = check_gaps(free_15_512, FORM_CFG)
+        rep = check_gaps(free_15_512)
         assert rep.passed
         assert rep.pass_star
         assert rep.pass_main is True
@@ -135,24 +138,24 @@ class TestCheckGaps:
 
     def test_low_alpha_main_bound_not_applicable(self):
         op = assemble_operator(Grid(-1.0, 1.0, 256), 0.7, make_zero((-1.0, 1.0)))
-        rep = check_gaps(eigensolve(op, 4), FORM_CFG)
+        rep = check_gaps(eigensolve(op, 4))
         assert rep.pass_main is None
         assert rep.pass_star
         assert rep.passed
 
     def test_well_report(self, well_15_512):
-        rep = check_gaps(well_15_512, FORM_CFG)
+        rep = check_gaps(well_15_512)
         assert rep.passed
         assert rep.star_index == 2
 
     def test_needs_two_eigenvalues(self):
         op = assemble_operator(Grid(-1.0, 1.0, 64), 1.5, make_zero((-1.0, 1.0)))
         with pytest.raises(DomainError):
-            check_gaps(eigensolve(op, 1), FORM_CFG)
+            check_gaps(eigensolve(op, 1))
 
     def test_json_dict_preserves_none(self):
         op = assemble_operator(Grid(-1.0, 1.0, 256), 0.7, make_zero((-1.0, 1.0)))
-        d = gap_report_to_json_dict(check_gaps(eigensolve(op, 4), FORM_CFG))
+        d = gap_report_to_json_dict(check_gaps(eigensolve(op, 4)))
         assert d["bound_main"] is None
         assert d["pass_main"] is None
         assert d["pass_star"] is True

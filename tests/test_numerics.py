@@ -1,4 +1,4 @@
-"""Quadrature and special-constant checks against closed forms."""
+"""Special constants and the piecewise-linear closed forms against independent oracles."""
 
 import math
 
@@ -8,26 +8,20 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import gamma as scipy_gamma
 
-from fracgap.errors import DomainError, NonConvergenceError
+from fracgap.errors import DomainError
 from fracgap.montecarlo import make_rng
 from fracgap.numerics import (
-    DEFAULT_2D,
-    QuadConfig,
     _balanced,
     _cell_edges,
     _pl_form_terms,
     _pl_weighted_terms,
     gamma_fn,
-    integrate_1d,
     levy_constant,
     piecewise_linear_form,
     piecewise_linear_weighted_form,
-    singular_double_integral,
 )
 from fracgap.poincare import (PiecewiseLinear, _compressed_step, counterexample_scan,
                               random_piecewise_linear)
-
-TIGHT = QuadConfig(abs_tol=1e-10, rel_tol=1e-10, max_panels=4096)
 
 
 def levy_oracle(g):
@@ -90,143 +84,6 @@ class TestLevyConstant:
     @given(st.floats(min_value=-1.95, max_value=-0.05))
     def test_matches_direct_composition(self, g):
         assert levy_constant(g) == pytest.approx(levy_oracle(g), rel=1e-10)
-
-
-class TestIntegrate1D:
-    def test_constant(self):
-        r = integrate_1d(lambda x: np.ones_like(x), 0.0, 3.0, TIGHT)
-        assert r.value == pytest.approx(3.0, abs=1e-12)
-        assert r.error_estimate < 1e-10
-
-    def test_polynomial_exact(self):
-        r = integrate_1d(lambda x: x**3 - x, -1.0, 2.0, TIGHT)
-        # antiderivative x^4/4 - x^2/2 at the endpoints
-        assert r.value == pytest.approx(2.25, rel=1e-12)
-
-    def test_empty_range(self):
-        r = integrate_1d(lambda x: x, 1.0, 1.0)
-        assert r.value == 0.0 and r.error_estimate == 0.0
-
-    def test_reversed_range_rejected(self):
-        with pytest.raises(DomainError):
-            integrate_1d(lambda x: x, 1.0, 0.0)
-
-    def test_inverse_sqrt_endpoint_singularity(self):
-        r = integrate_1d(
-            lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, QuadConfig(1e-9, 1e-9, 4096)
-        )
-        assert r.value == pytest.approx(2.0, rel=1e-7)
-
-    def test_interior_kink(self):
-        r = integrate_1d(lambda x: np.abs(x), -1.0, 1.0, TIGHT)
-        assert r.value == pytest.approx(1.0, rel=1e-10)
-
-    def test_scalar_callable_broadcast(self):
-        r = integrate_1d(lambda x: 2.0, 0.0, 5.0, TIGHT)
-        assert r.value == pytest.approx(10.0, rel=1e-12)
-
-    def test_budget_exhaustion_raises_with_partial_value(self):
-        with pytest.raises(NonConvergenceError) as exc:
-            integrate_1d(
-                lambda x: 1.0 / np.sqrt(np.abs(x - 0.123456)),
-                0.0,
-                1.0,
-                QuadConfig(1e-14, 1e-14, 8),
-            )
-        assert exc.value.value is not None
-        assert exc.value.error_estimate is not None
-
-    @given(st.floats(min_value=0.1, max_value=1.9))
-    def test_power_singularity_both_ends(self, alpha):
-        # int_{-1}^{1} |x|^(1-alpha) dx = 2 / (2 - alpha)
-        r = integrate_1d(
-            lambda x: np.abs(x) ** (1.0 - alpha),
-            -1.0,
-            1.0,
-            QuadConfig(1e-8, 1e-8, 4096),
-        )
-        assert r.value == pytest.approx(2.0 / (2.0 - alpha), rel=1e-5)
-
-
-class TestSingularDoubleIntegral:
-    def test_constant_function_vanishes(self):
-        r = singular_double_integral(
-            lambda x: np.full_like(x, 2.5), None, 1.5, (0.0, 1.0), DEFAULT_2D
-        )
-        assert abs(r.value) < 1e-12
-
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
-    def test_linear_closed_form(self, alpha):
-        # For f(x) = x on (0, 1) the squared difference is u^2 and the
-        # double integral reduces to 2 / ((2 - alpha) (3 - alpha)).
-        r = singular_double_integral(lambda x: x, None, alpha, (0.0, 1.0), DEFAULT_2D)
-        want = 2.0 / ((2.0 - alpha) * (3.0 - alpha))
-        assert r.value == pytest.approx(want, rel=1e-6)
-
-    def test_interval_scaling_for_linear(self):
-        # Doubling the interval scales the linear-profile value by 2^(3-alpha).
-        alpha = 1.3
-        r1 = singular_double_integral(lambda x: x, None, alpha, (0.0, 1.0), DEFAULT_2D)
-        r2 = singular_double_integral(lambda x: x, None, alpha, (0.0, 2.0), DEFAULT_2D)
-        assert r2.value == pytest.approx(2.0 ** (3.0 - alpha) * r1.value, rel=1e-6)
-
-    def test_reflection_symmetry(self):
-        alpha = 1.5
-        f = lambda x: np.sin(3.0 * x) + x**2
-        g = lambda x: np.sin(3.0 * (1.0 - x)) + (1.0 - x) ** 2
-        r1 = singular_double_integral(f, None, alpha, (0.0, 1.0), DEFAULT_2D)
-        r2 = singular_double_integral(g, None, alpha, (0.0, 1.0), DEFAULT_2D)
-        assert r1.value == pytest.approx(r2.value, rel=1e-8)
-
-    def test_error_estimate_honest_for_smooth_profile(self):
-        alpha = 1.5
-        f = lambda x: x * (1.0 - x)
-        r = singular_double_integral(f, None, alpha, (0.0, 1.0), DEFAULT_2D)
-        tight = singular_double_integral(
-            f, None, alpha, (0.0, 1.0), QuadConfig(1e-10, 1e-10, 4096)
-        )
-        assert abs(r.value - tight.value) <= 2.0 * (r.error_estimate + 1e-12)
-
-    def test_high_alpha_converges(self):
-        r = singular_double_integral(lambda x: x, None, 1.9, (0.0, 1.0), DEFAULT_2D)
-        assert r.value == pytest.approx(2.0 / (0.1 * 1.1), rel=1e-6)
-
-    def test_unit_weight_matches_unweighted(self):
-        alpha = 1.2
-        f = lambda x: x**2
-        one = lambda x: np.ones_like(x)
-        r1 = singular_double_integral(f, None, alpha, (0.0, 1.0), DEFAULT_2D)
-        r2 = singular_double_integral(f, one, alpha, (0.0, 1.0), DEFAULT_2D)
-        assert r2.value == pytest.approx(r1.value, rel=1e-10)
-
-    def test_refinement_difference_is_not_a_bound(self):
-        # A kinked input on which two levels agree to 1e-7 relative while
-        # the value is off by 1e-5: the reported error is the last
-        # refinement difference, not a bound. The reference is a 30-digit
-        # mpmath evaluation (outer integral over u split at the kink
-        # distances, exact inner pieces), independent of the closed form.
-        f = PiecewiseLinear([0.0, 0.3, 1.0], [0.0, 1.0, 1.0])
-        ref = 2.1995418514963731
-        r = singular_double_integral(f, None, 1.1, (0.0, 1.0),
-                                     QuadConfig(1e-7, 1e-7, 2048))
-        assert r.error_estimate <= 1e-7 * r.value
-        assert abs(r.value - ref) > 10.0 * r.error_estimate
-
-    def test_budget_exhaustion_raises(self):
-        with pytest.raises(NonConvergenceError):
-            singular_double_integral(
-                lambda x: np.abs(x - 0.3712) ** 0.51,
-                None,
-                1.9,
-                (0.0, 1.0),
-                QuadConfig(1e-14, 1e-14, 32),
-            )
-
-    def test_alpha_domain(self):
-        with pytest.raises(DomainError):
-            singular_double_integral(lambda x: x, None, 2.0, (0.0, 1.0))
-        with pytest.raises(DomainError):
-            singular_double_integral(lambda x: x, None, 0.0, (0.0, 1.0))
 
 
 def linear_form_oracle(alpha, length):
@@ -298,16 +155,15 @@ class TestPiecewiseLinearForm:
         assert r.value == pytest.approx(padded.value, rel=1e-13)
 
     def test_agrees_with_tight_quadrature(self):
-        # Inputs on which the tight quadrature's own estimate holds (checked
-        # against mpmath); measured agreement 2e-9..5e-9.
+        # The mpmath quadrature of the weighted form at w = 1, which shares
+        # no code with d^T W d.
         cases = [([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]),
                  ([0.0, 0.25, 0.75, 1.0], [0.0, 1.0, -0.5, 0.5]),
                  ([0.0, 0.375, 0.625, 1.0], [0.0, 1.0, 0.25, 1.25])]
         for xs, ys in cases:
             exact = piecewise_linear_form(xs, ys, 1.1, (0.0, 1.0))
-            quad = singular_double_integral(PiecewiseLinear(xs, ys), None, 1.1,
-                                            (0.0, 1.0), QuadConfig(1e-7, 1e-7, 2048))
-            assert abs(exact.value - quad.value) <= 1e-6 * exact.value
+            quad = weighted_form_oracle(xs, ys, [0.0, 1.0], [1.0, 1.0], 1.1, (0.0, 1.0))
+            assert abs(exact.value - quad) <= 1e-6 * exact.value
 
     def test_error_estimate_bounds_rounding(self):
         # The 3000 (function, alpha) pairs of acceptance criterion 8: the
@@ -476,9 +332,9 @@ class TestPiecewiseLinearWeightedForm:
         assert abs(r.value - ref) <= r.error_estimate <= 1e-12 * ref
 
     def test_quadrature_breakdown_case(self):
-        # On this 8-cell pair at alpha = 1.95, singular_double_integral with
-        # QuadConfig(1e-9, 1e-9, 4096) exhausts its budget (refinement
-        # difference 4e-3 after 113 s, NonConvergenceError).
+        # On this 8-cell pair at alpha = 1.95, the package's former adaptive
+        # double quadrature, at tolerance 1e-9 and 4096 panels, exhausted
+        # its budget (refinement difference 4e-3 after 113 s).
         f = ([0.0, 0.15, 0.4, 0.6, 0.85, 1.0], [0.0, 0.8, -0.3, 0.5, 1.2, 1.0])
         w = ([0.0, 0.3, 0.5, 0.7, 1.0], [1.5, 1.2, 1.0, 0.6, 0.4])
         r = piecewise_linear_weighted_form(*f, *w, 1.95, (0.0, 1.0))

@@ -8,10 +8,10 @@ from numpy.polynomial import Polynomial
 from hypothesis import given, strategies as st
 
 from fracgap.errors import DomainError, WitnessSearchError
+from fracgap.forms import weighted_form
 from fracgap.montecarlo import make_rng
-from fracgap.numerics import QuadConfig, piecewise_linear_form, piecewise_linear_weighted_form
+from fracgap.numerics import piecewise_linear_form, piecewise_linear_weighted_form
 from fracgap.poincare import (
-    CAMPAIGN_CFG,
     PiecewiseLinear,
     certificate_to_json_dict,
     counterexample_scan,
@@ -24,6 +24,11 @@ from fracgap.poincare import (
     weighted_poincare_check,
     witness_search,
 )
+from fracgap.potentials import make_zero
+from fracgap.spectral import Grid, assemble_operator, eigensolve
+
+IDENTITY = PiecewiseLinear([0.0, 1.0], [0.0, 1.0])
+ONE = PiecewiseLinear([0.0, 1.0], [1.0, 1.0])
 
 
 class TestConstants:
@@ -74,7 +79,7 @@ class TestPiecewiseLinear:
 class TestPoincareCheck:
     def test_identity_function_closed_form(self):
         alpha = 1.5
-        res = poincare_check(lambda x: x, alpha)
+        res = poincare_check(IDENTITY, alpha)
         assert res.passed
         # lhs has the closed form 2 / ((2 - alpha) (3 - alpha)) = 8/3
         assert res.lhs == pytest.approx(8.0 / 3.0, rel=1e-6)
@@ -82,15 +87,16 @@ class TestPoincareCheck:
         assert res.ratio == pytest.approx(res.lhs / res.rhs, rel=1e-12)
 
     def test_mirrored_variant(self):
-        res = poincare_check(lambda x: 1.0 - x, 1.5, mirrored=True)
+        down = PiecewiseLinear([0.0, 1.0], [1.0, 0.0])
+        res = poincare_check(down, 1.5, mirrored=True)
         assert res.passed
         assert res.lhs == pytest.approx(8.0 / 3.0, rel=1e-6)
         with pytest.raises(DomainError):
-            poincare_check(lambda x: 1.0 - x, 1.5)
+            poincare_check(down, 1.5)
 
     def test_anchored_endpoint_enforced(self):
         with pytest.raises(DomainError):
-            poincare_check(lambda x: x + 0.5, 1.5)
+            poincare_check(PiecewiseLinear([0.0, 1.0], [0.5, 1.5]), 1.5)
 
     def test_vacuous_and_degenerate_bounds(self):
         tent = PiecewiseLinear([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
@@ -105,7 +111,7 @@ class TestPoincareCheck:
     def test_interval_rescaling_consistency(self):
         # The pullback factor (b-a)^(alpha-1) converts unit-square values.
         alpha = 1.4
-        f = lambda x: 0.5 * x
+        f = PiecewiseLinear([0.0, 2.0], [0.0, 1.0])
         g, factor = rescale_unit(f, (0.0, 2.0), alpha)
         big = poincare_check(f, alpha, interval=(0.0, 2.0))
         unit = poincare_check(g, alpha)
@@ -114,13 +120,13 @@ class TestPoincareCheck:
 
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
-            poincare_check(lambda x: x, 0.9)
+            poincare_check(IDENTITY, 0.9)
 
     def test_piecewise_linear_input_is_exact(self):
         rng = make_rng(17)
         for alpha in (1.1, 1.5, 1.9):
             f = random_piecewise_linear(rng)
-            res = poincare_check(f, alpha, cfg=CAMPAIGN_CFG)
+            res = poincare_check(f, alpha)
             exact = piecewise_linear_form(f.xs, f.ys, alpha, (0.0, 1.0))
             assert (res.lhs, res.lhs_error) == (exact.value, exact.error_estimate)
 
@@ -141,7 +147,7 @@ class TestPoincareCheck:
 class TestWitnessSearch:
     def test_identity_terminates_at_first_step(self):
         alpha = 1.5
-        cert = witness_search(lambda x: x, alpha)
+        cert = witness_search(IDENTITY, alpha)
         c = step_contraction(alpha)
         assert cert.n0 == 1
         assert cert.scale == pytest.approx(1.0)
@@ -154,7 +160,7 @@ class TestWitnessSearch:
         staircase = PiecewiseLinear([0.0, 0.003, 0.005, 1.0],
                                     [0.0, 0.5, 0.5, 1.0])
         for alpha in (1.2, 1.5, 1.8):
-            for f in (lambda x: x, staircase):
+            for f in (IDENTITY, staircase):
                 cert = witness_search(f, alpha)
                 assert cert.certified_bound == pytest.approx(
                     poincare_constant(alpha), rel=1e-12)
@@ -187,29 +193,31 @@ class TestWitnessSearch:
         for _ in range(5):
             f = random_piecewise_linear(rng, max_segments=12)
             cert = witness_search(f, alpha)
-            res = poincare_check(f, alpha, cfg=CAMPAIGN_CFG)
+            res = poincare_check(f, alpha)
             lower = cert.certified_bound * cert.scale**2
             assert lower <= res.lhs + 3.0 * res.lhs_error
 
     def test_boundary_requirements(self):
         with pytest.raises(DomainError):
-            witness_search(lambda x: x + 1.0, 1.5)
+            witness_search(PiecewiseLinear([0.0, 1.0], [1.0, 2.0]), 1.5)
         with pytest.raises(DomainError):
             witness_search(PiecewiseLinear([0.0, 1.0], [0.0, 0.0]), 1.5)
 
     def test_non_lipschitz_hits_depth_cap_or_deep_recursion(self):
-        # x^0.01 crosses every level essentially at zero; the recursion
-        # either exhausts its cap or terminates very deep. Both outcomes
-        # are acceptable; silent shallow termination is not.
-        f = lambda x: np.asarray(x, dtype=float) ** 0.01
+        # The interpolant of x^0.01 on knots down to 1e-30 crosses every
+        # level essentially at zero (slope 5e29 on its first cell); the
+        # recursion either exhausts its cap or terminates very deep. Both
+        # outcomes are acceptable; silent shallow termination is not.
+        xs = np.concatenate([[0.0], np.logspace(-30, 0, 60)])
+        f = PiecewiseLinear(xs, xs ** 0.01)
         try:
-            cert = witness_search(f, 1.5, root_tol=1e-6)
+            cert = witness_search(f, 1.5)
         except WitnessSearchError:
             return
         assert cert.n0 > 10
 
     def test_json_dict(self):
-        cert = witness_search(lambda x: x, 1.5)
+        cert = witness_search(IDENTITY, 1.5)
         d = certificate_to_json_dict(cert)
         assert d["n0"] == 1
         assert len(d["steps"]) == len(cert.steps)
@@ -220,15 +228,14 @@ class TestWitnessSearch:
 class TestWeightedCheck:
     def test_unit_weight(self):
         alpha = 1.5
-        res = weighted_poincare_check(lambda x: x, lambda x: np.ones_like(x), alpha)
+        res = weighted_poincare_check(IDENTITY, ONE, alpha)
         assert res.passed
         assert res.lhs == pytest.approx(8.0 / 3.0, rel=1e-6)
         # rhs = C (1/L^alpha) int x^2 dx = C / 3
         assert res.rhs == pytest.approx(poincare_constant(alpha) / 3.0, rel=1e-8)
 
     def test_decreasing_weight(self):
-        res = weighted_poincare_check(
-            lambda x: x, lambda x: 1.0 - 0.4 * np.asarray(x), 1.5)
+        res = weighted_poincare_check(IDENTITY, PiecewiseLinear([0.0, 1.0], [1.0, 0.6]), 1.5)
         assert res.passed
 
     def test_piecewise_linear_mass_is_exact(self):
@@ -253,7 +260,7 @@ class TestWeightedCheck:
                 k = int(rng.integers(2, 9))
                 xs = np.concatenate([[a - 0.1], np.sort(rng.uniform(a, b, size=k)), [b]])
                 g = PiecewiseLinear(xs, np.sort(rng.uniform(0.1, 2.0, size=k + 2))[::-1])
-                res = weighted_poincare_check(f, g, alpha, interval, CAMPAIGN_CFG)
+                res = weighted_poincare_check(f, g, alpha, interval)
                 want = poincare_constant(alpha) / (b - a) ** alpha * poly_mass(f, g, a, b)
                 assert res.rhs == pytest.approx(want, rel=1e-12)
                 assert res.rhs_error <= 1e-12 * res.rhs
@@ -267,18 +274,38 @@ class TestWeightedCheck:
             k = int(rng.integers(2, 9))
             xs = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, size=k)), [1.0]])
             g = PiecewiseLinear(xs, np.sort(rng.uniform(0.1, 2.0, size=k + 2))[::-1])
-            res = weighted_poincare_check(f, g, alpha, (0.0, 1.0), CAMPAIGN_CFG)
+            res = weighted_poincare_check(f, g, alpha, (0.0, 1.0))
             exact = piecewise_linear_weighted_form(f.xs, f.ys, g.xs, g.ys, alpha, (0.0, 1.0))
             assert (res.lhs, res.lhs_error) == (exact.value, exact.error_estimate)
             assert res.lhs_error <= 1e-11 * res.lhs
 
     def test_weight_gating(self):
         with pytest.raises(DomainError, match="nonincreasing"):
-            weighted_poincare_check(lambda x: x, lambda x: 0.5 + np.asarray(x), 1.5)
+            weighted_poincare_check(IDENTITY, PiecewiseLinear([0.0, 1.0], [0.5, 1.5]), 1.5)
         with pytest.raises(DomainError, match="positive"):
-            weighted_poincare_check(lambda x: x, lambda x: 0.5 - np.asarray(x), 1.5)
+            weighted_poincare_check(IDENTITY, PiecewiseLinear([0.0, 1.0], [0.5, -0.5]), 1.5)
         with pytest.raises(DomainError):
-            weighted_poincare_check(lambda x: x + 1.0, lambda x: np.ones_like(x), 1.5)
+            weighted_poincare_check(PiecewiseLinear([0.0, 1.0], [1.0, 2.0]), ONE, 1.5)
+
+
+def _free_16():
+    return eigensolve(assemble_operator(Grid(0.0, 1.0, 16), 1.5, make_zero((0.0, 1.0))), 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: poincare_check(f, 1.5),
+    lambda f: weighted_poincare_check(f, ONE, 1.5),
+    lambda f: weighted_poincare_check(IDENTITY, f, 1.5),
+    lambda f: witness_search(f, 1.5),
+    lambda f: rescale_unit(f, (0.0, 2.0), 1.5),
+    lambda f: weighted_form(f, _free_16()),
+], ids=["poincare_check", "weighted_poincare_check-f", "weighted_poincare_check-g",
+        "witness_search", "rescale_unit", "weighted_form"])
+def test_callables_rejected(call):
+    # PiecewiseLinear is the only test-function type; a plain callable is
+    # refused before anything evaluates it.
+    with pytest.raises(DomainError, match=r"^[fg] must be a PiecewiseLinear, got function$"):
+        call(lambda x: x)
 
 
 class TestSmoothStep:
