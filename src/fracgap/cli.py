@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DomainError, WitnessSearchError
 from .forms import check_gaps, gap_report_to_json_dict
-from .montecarlo import (PathConfig, cauchy_kernel_check, estimate_feynman_kac,
-                         estimates_csv_rows, gaussian_chain, make_rng)
+from .montecarlo import (PathConfig, estimate_feynman_kac, estimates_csv_rows,
+                         gaussian_chain, make_rng)
 from .poincare import (certificate_to_json_dict, counterexample_scan, poincare_check,
                        poincare_constant, random_piecewise_linear, witness_search)
 from .potentials import (load_tabulated_csv, make_inverse_boundary_well,
@@ -417,6 +417,9 @@ def _run(config_path: str, output_dir: str | None, seed: int | None,
         command = cfg["command"]
         potential = (_build_potential(cfg) if command in _POTENTIAL_COMMANDS
                      else None)
+        # The star gap is defined through the antisymmetric eigenfunction.
+        _expect(command not in ("gap", "all") or potential.symmetric,
+                f"command {command!r} needs a mirror-symmetric potential")
     except (OSError, json.JSONDecodeError, ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

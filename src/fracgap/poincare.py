@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, WitnessSearchError
-from .numerics import (QuadConfig, _pl_data, piecewise_linear_form, piecewise_linear_mass,
-                       piecewise_linear_weighted_form)
+from .numerics import (QuadConfig, _cell_edges, _pl_data, piecewise_linear_form,
+                       piecewise_linear_mass, piecewise_linear_weighted_form)
 
 __all__ = [
     "PiecewiseLinear",
@@ -272,9 +272,10 @@ def weighted_poincare_check(f: PiecewiseLinear, g: PiecewiseLinear, alpha: float
                             cfg=None) -> WeightedPoincareResult:
     """Weighted variant: kernel mass with weight g dominates the g^2 mass of f^2.
 
-    Requires f(a) = 0, g positive and nonincreasing on the interval (checked
-    on a sample mesh; violations are rejected). The bound constant is the
-    same universal one divided by the interval length to the alpha. lhs and
+    Requires f(a) = 0, and g positive on [a, b) and nonincreasing (checked
+    exactly at a, g's knots and b; violations are rejected). The bound
+    constant is the same universal one divided by the interval length to
+    the alpha. lhs and
     the mass of (f g)^2 are exact (piecewise_linear_weighted_form,
     piecewise_linear_mass), and lhs_error and rhs_error are rounding-level
     bounds. cfg is ignored (see CAMPAIGN_CFG).
@@ -289,20 +290,21 @@ def weighted_poincare_check(f: PiecewiseLinear, g: PiecewiseLinear, alpha: float
     if abs(fa) > _BOUNDARY_TOL:
         raise DomainError(f"weighted check requires f(a) = 0, got {fa!r}")
 
-    mesh = np.linspace(a, b, 513)
-    gv = g(mesh)
-    if not np.all(np.isfinite(gv)):
-        raise DomainError("weight must be finite on the interval")
-    scale = max(1.0, float(np.max(np.abs(gv))))
-    if np.any(gv[:-1] <= 0.0):
-        j = int(np.flatnonzero(gv[:-1] <= 0.0)[0])
-        raise DomainError(f"weight must be positive on [a, b); g({mesh[j]!r}) = {gv[j]!r}")
-    increases = np.diff(gv) > 1e-12 * scale
+    # g is linear between a, its knots inside (a, b) and b: checking there
+    # is exact. g(b) may be 0, but not below it.
+    edges = _cell_edges(g.xs, (a, b))
+    gv = g(edges)
+    low = np.append(gv[:-1] <= 0.0, gv[-1] < 0.0)
+    if np.any(low):
+        j = int(np.flatnonzero(low)[0])
+        raise DomainError(f"weight must be positive on [a, b); "
+                          f"g({float(edges[j])!r}) = {float(gv[j])!r}")
+    increases = np.diff(gv) > 1e-12 * max(1.0, float(np.max(np.abs(gv))))
     if np.any(increases):
         j = int(np.flatnonzero(increases)[0])
         raise DomainError(
-            f"weight must be nonincreasing; increases between x={mesh[j]!r} "
-            f"and x={mesh[j + 1]!r}")
+            f"weight must be nonincreasing; increases between x={float(edges[j])!r} "
+            f"and x={float(edges[j + 1])!r}")
 
     lhs = piecewise_linear_weighted_form(f.xs, f.ys, g.xs, g.ys, alpha, (a, b))
     mass = piecewise_linear_mass(f.xs, f.ys, g.xs, g.ys, (a, b))

@@ -5,6 +5,8 @@ midpoint and nonincreasing on the left half (the well opens downward toward
 the center). Shipped families: the zero potential, power wells
 kappa * |x - mid|^p, inverse boundary wells (1 - s(x)^2)^(-beta) with s the
 affine map onto [-1, 1], and tabulated piecewise-linear wells loaded from CSV.
+The analytic families are symmetric single wells by construction (their
+factories gate the parameters); a table is checked exactly at its knots.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ __all__ = [
 # Nodes closer to an endpoint than this are evaluated at the clamped
 # distance instead, keeping inverse boundary wells finite on any grid.
 _ENDPOINT_CLAMP = 1e-9
-
-# Interior sample points of validate_single_well; odd, so the midpoint is one.
-_WELL_SAMPLES = 129
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +68,28 @@ class Potential:
         else:
             raise DomainError(f"unknown potential kind {self.kind!r}")
         return vals + self.offset
+
+    @property
+    def symmetric(self) -> bool:
+        """V(x) = V(a + b - x): by definition for the analytic families,
+        and to 1e-12 max(1, |V|) for a table (exact, see _mirror_values)."""
+        if self.kind != "tabulated":
+            return True
+        _, vals, mirror, tol = self._mirror_values()
+        return float(np.max(np.abs(vals - mirror))) <= tol
+
+    def _mirror_values(self):
+        """A table's knots and mirror knots x, with V(x), V(a + b - x) and the slack.
+
+        Both V(x) and V(a + b - x) are linear between these points, so
+        comparing them there is exact.
+        """
+        xs, ys = self.table
+        a, b = self.interval
+        pts = np.unique(np.concatenate([xs, (a + b) - xs]))
+        vals = np.interp(pts, xs, ys)
+        mirror = np.interp((a + b) - pts, xs, ys)
+        return pts, vals, mirror, 1e-12 * max(1.0, float(np.max(np.abs(vals))))
 
 
 def make_zero(interval: tuple[float, float], offset: float = 0.0) -> Potential:
@@ -157,41 +178,31 @@ class WellReport:
 
 
 def validate_single_well(potential: Potential) -> WellReport:
-    """Check symmetry and left-half monotonicity on a symmetric sample grid.
+    """Check symmetry and left-half monotonicity, exactly.
 
-    Symmetry: V(x) == V(a + b - x) within 1e-12 relative to the sampled
-    magnitude. Single well: V nonincreasing from the left endpoint to the
-    midpoint on consecutive sample points. The first offending pair of
-    abscissae is reported.
+    The analytic families pass by construction. A table is checked at its
+    knots, their mirror images and the midpoint, between which it is
+    linear: symmetry as in Potential.symmetric, then V nonincreasing from
+    a to the midpoint within the same slack. The worst mirror pair, or
+    else the first rising segment, is reported.
     """
+    if potential.kind != "tabulated":
+        return WellReport(True, True, True, 0.0, None, "symmetric single well")
     a, b = potential.interval
-    # Interior points placed symmetrically: x_i + x_(n+1-i) = a + b exactly.
-    i = np.arange(1, _WELL_SAMPLES + 1, dtype=float)
-    xs = a + i * (b - a) / (_WELL_SAMPLES + 1)
-    vals = potential(xs)
-    if not np.all(np.isfinite(vals)):
-        bad = float(xs[np.flatnonzero(~np.isfinite(vals))[0]])
-        return WellReport(False, False, False, np.inf, (bad, bad),
-                          f"non-finite value at x={bad:g}")
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    tol = 1e-12 * scale
-
-    mirror = potential((a + b) - xs)
+    pts, vals, mirror, tol = potential._mirror_values()
     sym_err = float(np.max(np.abs(vals - mirror)))
     symmetric = sym_err <= tol
 
     mid = 0.5 * (a + b)
-    left = xs <= mid
-    lv = vals[left]
-    lx = xs[left]
-    increase = np.diff(lv) > tol
+    lx = np.append(pts[pts < mid], mid)
+    increase = np.diff(potential(lx)) > tol
     single_well = not bool(np.any(increase))
 
     violation = None
     detail = "symmetric single well"
     if not symmetric:
         j = int(np.argmax(np.abs(vals - mirror)))
-        violation = (float(xs[j]), float((a + b) - xs[j]))
+        violation = (float(pts[j]), float((a + b) - pts[j]))
         detail = (f"symmetry violated at x={violation[0]:g}: "
                   f"V={vals[j]:.6g} vs mirrored {mirror[j]:.6g}")
     elif not single_well:

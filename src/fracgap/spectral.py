@@ -41,11 +41,6 @@ __all__ = [
     "eigenvector_rows",
 ]
 
-# The Toeplitz part is exactly centrosymmetric, so the diagonal alone decides
-# whether the operator commutes with the grid reflection. Symmetric wells
-# miss exact symmetry by rounding only (1.4e-15 relative on power wells).
-_MIRROR_RTOL = 1e-13
-
 # Default extrapolation order when only two grids are available. Free-case
 # eigenvalue errors decay close to first order in h across alpha (the
 # boundary layer of the eigenfunctions limits the interior second-order
@@ -116,17 +111,26 @@ class OperatorMatrix:
 def assemble_operator(grid: Grid, alpha: float, potential: Potential) -> OperatorMatrix:
     """Toeplitz nonlocal part plus diagonal potential.
 
-    The potential must be finite at every node; families with endpoint
-    blow-up are expected to clamp themselves (see inverse boundary wells).
+    The grid must span the potential's interval (to 1e-12), and the
+    potential be finite at every node. A symmetric potential is evaluated
+    on the left ceil(n/2) nodes and mirrored, so the matrix is
+    centrosymmetric bit for bit, as eigensolve's parity split assumes.
     """
+    if not isinstance(potential, Potential):
+        raise DomainError(f"potential must be a Potential, got {type(potential).__name__}")
+    if max(abs(grid.a - potential.interval[0]), abs(grid.b - potential.interval[1])) > 1e-12:
+        raise DomainError(f"grid covers ({grid.a!r}, {grid.b!r}), "
+                          f"the potential {potential.interval}")
+    n = grid.n
     nodes = grid.nodes()
-    vals = np.asarray(potential(nodes), dtype=float)
-    if vals.shape != nodes.shape:
-        raise DomainError("potential must return one value per node")
+    if potential.symmetric:
+        left = potential(nodes[:(n + 1) // 2])
+        vals = np.concatenate([left, left[:n // 2][::-1]])
+    else:
+        vals = potential(nodes)
     if not np.all(np.isfinite(vals)):
         bad = float(nodes[np.flatnonzero(~np.isfinite(vals))[0]])
         raise DomainError(f"potential is not finite at node x={bad!r}")
-    n = grid.n
     g = frac_coeffs(alpha, n).g
     # Row i of the reversed windows over (g_(n-1), ..., g_1, g_0, ..., g_(n-1))
     # is g_|i-j|, without an n x n index array.
@@ -163,29 +167,27 @@ class SpectralResult:
 def eigensolve(op: OperatorMatrix, m: int) -> SpectralResult:
     """Lowest m eigenpairs of the assembled operator; deterministic.
 
-    A diagonal mirror-symmetric to 1e-13 of its sup is averaged with its
-    mirror image and the even and odd blocks are solved apart, merged by a
-    stable sort (even first on a tie); parities are then exact. Otherwise
-    the full matrix is solved and every level is "mixed". Residuals use
-    the assembled matrix. A ground state that is not strictly positive
-    (for a symmetric operator: not even) raises DomainError.
+    When op.potential is symmetric, the operator is centrosymmetric (see
+    assemble_operator), and the even and odd blocks are solved apart,
+    merged by a stable sort (even first on a tie); parities are then exact.
+    Otherwise the full matrix is solved and every level is "mixed".
+    Residuals use the assembled matrix. A ground state that is not strictly
+    positive (for a symmetric operator: not even) raises DomainError.
     """
     n = op.grid.n
     if not (1 <= m <= n):
         raise DomainError(f"m must lie in [1, {n}], got {m}")
-    diag = np.diagonal(op.matrix)
-    if np.max(np.abs(diag - diag[::-1])) <= _MIRROR_RTOL * np.max(np.abs(diag)):
+    if op.potential.symmetric:
         # On (u, [sqrt 2 u_mid,] +-J u) / sqrt 2, J reversing k = n // 2 nodes,
         # H acts as A11 +- A12 J; an odd n's middle node joins the even block.
         k, ke = n // 2, (n + 1) // 2
-        near = op.matrix[:ke, :ke].copy()
-        near[np.diag_indices(ke)] = 0.5 * (diag + diag[::-1])[:ke]
+        near = op.matrix[:ke, :ke]
         far = op.matrix[:ke, ::-1][:, :ke]
         lam_o, vec_o = np.linalg.eigh(near[:k, :k] - far[:k, :k])
         even = near + far
         even[k:] /= math.sqrt(2.0)
         even[:, k:] /= math.sqrt(2.0)
-        even[k:, k:] = diag[k:ke]
+        even[k:, k:] = op.matrix[k:ke, k:ke]
         lam_e, vec_e = np.linalg.eigh(even)
         both = np.concatenate([lam_e, lam_o])
         order = np.argsort(both, kind="stable")[:m]

@@ -148,7 +148,7 @@ class TestConfigErrors:
         # is bad input for the gap stage, not a defect.
         csv = tmp_path / "off.csv"
         csv.write_text("x,V\n-1.0,8.0\n0.3,0.0\n1.0,4.0\n")
-        code, _ = run_quiet(tmp_path, {
+        code, out = run_quiet(tmp_path, {
             "command": command, "N": 64,
             "potential": {"kind": "tabulated", "path": str(csv)},
         })
@@ -156,6 +156,8 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert "mirror-symmetric" in err
+        # Refused before the solve, so nothing is written.
+        assert not out.exists()
 
 
 class TestExitCodes:

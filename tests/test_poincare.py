@@ -287,6 +287,18 @@ class TestWeightedCheck:
         with pytest.raises(DomainError):
             weighted_poincare_check(PiecewiseLinear([0.0, 1.0], [1.0, 2.0]), ONE, 1.5)
 
+    def test_weight_dip_between_knots_rejected(self):
+        # Narrower than any fixed sample spacing; checked at g's knots.
+        g = PiecewiseLinear([0.0, 0.1001, 0.1002, 0.1003, 1.0], [1.0, 1.0, -5.0, 1.0, 1.0])
+        with pytest.raises(DomainError, match=r"positive on \[a, b\); g\(0\.1002\)"):
+            weighted_poincare_check(IDENTITY, g, 1.5)
+
+    def test_weight_may_vanish_at_b_only(self):
+        assert weighted_poincare_check(IDENTITY, PiecewiseLinear([0.0, 1.0], [1.0, 0.0]),
+                                       1.5).passed
+        with pytest.raises(DomainError, match=r"g\(1\.0\) = -1e-09"):
+            weighted_poincare_check(IDENTITY, PiecewiseLinear([0.0, 1.0], [1.0, -1e-9]), 1.5)
+
 
 def _free_16():
     return eigensolve(assemble_operator(Grid(0.0, 1.0, 16), 1.5, make_zero((0.0, 1.0))), 2)

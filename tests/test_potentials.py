@@ -126,8 +126,8 @@ class TestValidateSingleWell:
         assert not report.passed
         assert report.symmetric
         assert not report.single_well
-        lo, hi = report.violation
-        assert -1.0 < lo < hi <= 0.0
+        # The first rising segment, located at its knots.
+        assert report.violation == (-1.0, -0.5)
 
     def test_asymmetric_fails(self):
         v = make_tabulated([-1.0, 0.0, 1.0], [3.0, 0.0, 2.0])
@@ -135,3 +135,44 @@ class TestValidateSingleWell:
         assert not report.passed
         assert not report.symmetric
         assert report.max_symmetry_error > 0.1
+
+    def test_bump_between_samples_is_asymmetric(self):
+        # A spike at 0.3 narrower than any fixed sample spacing; the knot
+        # check sees it.
+        v = make_tabulated([-1.0, 0.0, 0.295, 0.3, 0.305, 1.0],
+                           [1.0, 0.0, 0.295, 5.0, 0.305, 1.0])
+        report = validate_single_well(v)
+        assert not report.passed
+        assert not report.symmetric
+        assert report.max_symmetry_error == pytest.approx(4.7)
+        assert report.violation == (-0.3, 0.3)
+
+    def test_rise_to_midpoint_without_interior_knots(self):
+        v = make_tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+        report = validate_single_well(v)
+        assert report.symmetric and not report.single_well
+        assert report.violation == (-1.0, 0.0)
+
+
+class TestSymmetric:
+    @pytest.mark.parametrize("pot", [
+        make_zero((3.0, 7.5), offset=-2.0),
+        make_power_well(4.0, 2.5, (-0.3, 2.0), offset=1.5),
+        make_power_well(0.0, 1.0, (100.0, 101.0), offset=-7.0),
+        make_inverse_boundary_well(0.3, 0.35, (100.0, 101.0)),
+        make_inverse_boundary_well(0.6, 1.5, (-5.0, 7.3)),
+    ], ids=["zero", "power", "flat_power", "inverse_far", "inverse_wide"])
+    def test_analytic_families_by_definition(self, pot):
+        assert pot.symmetric
+        assert validate_single_well(pot).passed
+
+    def test_symmetric_table(self):
+        # Knots at linspace(0.1, 2.3, 23) mirror each other only to rounding.
+        xs = np.linspace(0.1, 2.3, 23)
+        v = make_tabulated(xs, 4.0 * np.abs(xs - 1.2) ** 2)
+        assert v.symmetric
+        assert validate_single_well(v).passed
+
+    def test_off_centre_table(self):
+        xs = np.linspace(-1.0, 1.0, 17)
+        assert not make_tabulated(xs, 10.0 * np.abs(xs - 0.4) ** 2).symmetric

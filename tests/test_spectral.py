@@ -97,9 +97,29 @@ class TestAssembleOperator:
         assert np.allclose(m2, m1 / 2.0**alpha, rtol=1e-13)
 
     def test_nonfinite_potential_rejected_with_node(self):
-        bad = lambda x: np.where(np.abs(x) < 0.01, np.inf, 0.0)
-        with pytest.raises(DomainError, match="not finite at node"):
-            assemble_operator(Grid(-1.0, 1.0, 33), 1.5, bad)
+        # 9.4^400 overflows to inf at the outermost nodes.
+        bad = make_power_well(1.0, 400.0, (-10.0, 10.0))
+        with pytest.raises(DomainError, match=r"not finite at node x=-9\.41"), \
+                np.errstate(over="ignore"):
+            assemble_operator(Grid(-10.0, 10.0, 33), 1.5, bad)
+
+    def test_callable_rejected(self):
+        with pytest.raises(DomainError, match="must be a Potential, got function"):
+            assemble_operator(Grid(-1.0, 1.0, 33), 1.5, lambda x: 0.0 * x)
+
+    def test_grid_must_cover_potential_interval(self):
+        # Mirroring a well about another interval's midpoint would be wrong.
+        with pytest.raises(DomainError, match="grid covers"):
+            assemble_operator(Grid(0.0, 1.0, 16), 1.5,
+                              make_power_well(1.0, 2.0, (-1.0, 1.0)))
+
+    def test_symmetric_diagonal_mirrored_bitwise(self):
+        # Far from the origin, a + h i and b - h i round apart, and the
+        # endpoint spike amplifies that to 5e-13 of the sup when evaluated
+        # node by node.
+        pot = make_inverse_boundary_well(0.3, 0.35, (100.0, 101.0))
+        d = np.diagonal(assemble_operator(Grid(100.0, 101.0, 4096), 0.35, pot).matrix)
+        assert np.array_equal(d, d[::-1])
 
     def test_symmetry(self):
         pot = make_power_well(3.0, 2.0, (-1.0, 1.0))
@@ -112,7 +132,8 @@ class TestAssembleOperator:
         op = assemble_operator(grid, 1.3, pot)
         i = np.arange(grid.n)
         want = grid.h ** -1.3 * frac_coeffs(1.3, grid.n).g[np.abs(i[:, None] - i[None, :])]
-        want[i, i] += pot(grid.nodes())
+        left = pot(grid.nodes()[:19])
+        want[i, i] += np.concatenate([left, left[:18][::-1]])
         assert np.array_equal(op.matrix, want)
 
 
@@ -231,6 +252,18 @@ class TestLambdaStar:
         assert res.star is None
         with pytest.raises(LookupError):
             lambda_star(res)
+
+    @pytest.mark.parametrize("xs, ys, split", [
+        (np.linspace(-1.0, 1.0, 17), 10.0 * np.linspace(-1.0, 1.0, 17) ** 2, True),
+        # No node at N = 64 falls on the spike at 0.3, so only the table's
+        # knots show the asymmetry.
+        ([-1.0, 0.0, 0.295, 0.3, 0.305, 1.0], [1.0, 0.0, 0.295, 5.0, 0.305, 1.0], False),
+    ], ids=["symmetric_table", "bump_table"])
+    def test_split_follows_the_potential(self, xs, ys, split):
+        res = eigensolve(assemble_operator(Grid(-1.0, 1.0, 64), 1.5,
+                                           make_tabulated(xs, ys)), 4)
+        assert (res.star is not None) == split
+        assert ("mixed" in res.parities) != split
 
 
 class TestParitySplit:
