@@ -49,8 +49,10 @@ MAX_WORKING_BYTES = 2 * 1024**3
 # an asymmetric well (tracemalloc sees 2.0; LAPACK's workspace is not in it).
 _DENSE_ARRAYS = 6
 # float64 arrays of n_points x n_paths that estimate_feynman_kac holds at
-# its peak: sums, positions, potential values and the potential's own
-# temporaries (7.1 under tracemalloc for the inverse boundary well).
+# its peak: sums, positions, and the final exp and select. The potential's
+# values and temporaries exist only for the path blocks in flight, about
+# half the paths (4.7 at most under tracemalloc over the zero, power,
+# inverse boundary and tabulated wells, with 1, 2 or 8 CPUs).
 _MC_ARRAYS = 8
 
 _COMMANDS = ("spectrum", "gap", "poincare", "counterexample", "simulate",
@@ -426,13 +428,18 @@ def _run(config_path: str, output_dir: str | None, seed: int | None,
 
     out = Path(cfg["output_dir"])
     try:
+        if command in ("spectrum", "gap", "all"):
+            grid = Grid(cfg["interval"][0], cfg["interval"][1], cfg["N"])
+            # Before any output exists: a potential that overflows at a
+            # node fails assembly's finiteness check, which names the node.
+            with np.errstate(over="ignore", invalid="ignore"):
+                op = assemble_operator(grid, cfg["alpha"], potential)
         out.mkdir(parents=True, exist_ok=True)
         write_atomic(out / "config_echo.json", dumps_json(cfg))
         if command in ("spectrum", "gap", "all"):
-            grid = Grid(cfg["interval"][0], cfg["interval"][1], cfg["N"])
             # The gap stage reads lambda_2 and phi_2.
             m = cfg["m"] if command == "spectrum" else max(cfg["m"], 2)
-            result = eigensolve(assemble_operator(grid, cfg["alpha"], potential), m)
+            result = eigensolve(op, m)
         if command in ("spectrum", "all"):
             _cmd_spectrum(cfg, out, rep, potential, result)
         if command in ("gap", "all"):

@@ -35,12 +35,17 @@ far-apart points can be negatively correlated.
 
 All randomness flows through a counter-based Philox generator; for a fixed
 seed and configuration the draw order is fixed, so estimates reproduce
-bit for bit.
+bit for bit. The draws stay on the calling thread; the potential sums run
+on blocks of paths in one worker thread per CPU, each element through the
+same operations whatever its block, so estimates do not depend on the
+CPU count either.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +157,14 @@ def sample_stable_increment(alpha: float, dt: float,
     return float(out[0]) if size is None else out
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int,
                rng: np.random.Generator) -> np.ndarray:
     """exp(-sum V dt) per (start point, path) for survivors, 0 if killed.
@@ -161,7 +174,17 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int,
     times 0, dt, ..., t_final - dt at the clipped position, and a path
     survives iff x0 + min(free) > a and x0 + max(free) < b over the grid
     times, the same rule as checking exit at every grid time.
+
+    The draws stay on the calling thread, in a fixed order. While it draws
+    step s's increments, worker threads (one per CPU) sum the potential at
+    step s's positions on 2 blocks of path columns per CPU, in the caller's
+    context (so np.errstate holds there too); all blocks finish before the
+    paths move. Each element sees the same operations whatever the blocks,
+    so the values do not depend on the CPU count, bit for bit.
     """
+    # Imported here: at module top it would add to every `import fracgap`.
+    from concurrent.futures import ThreadPoolExecutor
+
     a, b = cfg.interval
     dt = cfg.t_final / cfg.n_steps
     if np.any((xs <= a) | (xs >= b)):
@@ -171,17 +194,30 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int,
     lo = np.zeros(n_paths)
     hi = np.zeros(n_paths)
     v_sum = np.zeros((xs.size, n_paths))
-    pos = np.empty_like(v_sum)
-    for _ in range(cfg.n_steps):
-        np.clip(np.add(x0, free, out=pos), a, b, out=pos)
-        # v stays bound until the next step's values exist, so the
-        # allocator reuses its block instead of returning it to the OS and
-        # page-faulting it back every step (a 2x slowdown at 21 x 20000).
-        v = np.asarray(potential(pos), dtype=float)
-        v_sum += v * dt
-        free += sample_stable_increment(cfg.alpha, dt, rng, size=n_paths)
-        np.minimum(lo, free, out=lo)
-        np.maximum(hi, free, out=hi)
+    n_cpu = _cpu_count()
+    # Two blocks per CPU, so the workers even out around the CPU that the
+    # draws hold.
+    edges = [n_paths * k // (2 * n_cpu) for k in range(2 * n_cpu + 1)]
+    blocks = [slice(i, j) for i, j in zip(edges, edges[1:]) if j > i]
+    # One contiguous position buffer per block, so the potential sees
+    # contiguous input, as it does when called on the whole array.
+    pos = [np.empty((xs.size, c.stop - c.start)) for c in blocks]
+
+    def add_potential(cols: slice, p: np.ndarray) -> None:
+        np.clip(np.add(x0, free[cols], out=p), a, b, out=p)
+        v = np.asarray(potential(p), dtype=float)
+        v_sum[:, cols] += np.multiply(v, dt, out=v)
+
+    with ThreadPoolExecutor(max_workers=n_cpu) as pool:
+        for _ in range(cfg.n_steps):
+            sums = [pool.submit(contextvars.copy_context().run, add_potential, cols, p)
+                    for cols, p in zip(blocks, pos)]
+            step = sample_stable_increment(cfg.alpha, dt, rng, size=n_paths)
+            for f in sums:
+                f.result()
+            free += step
+            np.minimum(lo, free, out=lo)
+            np.maximum(hi, free, out=hi)
     alive = (x0 + lo > a) & (x0 + hi < b)
     return np.where(alive, np.exp(-v_sum), 0.0)
 
@@ -194,7 +230,9 @@ def estimate_feynman_kac(x_points, potential, cfg: PathConfig,
     point shares, so each point's estimate is reproducible bit for bit and
     does not depend on which other points are in x_points. For the free
     case the mean estimates the survival probability; generally it
-    estimates the semigroup applied to the constant 1.
+    estimates the semigroup applied to the constant 1. The potential is
+    called from worker threads, concurrently, on 2-d blocks of positions,
+    and must act elementwise.
     """
     if n_paths < 2:
         raise DomainError(f"n_paths must be >= 2, got {n_paths}")

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -109,6 +110,21 @@ class TestConfigErrors:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and err.count("\n") == 1, err
 
+
+    def test_overflowing_potential_is_one_config_error(self, tmp_path, capsys):
+        # |x|^400 overflows at most nodes of (-10, 10): one config error
+        # line, no numpy warning, and nothing written.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_quiet(tmp_path, {
+                "command": "spectrum", "interval": [-10, 10], "N": 16,
+                "potential": {"kind": "power_well", "kappa": 1, "p": 400},
+            })
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: potential is not finite"), err
+        assert err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_oversized_monte_carlo_rejected_before_allocating(self, tmp_path, capsys):
         # The default size sits far below the limit; 10^10 paths far above.

@@ -1,12 +1,15 @@
 """Sampler laws, killed-path estimates, and kernel cross-checks."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
+from fracgap import montecarlo
 from fracgap.errors import DomainError
 from fracgap.montecarlo import (
     PathConfig,
@@ -159,17 +162,20 @@ class TestCommonRandomNumbers:
                 assert estimate_feynman_kac([x], pot, cfg, 3000)[0] == est
 
     def test_matches_masked_per_point_loop_bitwise(self):
-        n = 2000
+        # Odd n_paths gives unequal path blocks; a single point is split
+        # across blocks too.
         xs = np.array([-0.8, -0.2, 0.3, 0.85])
-        for alpha in (0.7, 1.5):
-            cfg = PathConfig(alpha, 0.4, 40, (-1.0, 1.0), seed=8)
-            for pot in self.WELLS:
-                ests = estimate_feynman_kac(xs, pot, cfg, n)
-                for x, est in zip(xs, ests):
-                    vals = masked_loop(x, pot, cfg, n)
-                    assert 0.0 < est.mean < 1.0
-                    assert est.mean == float(np.mean(vals)), (alpha, pot.kind, x)
-                    assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(n))
+        for n in (2000, 2001):
+            for alpha in (0.7, 1.5):
+                cfg = PathConfig(alpha, 0.4, 40, (-1.0, 1.0), seed=8)
+                for pot in self.WELLS:
+                    ests = estimate_feynman_kac(xs, pot, cfg, n)
+                    ests += estimate_feynman_kac(xs[:1], pot, cfg, n)
+                    for x, est in zip([*xs, xs[0]], ests):
+                        vals = masked_loop(x, pot, cfg, n)
+                        assert 0.0 < est.mean < 1.0
+                        assert est.mean == float(np.mean(vals)), (n, alpha, pot.kind, x)
+                        assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(n))
 
     def test_small_alpha_finite_without_warnings(self):
         pot = make_power_well(5.0, 2.0, (-1.0, 1.0))
@@ -182,6 +188,60 @@ class TestCommonRandomNumbers:
             for est in ests:
                 assert math.isfinite(est.mean) and math.isfinite(est.stderr)
                 assert 0.0 <= est.mean <= 1.0
+
+
+class TestWorkerThreads:
+    """The potential is summed on path blocks in worker threads."""
+
+    CFG = PathConfig(1.3, 0.3, 24, (-1.0, 1.0), seed=17)
+    XS = np.array([-0.6, 0.0, 0.35])
+
+    def test_estimates_independent_of_cpu_count(self, monkeypatch):
+        # 8 workers on fewer cores with frequent thread switches: a lost or
+        # misplaced block sum would change the estimates.
+        pot = make_power_well(5.0, 2.0, (-1.0, 1.0))
+        default = estimate_feynman_kac(self.XS, pot, self.CFG, 2001)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n_cpu in (1, 8):
+                monkeypatch.setattr(montecarlo, "_cpu_count", lambda n=n_cpu: n)
+                assert estimate_feynman_kac(self.XS, pot, self.CFG, 2001) == default
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_fewer_paths_than_blocks(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)
+        pot = TestCommonRandomNumbers.WELLS[0]
+        est = estimate_feynman_kac(self.XS[1:2], pot, self.CFG, 2)[0]
+        vals = masked_loop(0.0, pot, self.CFG, 2)
+        assert est.mean == float(np.mean(vals))
+        assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(2))
+
+    def test_worker_error_reaches_caller_and_threads_end(self):
+        baseline = threading.active_count()
+        lock = threading.Lock()
+        calls = []
+
+        def failing(x):
+            with lock:
+                calls.append(x.shape)
+                if len(calls) == 3:
+                    raise ArithmeticError("third call")
+            return np.zeros_like(x)
+
+        with pytest.raises(ArithmeticError, match="third call"):
+            estimate_feynman_kac(self.XS, failing, self.CFG, 2000)
+        assert threading.active_count() == baseline
+
+    def test_workers_keep_the_callers_errstate(self):
+        # x**400 overflows at |x| > 5.9; under over="raise" that must raise
+        # in a worker thread as it does on the calling thread.
+        pot = make_power_well(1.0, 400.0, (-10.0, 10.0))
+        cfg = PathConfig(1.5, 0.1, 4, (-10.0, 10.0), seed=3)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                estimate_feynman_kac(np.array([0.0, 8.0]), pot, cfg, 100)
 
 
 class TestPathConfig:
