@@ -45,8 +45,12 @@ EXIT_INTERNAL = 4
 # Largest working set a config may request, in bytes: a larger N or
 # mc.n_points x mc.n_paths fails as a configuration error before allocating.
 MAX_WORKING_BYTES = 2 * 1024**3
-# float64 N x N arrays at the eigensolve's peak: 5.3 in resident memory on
-# an asymmetric well (tracemalloc sees 2.0; LAPACK's workspace is not in it).
+# float64 N x N arrays at the peak of assembly + eigensolve, as resident
+# memory grows from a cold start at N = 2048: 5.3 on an asymmetric well
+# solved by the dense eigh, which still runs at any N when m is large or the
+# Krylov solve gives up (5.2 then); 3.5 when the Krylov solve converges;
+# 2.8 and 2.2 on a symmetric well. tracemalloc sees 2.0 and 3.0 (the
+# explicit inverse factor); LAPACK's workspace is not in it.
 _DENSE_ARRAYS = 6
 # float64 arrays of n_points x n_paths that estimate_feynman_kac holds at
 # its peak: sums, positions, and the final exp and select. The potential's
@@ -355,7 +359,9 @@ def _cmd_simulate(cfg: dict, out: Path, rep: _Reporter, potential) -> None:
     path_cfg = PathConfig(cfg["alpha"], mc["t_final"], mc["n_steps"],
                           (a, b), mc["seed"])
     xs = np.linspace(a, b, mc["n_points"] + 2)[1:-1]
-    estimates = estimate_feynman_kac(xs, potential, path_cfg, mc["n_paths"])
+    # An overflowing potential fails as one DomainError from the path sums.
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates = estimate_feynman_kac(xs, potential, path_cfg, mc["n_paths"])
     header, rows = estimates_csv_rows(estimates)
     write_atomic(out / "fk_estimates.csv", csv_text(header, rows))
 

@@ -180,7 +180,9 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int,
     step s's positions on 2 blocks of path columns per CPU, in the caller's
     context (so np.errstate holds there too); all blocks finish before the
     paths move. Each element sees the same operations whatever the blocks,
-    so the values do not depend on the CPU count, bit for bit.
+    so the values do not depend on the CPU count, bit for bit. A sum that
+    is not finite (a potential that overflows at a visited position)
+    raises DomainError.
     """
     # Imported here: at module top it would add to every `import fracgap`.
     from concurrent.futures import ThreadPoolExecutor
@@ -218,6 +220,8 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int,
             free += step
             np.minimum(lo, free, out=lo)
             np.maximum(hi, free, out=hi)
+    if not np.all(np.isfinite(v_sum)):
+        raise DomainError("the potential summed along some path is not finite")
     alive = (x0 + lo > a) & (x0 + hi < b)
     return np.where(alive, np.exp(-v_sum), 0.0)
 

@@ -126,6 +126,22 @@ class TestConfigErrors:
         assert err.count("\n") == 1, err
         assert not out.exists()
 
+    def test_overflowing_potential_fails_simulate(self, tmp_path, capsys):
+        # The path sums of |x|^400 on (-10, 10) are infinite: one config
+        # error line and no numpy warning, not an all-zero profile that passes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_quiet(tmp_path, {
+                "command": "simulate", "interval": [-10, 10],
+                "potential": {"kind": "power_well", "kappa": 1, "p": 400},
+                "mc": {"n_paths": 2000, "n_steps": 16},
+            })
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the potential summed along some path"), err
+        assert err.count("\n") == 1, err
+        assert not (out / "fk_estimates.csv").exists()
+
     def test_oversized_monte_carlo_rejected_before_allocating(self, tmp_path, capsys):
         # The default size sits far below the limit; 10^10 paths far above.
         assert cli._mc_working_bytes(21, 20_000) * 50 <= MAX_WORKING_BYTES

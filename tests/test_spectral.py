@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fracgap import spectral
 from fracgap.errors import DomainError
 from fracgap.potentials import (make_inverse_boundary_well, make_power_well,
                                 make_tabulated, make_zero)
@@ -301,6 +302,99 @@ class TestParitySplit:
         assert err[9] <= 1e-4
         assert err[9] < err[4]
         assert res.parities == ("symmetric", "antisymmetric") * 5
+
+
+def random_single_well(seed):
+    """Symmetric 9-knot table falling from up to 1000 to its minimum at the centre."""
+    half = np.sort(np.random.default_rng(seed).uniform(0.0, 1000.0, 5))[::-1]
+    return make_tabulated(np.linspace(-1.0, 1.0, 9), np.concatenate([half, half[-2::-1]]))
+
+
+def notch_well():
+    """The smooth notch 1000 (1 - exp(-x^2 / 1e-4)), tabulated on 4001 knots."""
+    xs = np.linspace(-1.0, 1.0, 4001)
+    return make_tabulated(xs, 1000.0 * (1.0 - np.exp(-xs**2 / 1e-4)))
+
+
+class TestKrylovPath:
+    """Blocks above _DENSE_MAX unknowns against the dense eigh of the same blocks."""
+
+    CUT = spectral._DENSE_MAX
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7, 1.95])
+    @pytest.mark.parametrize("well", ["power", "inverse_boundary", "random", "off_centre"])
+    def test_matches_dense_eigh(self, monkeypatch, alpha, well):
+        if well == "off_centre":
+            xs = np.linspace(-1.0, 1.0, 17)
+            pot = make_tabulated(xs, 20.0 * np.abs(xs - 0.3) ** 2)
+            # One full matrix: dense at the cut-off, Krylov above it.
+            sizes = (self.CUT, self.CUT + 1, 512)
+        else:
+            pot = {"power": make_power_well(20.0, 2.0, (-1.0, 1.0)),
+                   "inverse_boundary": make_inverse_boundary_well(
+                       0.5 * min(alpha, 1.0), alpha, (-1.0, 1.0)),
+                   "random": random_single_well(int(10 * alpha))}[well]
+            # Parity blocks of (CUT, CUT), (CUT + 1, CUT), (CUT + 1, CUT + 1), (512, 511).
+            sizes = (2 * self.CUT, 2 * self.CUT + 1, 2 * self.CUT + 2, 1023)
+        for n in sizes:
+            op = assemble_operator(Grid(-1.0, 1.0, n), alpha, pot)
+            res = eigensolve(op, 6)
+            with monkeypatch.context() as mp:
+                mp.setattr(spectral, "_DENSE_MAX", n)
+                ref = eigensolve(op, 6)
+            # 1e-11 relative, or the rounding floor eps ||H||_1 that both
+            # solvers share where that is larger (alpha 1.95: 2e-11 of lambda_1).
+            floor = np.finfo(float).eps * np.max(np.sum(np.abs(op.matrix), axis=0))
+            tol = np.maximum(1e-11 * ref.eigenvalues, floor)
+            assert np.all(np.abs(res.eigenvalues - ref.eigenvalues) <= tol), n
+            for j in range(6):
+                v, w = res.eigenvectors[:, j], ref.eigenvectors[:, j]
+                gap = min(np.max(np.abs(v - w)), np.max(np.abs(v + w)))
+                assert gap <= 1e-9 * np.max(np.abs(w)), (n, j)
+            assert np.all(res.residuals <= 10.0 * ref.residuals), n
+            assert res.parities == ref.parities, n
+            assert (res.star is None) == (ref.star is None), n
+            if res.star is not None:
+                assert res.star[0] == ref.star[0], n
+                assert res.star[1] == pytest.approx(ref.star[1], rel=1e-11, abs=0.0)
+
+    def test_only_the_wanted_pairs_above_the_cut(self):
+        xs = np.linspace(-1.0, 1.0, 17)
+        pot = make_tabulated(xs, 20.0 * np.abs(xs - 0.3) ** 2)
+        for n, pairs in ((self.CUT, self.CUT), (self.CUT + 1, 6)):
+            op = assemble_operator(Grid(-1.0, 1.0, n), 1.5, pot)
+            lam, vec = spectral._lowest_eigh(op.matrix, 6, 0.0)
+            assert lam.size == pairs and vec.shape == (n, pairs)
+
+    def test_cluster_far_above_the_shift_falls_back_to_dense(self):
+        # Shift-inverted, the levels 1000 + 1e-3 j differ by 1e-6 relative:
+        # the basis fills half the space before they converge.
+        n = self.CUT + 16
+        a = np.diag(np.concatenate([[1.0], 1000.0 + 1e-3 * np.arange(n - 1)]))
+        lam, vec = spectral._lowest_eigh(a, 6, 0.0)
+        assert lam.size == n
+        assert np.array_equal(lam, np.linalg.eigh(a)[0])
+
+    def test_reruns_bit_identical(self):
+        op = assemble_operator(Grid(-1.0, 1.0, 1023), 1.5, make_power_well(5.0, 2.0, (-1.0, 1.0)))
+        first, second = eigensolve(op, 6), eigensolve(op, 6)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+
+class TestSecondLevelParity:
+    def test_notch_well_second_level_is_symmetric(self):
+        # At alpha = 1.5 the lowest antisymmetric level is lambda_3, 0.78 above
+        # a second symmetric level. With m = 1 every computed even level lies
+        # below it, so the even block is solved again for 2 and then 4 levels.
+        op = assemble_operator(Grid(-1.0, 1.0, 1023), 1.5, notch_well())
+        res = eigensolve(op, 6)
+        assert res.parities[:3] == ("symmetric", "symmetric", "antisymmetric")
+        assert res.star[0] == 3
+        assert res.star[1] - res.eigenvalues[1] == pytest.approx(0.782, abs=1e-3)
+        one = eigensolve(op, 1)
+        assert one.star[0] == 3
+        assert one.star[1] == pytest.approx(res.star[1], rel=1e-12, abs=0.0)
 
 
 class TestShapeAndDecay:
