@@ -46,11 +46,11 @@ EXIT_INTERNAL = 4
 # mc.n_points x mc.n_paths fails as a configuration error before allocating.
 MAX_WORKING_BYTES = 2 * 1024**3
 # float64 N x N arrays at the peak of assembly + eigensolve, as resident
-# memory grows from a cold start at N = 2048: 5.3 on an asymmetric well
-# solved by the dense eigh, which still runs at any N when m is large or the
-# Krylov solve gives up (5.2 then); 3.5 when the Krylov solve converges;
-# 2.8 and 2.2 on a symmetric well. tracemalloc sees 2.0 and 3.0 (the
-# explicit inverse factor); LAPACK's workspace is not in it.
+# memory grows from a cold start at N = 2048 (alpha 1.2, m = 6 or 200): 5.3
+# on an asymmetric well solved by the dense eigh, which still runs at any N
+# when m is large or the Krylov solve gives up; 2.5 when the Krylov solve
+# converges; 2.8 and 2.0 on a symmetric well. tracemalloc sees 2.1 and 1.9;
+# LAPACK's workspace is not in it.
 _DENSE_ARRAYS = 6
 # float64 arrays of n_points x n_paths that estimate_feynman_kac holds at
 # its peak: sums, positions, and the final exp and select. The potential's
@@ -394,7 +394,9 @@ def _cmd_phi(cfg: dict, rep: _Reporter, potential) -> None:
         if len(s_list) < length:
             rep.info(f"chain length {length} skipped (need {length} kernel times)")
             continue
-        report = gaussian_chain(xs, s_list, t_list, potential)
+        # An overflowing potential fails as one DomainError from the chain.
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = gaussian_chain(xs, s_list, t_list, potential)
         rep.check(report.unimodal, f"chain_{length}",
                   f"kernel chain unimodal on {xs.size} points "
                   f"(max violation {report.max_violation:.3e})")

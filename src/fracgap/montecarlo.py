@@ -281,6 +281,7 @@ def gaussian_chain(x_points, kernel_times, potential_times, potential) -> ChainR
     length 2) by tensor Gauss-Legendre quadrature, then checks discrete
     unimodality of the values over x_points: nondecreasing up to the peak,
     nonincreasing after, with violations measured relative to the peak.
+    A potential that is not finite at a Gauss node raises DomainError.
     """
     s_list = [float(s) for s in np.atleast_1d(kernel_times)]
     t_list = [float(t) for t in np.atleast_1d(potential_times)]
@@ -298,7 +299,11 @@ def gaussian_chain(x_points, kernel_times, potential_times, potential) -> ChainR
     gx, gw = np.polynomial.legendre.leggauss(_CHAIN_NODES)
     y = 0.5 * (a + b) + 0.5 * (b - a) * gx
     w = 0.5 * (b - a) * gw
-    expv = [np.exp(-t * np.asarray(potential(y), dtype=float)) for t in t_list]
+    v = np.asarray(potential(y), dtype=float)
+    if not np.all(np.isfinite(v)):
+        bad = float(y[np.flatnonzero(~np.isfinite(v))[0]])
+        raise DomainError(f"potential is not finite at Gauss node x={bad!r}")
+    expv = [np.exp(-t * v) for t in t_list]
 
     if len(s_list) == 1:
         kern = _gauss_kernel(s_list[0], y[None, :] - xs[:, None])

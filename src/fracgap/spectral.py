@@ -14,7 +14,12 @@ Only the bottom of the spectrum is wanted. Blocks of more than
 _DENSE_MAX unknowns are solved for their lowest eigenpairs alone, by block
 Lanczos on (H - sigma I)^(-1), with sigma the minimum of V at the nodes;
 smaller blocks, and requests for a large share of the spectrum, take every
-pair from the dense np.linalg.eigh.
+pair from the dense np.linalg.eigh. The inverse is applied through the
+inverse Cholesky factor of H - sigma I, built once per block and stored
+as its diagonal blocks and dense lower-left rectangles, so its zero upper
+half is neither stored nor multiplied. The Krylov solve of an n x n block
+peaks at about 0.9 n^2 float64 values beside H (n = 1024 and 2048), half
+of them the factor.
 """
 
 from __future__ import annotations
@@ -185,66 +190,117 @@ class SpectralResult:
         return self.eigenvalues.size
 
 
-def _inverse_cholesky(a: np.ndarray, shift: float) -> np.ndarray:
-    """Lower-triangular G with G (a - shift I) G^T = I, by 2 x 2 block recursion.
+def _block_inverse_cholesky(a: np.ndarray, shift: float):
+    """Lower-triangular G with G (a - shift I) G^T = I, stored by blocks.
 
-    With a - shift I = L L^T: L_21 = a_21 G_11^T, the Schur complement
-    a_22 - L_21 L_21^T is factored the same way, and G_21 = -G_22 L_21 G_11.
-    That is matrix products only, about 4 n^3 / 3 flops, and runs faster
-    than numpy's Cholesky followed by a triangular inverse (numpy has no
-    triangular solve).
+    A block of at most 128 rows is a dense triangle. A larger one splits
+    at h = n // 2 into the tuple (G11, G21, G22): G11 and G22 stored the
+    same way, G21 a dense (n - h) x h array, so the zero upper half is
+    never stored. With a - shift I = L L^T: L21 = a21 G11^T, the Schur
+    complement a22 - L21 L21^T is factored the same way, and
+    G21 = -G22 L21 G11. That is matrix products only, about 4 n^3 / 3
+    flops, and runs faster than numpy's Cholesky followed by a triangular
+    inverse (numpy has no triangular solve).
     """
     n = a.shape[0]
     if n <= 128:
         return np.tril(np.linalg.inv(np.linalg.cholesky(a - shift * np.eye(n))))
     h = n // 2
-    g = np.zeros_like(a)
-    g[:h, :h] = _inverse_cholesky(a[:h, :h], shift)
-    low21 = a[h:, :h] @ g[:h, :h].T
-    g[h:, h:] = _inverse_cholesky(a[h:, h:] - low21 @ low21.T, shift)
-    g[h:, :h] = -(g[h:, h:] @ (low21 @ g[:h, :h]))
-    return g
+    g11 = _block_inverse_cholesky(a[:h, :h], shift)
+    # L21^T = G11 a12, as a is symmetric.
+    low12 = _apply_factor(g11, a[:h, h:], np.empty((h, n - h)))
+    schur = low12.T @ low12
+    np.subtract(a[h:, h:], schur, out=schur)
+    g22 = _block_inverse_cholesky(schur, shift)
+    del schur
+    # (L21 G11)^T = G11^T L21^T
+    low_g = _apply_factor_t(g11, low12, np.empty((h, n - h)))
+    del low12
+    g21 = _apply_factor(g22, low_g.T, np.empty((n - h, h)))
+    del low_g
+    np.negative(g21, out=g21)
+    return g11, g21, g22
 
 
-def _lowest_eigh(a: np.ndarray, k: int, shift: float) -> tuple[np.ndarray, np.ndarray]:
+def _apply_factor(g, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = G x for a factor from _block_inverse_cholesky; out must not overlap x."""
+    if isinstance(g, np.ndarray):
+        return np.matmul(g, x, out=out)
+    g11, g21, g22 = g
+    h = g21.shape[1]
+    _apply_factor(g11, x[:h], out[:h])
+    _apply_factor(g22, x[h:], out[h:])
+    out[h:] += g21 @ x[:h]
+    return out
+
+
+def _apply_factor_t(g, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = G^T y for a factor from _block_inverse_cholesky; out must not overlap y."""
+    if isinstance(g, np.ndarray):
+        return np.matmul(g.T, y, out=out)
+    g11, g21, g22 = g
+    h = g21.shape[1]
+    _apply_factor_t(g11, y[:h], out[:h])
+    _apply_factor_t(g22, y[h:], out[h:])
+    out[:h] += g21.T @ y[h:]
+    return out
+
+
+def _lowest_eigh(a: np.ndarray, k: int, shift: float,
+                 above: float = -math.inf) -> tuple[np.ndarray, np.ndarray]:
     """At least the k lowest eigenpairs of the symmetric a, ascending.
 
-    Blocks of up to _DENSE_MAX unknowns, requests whose Krylov space would
-    not stay small, and Krylov solves that do not converge get every pair
-    from np.linalg.eigh; otherwise _krylov_lowest gives exactly k.
+    While every pair found lies at or below `above`, twice as many are
+    found. Blocks of up to _DENSE_MAX unknowns, requests whose Krylov space
+    would not stay small, and Krylov solves that do not converge get every
+    pair from np.linalg.eigh; otherwise _krylov_lowest gives exactly k, and
+    all its solves share one factor of a - shift I. shift must lie below
+    the spectrum of a.
     """
     n = a.shape[0]
+    factor = None
     # Two guard columns; at least 8 in all, since a narrower block takes
     # many more steps (m = 1 on a notch well: 1.2 s against 0.2 s). The
     # basis must leave room for 7 block steps below its n / 2 cap.
-    p = max(k, 6) + 2
-    if n > _DENSE_MAX and 16 * p <= n:
-        pairs = _krylov_lowest(a, k, p, shift)
-        if pairs is not None:
+    while n > _DENSE_MAX and 16 * (p := max(k, 6) + 2) <= n:
+        if factor is None:
+            factor = _block_inverse_cholesky(a, shift)
+        pairs = _krylov_lowest(a, factor, k, p)
+        if pairs is None:
+            break
+        if pairs[0][-1] > above:
             return pairs
+        k = min(2 * k, n)
+    factor = None  # freed before the dense eigh allocates its workspace
     return np.linalg.eigh(a)
 
 
-def _krylov_lowest(a: np.ndarray, k: int, p: int,
-                   shift: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _norm_1(a: np.ndarray) -> float:
+    """||a||_1 of the symmetric a, from its rows 128 at a time."""
+    return max(float(np.max(np.sum(np.abs(a[i:i + 128]), axis=1)))
+               for i in range(0, a.shape[0], 128))
+
+
+def _krylov_lowest(a: np.ndarray, factor, k: int,
+                   p: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The k lowest eigenpairs of a by shift-inverted block Lanczos, or None.
 
     Block Lanczos with full reorthogonalisation runs on (a - shift I)^(-1),
-    applied through the inverse G of its Cholesky factor as G^T G; shift
-    must lie below the spectrum of a. A block of p Philox columns starts
-    it, and every second block step a Rayleigh-Ritz step on a itself stops
-    it once each of the k residuals ||a y - theta y|| is at most
+    applied as G^T G through the factor G of a - shift I from
+    _block_inverse_cholesky. A block of p Philox columns starts it, and
+    every second block step a Rayleigh-Ritz step on a itself stops it once
+    each of the k residuals ||a y - theta y|| is at most
     _RESIDUAL_ULPS * eps * ||a||_1. None when the basis would pass n / 2
     columns first, as for a cluster of levels far above the shift.
     """
     n = a.shape[0]
-    inv_low = _inverse_cholesky(a, shift)
-    tol = _RESIDUAL_ULPS * np.finfo(float).eps * float(np.max(np.sum(np.abs(a), axis=0)))
+    tol = _RESIDUAL_ULPS * np.finfo(float).eps * _norm_1(a)
     rng = np.random.Generator(np.random.Philox(_KRYLOV_KEY))
     basis = np.linalg.qr(rng.standard_normal((n, p)))[0]
     image = a @ basis
+    gx, w = np.empty((n, p)), np.empty((n, p))
     for step in range(1, n // (2 * p)):
-        w = inv_low.T @ (inv_low @ basis[:, -p:])
+        _apply_factor_t(factor, _apply_factor(factor, basis[:, -p:], gx), w)
         for _ in range(2):
             w -= basis @ (basis.T @ w)
         q = np.linalg.qr(w)[0]
@@ -274,7 +330,8 @@ def eigensolve(op: OperatorMatrix, m: int) -> SpectralResult:
     ||H||_1, or whole by eigh where that does not converge while its basis
     is small (see _lowest_eigh). The star index counts the even levels below
     the lowest odd one, so the even block is solved again for twice as many
-    levels while all of its computed levels lie below it.
+    levels, on the factor it was first solved with, while all of its
+    computed levels lie below it.
 
     Residuals use the assembled matrix. A ground state that is not strictly
     positive (for a symmetric operator: not even) raises DomainError.
@@ -299,9 +356,7 @@ def eigensolve(op: OperatorMatrix, m: int) -> SpectralResult:
         even[k:] /= math.sqrt(2.0)
         even[:, k:] /= math.sqrt(2.0)
         even[k:, k:] = op.matrix[k:ke, k:ke]
-        lam_e, vec_e = _lowest_eigh(even, min(m, ke), shift)
-        while lam_e.size < ke and lam_e[-1] <= lam_o[0]:
-            lam_e, vec_e = _lowest_eigh(even, min(2 * lam_e.size, ke), shift)
+        lam_e, vec_e = _lowest_eigh(even, min(m, ke), shift, above=lam_o[0])
         both = np.concatenate([lam_e, lam_o])
         order = np.argsort(both, kind="stable")[:m]
         lam = both[order]

@@ -142,6 +142,19 @@ class TestConfigErrors:
         assert err.count("\n") == 1, err
         assert not (out / "fk_estimates.csv").exists()
 
+    def test_overflowing_potential_fails_phi(self, tmp_path, capsys):
+        # exp(-t inf) = 0 at every Gauss node made both chains pass.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run_quiet(tmp_path, {
+                "command": "phi", "interval": [-10, 10],
+                "potential": {"kind": "power_well", "kappa": 1, "p": 400},
+            })
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: potential is not finite at Gauss node"), err
+        assert err.count("\n") == 1, err
+
     def test_oversized_monte_carlo_rejected_before_allocating(self, tmp_path, capsys):
         # The default size sits far below the limit; 10^10 paths far above.
         assert cli._mc_working_bytes(21, 20_000) * 50 <= MAX_WORKING_BYTES
