@@ -48,8 +48,8 @@ MAX_WORKING_BYTES = 2 * 1024**3
 # float64 N x N arrays at the peak of assembly + eigensolve, as resident
 # memory grows from a cold start at N = 2048 (alpha 1.2, m = 6 or 200): 5.3
 # on an asymmetric well solved by the dense eigh, which still runs at any N
-# when m is large or the Krylov solve gives up; 2.5 when the Krylov solve
-# converges; 2.8 and 2.0 on a symmetric well. tracemalloc sees 2.1 and 1.9;
+# when m is large or the Krylov solve gives up; 2.2 when the Krylov solve
+# converges; 2.8 and 1.9 on a symmetric well. tracemalloc sees 2.1 and 1.9;
 # LAPACK's workspace is not in it.
 _DENSE_ARRAYS = 6
 # float64 arrays of n_points x n_paths that estimate_feynman_kac holds at

@@ -14,12 +14,13 @@ Only the bottom of the spectrum is wanted. Blocks of more than
 _DENSE_MAX unknowns are solved for their lowest eigenpairs alone, by block
 Lanczos on (H - sigma I)^(-1), with sigma the minimum of V at the nodes;
 smaller blocks, and requests for a large share of the spectrum, take every
-pair from the dense np.linalg.eigh. The inverse is applied through the
-inverse Cholesky factor of H - sigma I, built once per block and stored
-as its diagonal blocks and dense lower-left rectangles, so its zero upper
-half is neither stored nor multiplied. The Krylov solve of an n x n block
-peaks at about 0.9 n^2 float64 values beside H (n = 1024 and 2048), half
-of them the factor.
+pair from the dense np.linalg.eigh. The inverse is applied by a forward
+and a back substitution through the Cholesky factor L of H - sigma I,
+built once per block and stored as its diagonal blocks and dense
+lower-left rectangles, so its zero upper half is neither stored nor
+multiplied. The Krylov solve of an n x n block peaks at about n^2 float64
+values beside H (1.05 n^2 at n = 1024, 0.87 n^2 at 2048), half of them the
+factor.
 """
 
 from __future__ import annotations
@@ -59,10 +60,11 @@ __all__ = [
 DEFAULT_RICHARDSON_RATE = 1.0
 
 # Blocks of up to this many unknowns go to the dense np.linalg.eigh. Six
-# pairs of a power-well parity block on a 2-vCPU guest with OpenBLAS: the
-# Krylov solve catches up with eigh at 330 to 384 unknowns for alpha 1.2
-# and 1.7 and is 1.5 times faster at 512; for alpha 0.7 (more block steps)
-# only at 640, and for alpha 0.3 beyond 768.
+# pairs of a (5, 2) power-well parity block on a 2-vCPU guest with OpenBLAS,
+# median of seven: the Krylov solve is 1.2 to 1.4 times faster than eigh at
+# 385 unknowns for alpha 1.2 and 1.7, and 1.7 to 2 times at 512; for alpha
+# 0.7 (more block steps) it ties at 448 and is 1.2 times faster at 512; for
+# alpha 0.3 it is 2 times slower at 385 and catches up only at 768.
 _DENSE_MAX = 384
 # Philox key of the Krylov start block: a fixed start keeps reruns
 # bit-identical.
@@ -190,59 +192,52 @@ class SpectralResult:
         return self.eigenvalues.size
 
 
-def _block_inverse_cholesky(a: np.ndarray, shift: float):
-    """Lower-triangular G with G (a - shift I) G^T = I, stored by blocks.
+def _block_cholesky(a: np.ndarray, shift: float):
+    """Lower-triangular L with L L^T = a - shift I, stored by blocks.
 
-    A block of at most 128 rows is a dense triangle. A larger one splits
-    at h = n // 2 into the tuple (G11, G21, G22): G11 and G22 stored the
-    same way, G21 a dense (n - h) x h array, so the zero upper half is
-    never stored. With a - shift I = L L^T: L21 = a21 G11^T, the Schur
-    complement a22 - L21 L21^T is factored the same way, and
-    G21 = -G22 L21 G11. That is matrix products only, about 4 n^3 / 3
-    flops, and runs faster than numpy's Cholesky followed by a triangular
-    inverse (numpy has no triangular solve).
+    A block of at most 128 rows is kept as the dense triangle L^(-1). A
+    larger one splits at h = n // 2 into the tuple (L11, L21^T, L22): L11
+    and L22 stored the same way, L21^T a dense h x (n - h) array, so the
+    zero upper half is never stored. L21^T = L11^(-1) a12 by forward
+    substitution, and the Schur complement a22 - L21 L21^T is factored the
+    same way. That is matrix products only, 1.5 (n/2)^3 multiply-adds per
+    split, and runs faster than numpy's Cholesky, which would still need
+    triangular solves that numpy does not have.
     """
     n = a.shape[0]
     if n <= 128:
         return np.tril(np.linalg.inv(np.linalg.cholesky(a - shift * np.eye(n))))
     h = n // 2
-    g11 = _block_inverse_cholesky(a[:h, :h], shift)
-    # L21^T = G11 a12, as a is symmetric.
-    low12 = _apply_factor(g11, a[:h, h:], np.empty((h, n - h)))
-    schur = low12.T @ low12
+    l11 = _block_cholesky(a[:h, :h], shift)
+    l21t = _forward(l11, a[:h, h:], np.empty((h, n - h)))
+    schur = l21t.T @ l21t
     np.subtract(a[h:, h:], schur, out=schur)
-    g22 = _block_inverse_cholesky(schur, shift)
-    del schur
-    # (L21 G11)^T = G11^T L21^T
-    low_g = _apply_factor_t(g11, low12, np.empty((h, n - h)))
-    del low12
-    g21 = _apply_factor(g22, low_g.T, np.empty((n - h, h)))
-    del low_g
-    np.negative(g21, out=g21)
-    return g11, g21, g22
+    return l11, l21t, _block_cholesky(schur, shift)
 
 
-def _apply_factor(g, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = G x for a factor from _block_inverse_cholesky; out must not overlap x."""
-    if isinstance(g, np.ndarray):
-        return np.matmul(g, x, out=out)
-    g11, g21, g22 = g
-    h = g21.shape[1]
-    _apply_factor(g11, x[:h], out[:h])
-    _apply_factor(g22, x[h:], out[h:])
-    out[h:] += g21 @ x[:h]
+def _forward(factor, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = L^(-1) x for L from _block_cholesky; out must not overlap x."""
+    if isinstance(factor, np.ndarray):
+        return np.matmul(factor, x, out=out)
+    l11, l21t, l22 = factor
+    h = l21t.shape[0]
+    _forward(l11, x[:h], out[:h])
+    rest = l21t.T @ out[:h]
+    np.subtract(x[h:], rest, out=rest)
+    _forward(l22, rest, out[h:])
     return out
 
 
-def _apply_factor_t(g, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = G^T y for a factor from _block_inverse_cholesky; out must not overlap y."""
-    if isinstance(g, np.ndarray):
-        return np.matmul(g.T, y, out=out)
-    g11, g21, g22 = g
-    h = g21.shape[1]
-    _apply_factor_t(g11, y[:h], out[:h])
-    _apply_factor_t(g22, y[h:], out[h:])
-    out[:h] += g21.T @ y[h:]
+def _back(factor, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = L^(-T) y for L from _block_cholesky; out must not overlap y."""
+    if isinstance(factor, np.ndarray):
+        return np.matmul(factor.T, y, out=out)
+    l11, l21t, l22 = factor
+    h = l21t.shape[0]
+    _back(l22, y[h:], out[h:])
+    rest = l21t @ out[h:]
+    np.subtract(y[:h], rest, out=rest)
+    _back(l11, rest, out[:h])
     return out
 
 
@@ -253,9 +248,9 @@ def _lowest_eigh(a: np.ndarray, k: int, shift: float,
     While every pair found lies at or below `above`, twice as many are
     found. Blocks of up to _DENSE_MAX unknowns, requests whose Krylov space
     would not stay small, and Krylov solves that do not converge get every
-    pair from np.linalg.eigh; otherwise _krylov_lowest gives exactly k, and
-    all its solves share one factor of a - shift I. shift must lie below
-    the spectrum of a.
+    pair from np.linalg.eigh; otherwise _krylov_lowest gives the k lowest
+    (more while they lie at or below `above`), and all its solves share one
+    Cholesky factor of a - shift I. shift must lie below the spectrum of a.
     """
     n = a.shape[0]
     factor = None
@@ -264,13 +259,13 @@ def _lowest_eigh(a: np.ndarray, k: int, shift: float,
     # basis must leave room for 7 block steps below its n / 2 cap.
     while n > _DENSE_MAX and 16 * (p := max(k, 6) + 2) <= n:
         if factor is None:
-            factor = _block_inverse_cholesky(a, shift)
-        pairs = _krylov_lowest(a, factor, k, p)
+            factor = _block_cholesky(a, shift)
+        pairs = _krylov_lowest(a, factor, k, p, above)
         if pairs is None:
             break
         if pairs[0][-1] > above:
             return pairs
-        k = min(2 * k, n)
+        k = min(2 * pairs[0].size, n)
     factor = None  # freed before the dense eigh allocates its workspace
     return np.linalg.eigh(a)
 
@@ -281,38 +276,49 @@ def _norm_1(a: np.ndarray) -> float:
                for i in range(0, a.shape[0], 128))
 
 
-def _krylov_lowest(a: np.ndarray, factor, k: int,
-                   p: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The k lowest eigenpairs of a by shift-inverted block Lanczos, or None.
+def _krylov_lowest(a: np.ndarray, factor, k: int, p: int,
+                   above: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The k or more lowest eigenpairs of a by shift-inverted block Lanczos, or None.
 
     Block Lanczos with full reorthogonalisation runs on (a - shift I)^(-1),
-    applied as G^T G through the factor G of a - shift I from
-    _block_inverse_cholesky. A block of p Philox columns starts it, and
-    every second block step a Rayleigh-Ritz step on a itself stops it once
-    each of the k residuals ||a y - theta y|| is at most
-    _RESIDUAL_ULPS * eps * ||a||_1. None when the basis would pass n / 2
-    columns first, as for a cluster of levels far above the shift.
+    applied as a forward and a back substitution through the factor L of
+    a - shift I from _block_cholesky. A block of p Philox columns starts
+    it, and every second block step a Rayleigh-Ritz step on a itself stops
+    it once each of the k residuals ||a y - theta y|| is at most
+    _RESIDUAL_ULPS * eps * ||a||_1. a is multiplied only by the columns new
+    since the last such step, and Q^T a Q grows by their columns alone.
+    While the k pairs lie at or below `above` and 2 k pairs keep the block
+    width p, those are tested on the same basis, which is where a restart
+    with 2 k would stop too. None when the basis would pass n / 2 columns
+    first, as for a cluster of levels far above the shift.
     """
     n = a.shape[0]
     tol = _RESIDUAL_ULPS * np.finfo(float).eps * _norm_1(a)
     rng = np.random.Generator(np.random.Philox(_KRYLOV_KEY))
     basis = np.linalg.qr(rng.standard_normal((n, p)))[0]
-    image = a @ basis
-    gx, w = np.empty((n, p)), np.empty((n, p))
+    image, proj = np.empty((n, 0)), np.empty((0, 0))
+    half, w = np.empty((n, p)), np.empty((n, p))
     for step in range(1, n // (2 * p)):
-        _apply_factor_t(factor, _apply_factor(factor, basis[:, -p:], gx), w)
+        _back(factor, _forward(factor, basis[:, -p:], half), w)
         for _ in range(2):
             w -= basis @ (basis.T @ w)
-        q = np.linalg.qr(w)[0]
-        basis = np.hstack([basis, q])
-        image = np.hstack([image, a @ q])
+        basis = np.hstack([basis, np.linalg.qr(w)[0]])
         if step % 2:
             continue
-        theta, s = np.linalg.eigh(basis.T @ image)
-        y = basis @ s[:, :k]
-        res = np.linalg.norm(image @ s[:, :k] - y * theta[:k], axis=0)
-        if np.all(res <= tol):
-            return theta[:k], y
+        done = image.shape[1]
+        new = a @ basis[:, done:]
+        cross = basis.T @ new
+        image = np.hstack([image, new])
+        proj = np.hstack([np.vstack([proj, cross[:done].T]), cross])
+        theta, s = np.linalg.eigh(proj)
+        while True:
+            y = basis @ s[:, :k]
+            res = np.linalg.norm(image @ s[:, :k] - y * theta[:k], axis=0)
+            if not np.all(res <= tol):
+                break
+            if theta[k - 1] > above or 2 * k + 2 > p:
+                return theta[:k], y
+            k *= 2
     return None
 
 
@@ -329,9 +335,10 @@ def eigensolve(op: OperatorMatrix, m: int) -> SpectralResult:
     only, by shift-inverted block Lanczos, to residuals of at most 8 eps
     ||H||_1, or whole by eigh where that does not converge while its basis
     is small (see _lowest_eigh). The star index counts the even levels below
-    the lowest odd one, so the even block is solved again for twice as many
-    levels, on the factor it was first solved with, while all of its
-    computed levels lie below it.
+    the lowest odd one, so the even block is solved for twice as many
+    levels, on the factor (and, while the block width allows, the Krylov
+    basis) it was first solved with, while all of its computed levels lie
+    below it.
 
     Residuals use the assembled matrix. A ground state that is not strictly
     positive (for a symmetric operator: not even) raises DomainError.

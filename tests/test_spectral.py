@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import solve_triangular
 
 from fracgap import spectral
 from fracgap.errors import DomainError
@@ -317,17 +318,45 @@ def notch_well():
     return make_tabulated(xs, 1000.0 * (1.0 - np.exp(-xs**2 / 1e-4)))
 
 
+def off_centre_well():
+    """The asymmetric table 20 |x - 0.3|^2 on 17 knots: solved whole, never split."""
+    xs = np.linspace(-1.0, 1.0, 17)
+    return make_tabulated(xs, 20.0 * np.abs(xs - 0.3) ** 2)
+
+
 class TestKrylovPath:
     """Blocks above _DENSE_MAX unknowns against the dense eigh of the same blocks."""
 
     CUT = spectral._DENSE_MAX
 
+    @staticmethod
+    def assert_matches_dense(monkeypatch, op):
+        n = op.grid.n
+        res = eigensolve(op, 6)
+        with monkeypatch.context() as mp:
+            mp.setattr(spectral, "_DENSE_MAX", n)
+            ref = eigensolve(op, 6)
+        # 1e-11 relative, or the rounding floor eps ||H||_1 that both
+        # solvers share where that is larger (alpha 1.95: 2e-11 of lambda_1).
+        floor = np.finfo(float).eps * np.max(np.sum(np.abs(op.matrix), axis=0))
+        tol = np.maximum(1e-11 * ref.eigenvalues, floor)
+        assert np.all(np.abs(res.eigenvalues - ref.eigenvalues) <= tol), n
+        for j in range(6):
+            v, w = res.eigenvectors[:, j], ref.eigenvectors[:, j]
+            gap = min(np.max(np.abs(v - w)), np.max(np.abs(v + w)))
+            assert gap <= 1e-9 * np.max(np.abs(w)), (n, j)
+        assert np.all(res.residuals <= 10.0 * ref.residuals), n
+        assert res.parities == ref.parities, n
+        assert (res.star is None) == (ref.star is None), n
+        if res.star is not None:
+            assert res.star[0] == ref.star[0], n
+            assert res.star[1] == pytest.approx(ref.star[1], rel=1e-11, abs=0.0)
+
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7, 1.95])
     @pytest.mark.parametrize("well", ["power", "inverse_boundary", "random", "off_centre"])
     def test_matches_dense_eigh(self, monkeypatch, alpha, well):
         if well == "off_centre":
-            xs = np.linspace(-1.0, 1.0, 17)
-            pot = make_tabulated(xs, 20.0 * np.abs(xs - 0.3) ** 2)
+            pot = off_centre_well()
             # One full matrix: dense at the cut-off, Krylov above it.
             sizes = (self.CUT, self.CUT + 1, 512)
         else:
@@ -338,30 +367,15 @@ class TestKrylovPath:
             # Parity blocks of (CUT, CUT), (CUT + 1, CUT), (CUT + 1, CUT + 1), (512, 511).
             sizes = (2 * self.CUT, 2 * self.CUT + 1, 2 * self.CUT + 2, 1023)
         for n in sizes:
-            op = assemble_operator(Grid(-1.0, 1.0, n), alpha, pot)
-            res = eigensolve(op, 6)
-            with monkeypatch.context() as mp:
-                mp.setattr(spectral, "_DENSE_MAX", n)
-                ref = eigensolve(op, 6)
-            # 1e-11 relative, or the rounding floor eps ||H||_1 that both
-            # solvers share where that is larger (alpha 1.95: 2e-11 of lambda_1).
-            floor = np.finfo(float).eps * np.max(np.sum(np.abs(op.matrix), axis=0))
-            tol = np.maximum(1e-11 * ref.eigenvalues, floor)
-            assert np.all(np.abs(res.eigenvalues - ref.eigenvalues) <= tol), n
-            for j in range(6):
-                v, w = res.eigenvectors[:, j], ref.eigenvectors[:, j]
-                gap = min(np.max(np.abs(v - w)), np.max(np.abs(v + w)))
-                assert gap <= 1e-9 * np.max(np.abs(w)), (n, j)
-            assert np.all(res.residuals <= 10.0 * ref.residuals), n
-            assert res.parities == ref.parities, n
-            assert (res.star is None) == (ref.star is None), n
-            if res.star is not None:
-                assert res.star[0] == ref.star[0], n
-                assert res.star[1] == pytest.approx(ref.star[1], rel=1e-11, abs=0.0)
+            self.assert_matches_dense(monkeypatch, assemble_operator(Grid(-1.0, 1.0, n), alpha, pot))
+
+    def test_matches_dense_eigh_at_the_sweeps_largest_solve(self, monkeypatch):
+        # One matrix of 2048 unknowns: four levels of factor recursion.
+        op = assemble_operator(Grid(-1.0, 1.0, 2048), 0.7, off_centre_well())
+        self.assert_matches_dense(monkeypatch, op)
 
     def test_only_the_wanted_pairs_above_the_cut(self):
-        xs = np.linspace(-1.0, 1.0, 17)
-        pot = make_tabulated(xs, 20.0 * np.abs(xs - 0.3) ** 2)
+        pot = off_centre_well()
         for n, pairs in ((self.CUT, self.CUT), (self.CUT + 1, 6)):
             op = assemble_operator(Grid(-1.0, 1.0, n), 1.5, pot)
             lam, vec = spectral._lowest_eigh(op.matrix, 6, 0.0)
@@ -383,48 +397,53 @@ class TestKrylovPath:
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
 
-def dense_factor(g):
-    """The n x n lower triangle of a factor stored by _block_inverse_cholesky."""
-    if isinstance(g, np.ndarray):
-        return g
-    g11, g21, g22 = g
-    h = g21.shape[1]
-    out = np.zeros((h + g21.shape[0],) * 2)
-    out[:h, :h] = dense_factor(g11)
-    out[h:, :h] = g21
-    out[h:, h:] = dense_factor(g22)
+def dense_factor(factor):
+    """The n x n Cholesky factor L stored by _block_cholesky; a leaf holds L^(-1)."""
+    if isinstance(factor, np.ndarray):
+        assert np.array_equal(factor, np.tril(factor))
+        return solve_triangular(factor, np.eye(factor.shape[0]), lower=True)
+    l11, l21t, l22 = factor
+    h = l21t.shape[0]
+    out = np.zeros((h + l21t.shape[1],) * 2)
+    out[:h, :h] = dense_factor(l11)
+    out[h:, :h] = l21t.T
+    out[h:, h:] = dense_factor(l22)
     return out
 
 
 class TestBlockFactor:
-    """The inverse Cholesky factor stored by blocks, on uneven splits."""
+    """The Cholesky factor stored by blocks, on uneven splits."""
 
     @pytest.mark.parametrize("n", [129, 385, 777, 1023, 1024])
     def test_inverts_the_shifted_matrix(self, n):
         op = assemble_operator(Grid(-1.0, 1.0, n), 1.5, make_power_well(20.0, 2.0, (-1.0, 1.0)))
         shift = float(np.min(np.diagonal(op.matrix))) - op.grid.h ** -1.5 * frac_coeffs(1.5, 1).g[0]
         shifted = op.matrix - shift * np.eye(n)
-        factor = spectral._block_inverse_cholesky(op.matrix, shift)
-        g = dense_factor(factor)
-        assert np.array_equal(g, np.tril(g))
-        # Rounding of an inverse Cholesky factor grows with the condition
-        # number; measured 0.03 to 0.09 eps kappa here.
+        factor = spectral._block_cholesky(op.matrix, shift)
+        low = dense_factor(factor)
+        assert np.array_equal(low, np.tril(low))
+        eps = np.finfo(float).eps
         lam = np.linalg.eigvalsh(shifted)
-        err = np.linalg.norm(g @ shifted @ g.T - np.eye(n), 2)
-        assert err <= np.finfo(float).eps * lam[-1] / lam[0]
+        # Cholesky's backward error: measured 1.9 to 2.8 eps ||a - shift I||_2.
+        assert np.linalg.norm(low @ low.T - shifted, 2) <= 5.0 * eps * lam[-1]
+        # L^(-1) (a - shift I) L^(-T) through the two substitutions; its
+        # rounding grows with the condition number: 0.03 to 0.08 eps kappa.
+        inv_t = spectral._back(factor, np.eye(n), np.empty((n, n)))
+        whitened = spectral._forward(factor, shifted @ inv_t, np.empty((n, n)))
+        assert np.linalg.norm(whitened - np.eye(n), 2) <= eps * lam[-1] / lam[0]
+        # Against LAPACK's triangular solves with the assembled L: measured
+        # 2.9e-16 to 7.0e-16 relative.
         x = np.random.default_rng(n).standard_normal((n, 8))
-        for apply, dense in ((spectral._apply_factor, g), (spectral._apply_factor_t, g.T)):
-            got = apply(factor, x, np.empty((n, 8)))
-            ref = dense @ x
-            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        for solve, trans in ((spectral._forward, "N"), (spectral._back, "T")):
+            got = solve(factor, x, np.empty((n, 8)))
+            ref = solve_triangular(low, x, trans=trans, lower=True)
+            assert np.linalg.norm(got - ref) <= 2e-15 * np.linalg.norm(ref)
 
     def test_eigensolve_peak_memory(self):
         # The factor's blocks hold half of N^2, and no N x N temporary is
-        # allocated beside them: 0.95 N^2 measured.
+        # allocated beside them: 1.05 N^2 measured.
         n = 1024
-        xs = np.linspace(-1.0, 1.0, 17)
-        op = assemble_operator(Grid(-1.0, 1.0, n), 1.2,
-                               make_tabulated(xs, 20.0 * np.abs(xs - 0.3) ** 2))
+        op = assemble_operator(Grid(-1.0, 1.0, n), 1.2, off_centre_well())
         tracemalloc.start()
         try:
             eigensolve(op, 6)
@@ -449,15 +468,20 @@ class TestSecondLevelParity:
         assert one.star[1] == pytest.approx(res.star[1], rel=1e-12, abs=0.0)
 
     def test_one_factor_per_block(self, monkeypatch):
-        # m = 1 solves the even block for 1, 2 and 4 levels on one factor;
-        # factoring it again for each solve gives the same bits.
+        # m = 1 solves the even block for 1, 2 and 4 levels on one factor and
+        # one Krylov basis; a new factor and basis for each gives the same bits.
         op = assemble_operator(Grid(-1.0, 1.0, 1023), 1.5, notch_well())
-        built = []
-        factor, lowest = spectral._block_inverse_cholesky, spectral._lowest_eigh
+        built, started = [], []
+        factor, lowest = spectral._block_cholesky, spectral._lowest_eigh
+        krylov = spectral._krylov_lowest
 
         def counting(a, shift):
             built.append(a.shape[0])
             return factor(a, shift)
+
+        def starting(a, *args):
+            started.append(a.shape[0])
+            return krylov(a, *args)
 
         def rebuilding(a, k, shift, above=-math.inf):
             lam, vec = lowest(a, k, shift)
@@ -465,13 +489,17 @@ class TestSecondLevelParity:
                 lam, vec = lowest(a, min(2 * lam.size, a.shape[0]), shift)
             return lam, vec
 
-        monkeypatch.setattr(spectral, "_block_inverse_cholesky", counting)
+        monkeypatch.setattr(spectral, "_block_cholesky", counting)
+        monkeypatch.setattr(spectral, "_krylov_lowest", starting)
         once = eigensolve(op, 1)
         assert [n for n in built if n > spectral._DENSE_MAX] == [511, 512]
+        assert started == [511, 512]
         built.clear()
+        started.clear()
         monkeypatch.setattr(spectral, "_lowest_eigh", rebuilding)
         again = eigensolve(op, 1)
         assert [n for n in built if n > spectral._DENSE_MAX] == [511, 512, 512, 512]
+        assert started == [511, 512, 512, 512]
         assert np.array_equal(once.eigenvalues, again.eigenvalues)
         assert once.star == again.star
 
