@@ -25,7 +25,7 @@ from fracgap.spectral import (
 #    three-point stencil drops out.
 print("stencil coefficients g_0..g_5")
 for alpha in (0.5, 1.0, 1.5, 2.0):
-    g = frac_coeffs(alpha, 5).g
+    g = frac_coeffs(alpha, 5)
     print(f"  alpha={alpha:3.1f}: " + "  ".join(f"{v:+.5f}" for v in g))
 
 # ---------------------------------------------------------------------------

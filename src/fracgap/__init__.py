@@ -24,7 +24,7 @@ from .poincare import (CounterexampleScan, PiecewiseLinear, PoincareResult,
 from .potentials import (Potential, WellReport, load_tabulated_csv,
                          make_inverse_boundary_well, make_power_well,
                          make_tabulated, make_zero, validate_single_well)
-from .spectral import (DecayReport, FracCoeffs, Grid, OperatorMatrix,
+from .spectral import (DecayReport, Grid, OperatorMatrix,
                        ShapeReport, SpectralResult, assemble_operator,
                        boundary_decay_check, eigensolve, frac_coeffs,
                        ground_state_shape_check, lambda_star, richardson)
@@ -38,7 +38,7 @@ __all__ = [
     "Potential", "WellReport", "make_zero", "make_power_well",
     "make_inverse_boundary_well", "make_tabulated", "load_tabulated_csv",
     "validate_single_well",
-    "Grid", "FracCoeffs", "OperatorMatrix", "SpectralResult", "ShapeReport",
+    "Grid", "OperatorMatrix", "SpectralResult", "ShapeReport",
     "DecayReport", "frac_coeffs", "assemble_operator", "eigensolve",
     "lambda_star", "ground_state_shape_check", "boundary_decay_check",
     "richardson",

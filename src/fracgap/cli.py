@@ -9,6 +9,11 @@ next to the other outputs for provenance. Each command prints one PASS or
 FAIL line per check. Exit codes: 0 all checks passed, 1 a check failed,
 2 configuration error, 3 the witness search failed to terminate, 4 an
 unexpected internal error (a defect; one line on stderr, no traceback).
+
+This is the one module that knows the output formats. The report
+dataclasses serialize themselves: gap_report.json and witness_NNNN.json
+are their dataclasses.asdict, in field order, and fk_estimates.csv takes
+its columns from PathEstimate's fields.
 """
 
 from __future__ import annotations
@@ -18,21 +23,22 @@ import json
 import math
 import sys
 import traceback
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, WitnessSearchError
-from .forms import check_gaps, gap_report_to_json_dict
-from .montecarlo import (PathConfig, estimate_feynman_kac, estimates_csv_rows,
+from .forms import check_gaps
+from .montecarlo import (PathConfig, PathEstimate, _unimodal_excess, estimate_feynman_kac,
                          gaussian_chain, make_rng)
-from .poincare import (certificate_to_json_dict, counterexample_scan, poincare_check,
-                       poincare_constant, random_piecewise_linear, witness_search)
+from .poincare import (counterexample_scan, poincare_check, poincare_constant,
+                       random_piecewise_linear, witness_search)
 from .potentials import (load_tabulated_csv, make_inverse_boundary_well,
                          make_power_well, make_zero, validate_single_well)
 from .serialize import csv_text, dumps_json, write_atomic
 from .spectral import (Grid, assemble_operator, boundary_decay_check, eigensolve,
-                       eigenvector_rows, ground_state_shape_check, result_to_json_dict)
+                       ground_state_shape_check)
 
 __all__ = ["main", "run", "ConfigError"]
 
@@ -151,6 +157,7 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
     }
     _expect(not campaign, f"unknown poincare keys: {sorted(campaign)}")
     _expect(campaign_resolved["n_functions"] >= 1, "poincare.n_functions must be >= 1")
+    _expect(campaign_resolved["max_segments"] >= 3, "poincare.max_segments must be >= 3")
 
     counter = dict(_take(raw, "counterexample", {}))
     counter_resolved = {
@@ -168,6 +175,7 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
         "n_points": int(chain.pop("n_points", 41)),
     }
     _expect(not chain, f"unknown chain keys: {sorted(chain)}")
+    _expect(chain_resolved["n_points"] >= 1, "chain.n_points must be >= 1")
     _expect(len(chain_resolved["kernel_times"]) in (1, 2),
             "chain.kernel_times must have length 1 or 2")
     _expect(len(chain_resolved["kernel_times"]) == len(chain_resolved["potential_times"]),
@@ -240,9 +248,15 @@ def _cmd_spectrum(cfg: dict, out: Path, rep: _Reporter, potential, result) -> No
         ["k", "eigenvalue", "parity", "residual"],
         [[j + 1, float(result.eigenvalues[j]), result.parities[j],
           float(result.residuals[j])] for j in range(result.m)]))
-    header, rows = eigenvector_rows(result)
-    write_atomic(out / "eigenvectors.csv", csv_text(header, rows))
-    write_atomic(out / "spectrum.json", dumps_json(result_to_json_dict(result)))
+    grid = result.grid
+    write_atomic(out / "eigenvectors.csv", csv_text(
+        ["x"] + [f"phi_{j + 1}" for j in range(result.m)],
+        np.column_stack([grid.nodes(), result.eigenvectors]).tolist()))
+    write_atomic(out / "spectrum.json", dumps_json({
+        "alpha": result.alpha, "a": grid.a, "b": grid.b, "N": grid.n,
+        "eigenvalues": result.eigenvalues.tolist(),
+        "parities": list(result.parities),
+        "residuals": result.residuals.tolist()}))
 
     shape = ground_state_shape_check(result)
     rep.check(shape.passed, "shape",
@@ -258,7 +272,7 @@ def _cmd_spectrum(cfg: dict, out: Path, rep: _Reporter, potential, result) -> No
 
 def _cmd_gap(cfg: dict, out: Path, rep: _Reporter, result) -> None:
     report = check_gaps(result)
-    write_atomic(out / "gap_report.json", dumps_json(gap_report_to_json_dict(report)))
+    write_atomic(out / "gap_report.json", dumps_json(asdict(report)))
     rep.check(report.pass_star, "gap_star",
               f"gap_star {report.gap_star:.8g} >= bound {report.bound_star:.8g} "
               f"(index {report.star_index})")
@@ -283,8 +297,7 @@ def _cmd_poincare(cfg: dict, out: Path, rep: _Reporter) -> None:
         f = random_piecewise_linear(rng, pc["max_segments"])
         res = poincare_check(f, alpha)
         cert = witness_search(f, alpha)
-        write_atomic(out / f"witness_{i:04d}.json",
-                     dumps_json(certificate_to_json_dict(cert)))
+        write_atomic(out / f"witness_{i:04d}.json", dumps_json(asdict(cert)))
         sound = (cert.certified_bound * cert.scale ** 2
                  <= res.lhs + 3.0 * res.lhs_error)
         exact = abs(cert.certified_bound - const) <= 1e-12 * const
@@ -314,31 +327,13 @@ def _cmd_counterexample(cfg: dict, out: Path, rep: _Reporter) -> None:
                      for i in range(len(scan.values) - 1))
     rep.check(decreasing, "counterexample_decay",
               f"form values strictly decreasing over n = {list(scan.n_list)}")
-    rep.check(scan.slope <= -0.35, "counterexample_slope",
-              f"log-log slope {scan.slope:.4f} (expect about alpha - 1 = "
-              f"{cc['alpha'] - 1:.2f})")
-
-
-def _mc_unimodal(means: np.ndarray, ses: np.ndarray) -> tuple[bool, float]:
-    """Discrete unimodality allowing 3 combined standard errors of slack.
-
-    The points share their paths. Neighbours are positively correlated
-    (0.78 to 0.93 on the default config), which only shrinks the variance
-    of their difference, so the slack stays valid and is conservative.
-    """
-    peak = int(np.argmax(means))
-    worst = 0.0
-    ok = True
-    for i in range(len(means) - 1):
-        slack = 3.0 * (ses[i] + ses[i + 1])
-        if i < peak:
-            gap = means[i] - means[i + 1]
-        else:
-            gap = means[i + 1] - means[i]
-        if gap > slack:
-            ok = False
-        worst = max(worst, gap - slack)
-    return ok, worst
+    # The values decay like n^(alpha - 1) only asymptotically, so the gate
+    # reads the slope between the last two n, not the fit over all of them.
+    (n1, n2), (v1, v2) = scan.n_list[-2:], scan.values[-2:]
+    tail = math.log(v2 / v1) / math.log(n2 / n1)
+    gate = 0.75 * (cc["alpha"] - 1.0)
+    rep.check(tail <= gate, "counterexample_slope",
+              f"tail log-log slope {tail:.4f} <= 0.75 (alpha - 1) = {gate:.4f}")
 
 
 def _cmd_simulate(cfg: dict, out: Path, rep: _Reporter, potential) -> None:
@@ -362,8 +357,8 @@ def _cmd_simulate(cfg: dict, out: Path, rep: _Reporter, potential) -> None:
     # An overflowing potential fails as one DomainError from the path sums.
     with np.errstate(over="ignore", invalid="ignore"):
         estimates = estimate_feynman_kac(xs, potential, path_cfg, mc["n_paths"])
-    header, rows = estimates_csv_rows(estimates)
-    write_atomic(out / "fk_estimates.csv", csv_text(header, rows))
+    write_atomic(out / "fk_estimates.csv", csv_text(
+        [f.name for f in fields(PathEstimate)], map(astuple, estimates)))
 
     means = np.array([e.mean for e in estimates])
     ses = np.array([e.stderr for e in estimates])
@@ -379,8 +374,8 @@ def _cmd_simulate(cfg: dict, out: Path, rep: _Reporter, potential) -> None:
     rep.check(sym_ok, "fk_symmetry",
               f"mirror deviations within 3 stderr (worst slack excess "
               f"{worst_sym:.3e})")
-    uni_ok, worst_uni = _mc_unimodal(means, ses)
-    rep.check(uni_ok, "fk_unimodality",
+    worst_uni = _unimodal_excess(means, 3.0 * (ses[:-1] + ses[1:]))
+    rep.check(worst_uni == 0.0, "fk_unimodality",
               f"profile unimodal within 3 stderr (worst excess {worst_uni:.3e})")
 
 

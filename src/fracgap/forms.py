@@ -34,7 +34,6 @@ __all__ = [
     "rayleigh_gap",
     "gap_bounds",
     "check_gaps",
-    "gap_report_to_json_dict",
 ]
 
 # Ground-state fringe below this fraction of the sup is excluded from the
@@ -197,20 +196,3 @@ def check_gaps(result: SpectralResult, cfg=None) -> GapReport:
                      bounds.bound_star, rayleigh, consistency,
                      pass_main, pass_star)
 
-
-def gap_report_to_json_dict(report: GapReport) -> dict:
-    """Plain-dict form preserving the None of a not-applicable bound."""
-    return {
-        "alpha": report.alpha,
-        "a": report.a,
-        "b": report.b,
-        "gap": report.gap,
-        "gap_star": report.gap_star,
-        "star_index": report.star_index,
-        "bound_main": report.bound_main,
-        "bound_star": report.bound_star,
-        "rayleigh_value": report.rayleigh_value,
-        "consistency_gap_vs_rayleigh": report.consistency_gap_vs_rayleigh,
-        "pass_main": report.pass_main,
-        "pass_star": report.pass_star,
-    }

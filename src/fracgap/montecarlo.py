@@ -39,6 +39,10 @@ bit for bit. The draws stay on the calling thread; the potential sums run
 on blocks of paths in one worker thread per CPU, each element through the
 same operations whatever its block, so estimates do not depend on the
 CPU count either.
+
+Profiles are tested for unimodality in one place, _unimodal_excess:
+gaussian_chain gives it no slack, and the CLI three standard errors per
+pair of neighbouring estimates.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ __all__ = [
     "estimate_feynman_kac",
     "gaussian_chain",
     "cauchy_kernel_check",
-    "estimates_csv_rows",
 ]
 
 
@@ -313,17 +316,23 @@ def gaussian_chain(x_points, kernel_times, potential_times, potential) -> ChainR
         kern = _gauss_kernel(s_list[0], y[None, :] - xs[:, None])
         vals = kern * (expv[0] * inner)[None, :] @ w
 
-    peak = int(np.argmax(vals))
-    sup = float(vals[peak])
-    rising = np.diff(vals[:peak + 1])
-    falling = np.diff(vals[peak:])
-    viol = 0.0
-    if rising.size:
-        viol = max(viol, float(np.max(np.maximum(0.0, -rising))))
-    if falling.size:
-        viol = max(viol, float(np.max(np.maximum(0.0, falling))))
-    rel = viol / sup if sup > 0 else math.inf
+    sup = float(np.max(vals))
+    rel = _unimodal_excess(vals, 0.0) / sup if sup > 0 else math.inf
     return ChainReport(xs, np.asarray(vals), rel <= 1e-10, rel)
+
+
+def _unimodal_excess(values, slack) -> float:
+    """How far values fail to rise to their first maximum and fall after it.
+
+    The largest fall between neighbours before the first maximum, or rise
+    after it, less that pair's slack (a scalar, or one per consecutive
+    pair), and 0 when none exceeds its slack.
+    """
+    values = np.asarray(values, dtype=float)
+    step = np.diff(values)
+    step[:int(np.argmax(values))] *= -1.0
+    # Python's max keeps the first of equals: no excess reads 0.0, not -0.0.
+    return max(0.0, float(np.max(step - slack, initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -371,9 +380,3 @@ def cauchy_kernel_check(t: float, x_points, n_samples: int = 200_000,
                         float(np.max(sigmas)), float(np.max(ratio)),
                         bool(np.all(sigmas <= 3.0)))
 
-
-def estimates_csv_rows(estimates: list[PathEstimate]) -> tuple[list[str], list[list[float]]]:
-    """Header and rows for CSV output of path estimates."""
-    header = ["x", "mean", "stderr", "n_paths"]
-    rows = [[e.x, e.mean, e.stderr, e.n_paths] for e in estimates]
-    return header, rows

@@ -39,7 +39,6 @@ __all__ = [
     "smooth_step",
     "counterexample_scan",
     "random_piecewise_linear",
-    "certificate_to_json_dict",
 ]
 
 _BOUNDARY_TOL = 1e-10
@@ -165,11 +164,11 @@ class WitnessCertificate:
 
     alpha: float
     c: float
-    steps: tuple[WitnessStep, ...]
     n0: int
-    rectangle: tuple[float, float, float, float]
     certified_bound: float
     scale: float
+    rectangle: tuple[float, float, float, float]
+    steps: tuple[WitnessStep, ...]
 
 
 def witness_search(f: PiecewiseLinear, alpha: float) -> WitnessCertificate:
@@ -232,8 +231,8 @@ def witness_search(f: PiecewiseLinear, alpha: float) -> WitnessCertificate:
             # when 9 c^(alpha-1) = 1, which defines c; kept in product form
             # so any float drift is visible rather than hidden.
             bound = (c / 3.0) ** 2 * (1.0 / (9.0 * c ** (alpha - 1.0))) ** (n - 1)
-            return WitnessCertificate(alpha, c, tuple(steps), n,
-                                      (a_n, x_n, y_n, b_n), bound, f1)
+            return WitnessCertificate(alpha, c, n, bound, f1,
+                                      (a_n, x_n, y_n, b_n), tuple(steps))
     raise WitnessSearchError(
         f"witness recursion did not terminate within {n_cap} steps "
         f"(lipschitz {lip:.3g})")
@@ -400,33 +399,6 @@ def random_piecewise_linear(rng: np.random.Generator,
     ys[0] = 0.0
     ys[-1] = rng.uniform(0.2, 1.5)
     return PiecewiseLinear(xs, ys)
-
-
-def certificate_to_json_dict(cert: WitnessCertificate) -> dict:
-    """Plain-dict form of a certificate for serialization."""
-    return {
-        "alpha": cert.alpha,
-        "c": cert.c,
-        "n0": cert.n0,
-        "certified_bound": cert.certified_bound,
-        "scale": cert.scale,
-        "rectangle": list(cert.rectangle),
-        "steps": [
-            {
-                "n": s.n,
-                "a": s.a,
-                "b": s.b,
-                "x": s.x,
-                "y": s.y,
-                "level_low": s.level_low,
-                "level_high": s.level_high,
-                "first_cross": s.first_cross,
-                "last_cross": s.last_cross,
-                "branch": s.branch,
-            }
-            for s in cert.steps
-        ],
-    }
 
 
 def _require_piecewise_linear(f, name: str = "f") -> None:

@@ -37,7 +37,6 @@ from .potentials import Potential
 
 __all__ = [
     "Grid",
-    "FracCoeffs",
     "OperatorMatrix",
     "SpectralResult",
     "ShapeReport",
@@ -49,8 +48,6 @@ __all__ = [
     "ground_state_shape_check",
     "boundary_decay_check",
     "richardson",
-    "result_to_json_dict",
-    "eigenvector_rows",
 ]
 
 # Default extrapolation order when only two grids are available. Free-case
@@ -98,16 +95,8 @@ class Grid:
         return self.a + self.h * np.arange(1, self.n + 1)
 
 
-@dataclass(frozen=True)
-class FracCoeffs:
-    """Centered-difference coefficients g_0..g_k for one alpha."""
-
-    alpha: float
-    g: np.ndarray = field(repr=False)
-
-
-def frac_coeffs(alpha: float, k_max: int) -> FracCoeffs:
-    """Coefficient sequence via the stable ratio recurrence.
+def frac_coeffs(alpha: float, k_max: int) -> np.ndarray:
+    """Centered-difference coefficients g_0..g_k_max via the stable ratio recurrence.
 
     g_0 = Gamma(alpha+1) / Gamma(alpha/2+1)^2 and
     g_(k+1) = g_k (k - alpha/2) / (k + 1 + alpha/2). g_0 > 0, all later
@@ -123,7 +112,7 @@ def frac_coeffs(alpha: float, k_max: int) -> FracCoeffs:
     g[0] = gamma_fn(alpha + 1.0) / gamma_fn(alpha / 2.0 + 1.0) ** 2
     k = np.arange(k_max, dtype=float)
     g[1:] = g[0] * np.cumprod((k - alpha / 2.0) / (k + 1.0 + alpha / 2.0))
-    return FracCoeffs(alpha, g)
+    return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +148,7 @@ def assemble_operator(grid: Grid, alpha: float, potential: Potential) -> Operato
     if not np.all(np.isfinite(vals)):
         bad = float(nodes[np.flatnonzero(~np.isfinite(vals))[0]])
         raise DomainError(f"potential is not finite at node x={bad!r}")
-    g = frac_coeffs(alpha, n).g
+    g = frac_coeffs(alpha, n)
     # Row i of the reversed windows over (g_(n-1), ..., g_1, g_0, ..., g_(n-1))
     # is g_|i-j|, without an n x n index array.
     toeplitz = sliding_window_view(np.concatenate([g[n - 1:0:-1], g[:n]]), n)[::-1]
@@ -248,25 +237,20 @@ def _lowest_eigh(a: np.ndarray, k: int, shift: float,
     While every pair found lies at or below `above`, twice as many are
     found. Blocks of up to _DENSE_MAX unknowns, requests whose Krylov space
     would not stay small, and Krylov solves that do not converge get every
-    pair from np.linalg.eigh; otherwise _krylov_lowest gives the k lowest
-    (more while they lie at or below `above`), and all its solves share one
-    Cholesky factor of a - shift I. shift must lie below the spectrum of a.
+    pair from np.linalg.eigh; otherwise _krylov_lowest gives them, on one
+    Cholesky factor of a - shift I and one basis. shift must lie below the
+    spectrum of a.
     """
     n = a.shape[0]
-    factor = None
     # Two guard columns; at least 8 in all, since a narrower block takes
     # many more steps (m = 1 on a notch well: 1.2 s against 0.2 s). The
     # basis must leave room for 7 block steps below its n / 2 cap.
-    while n > _DENSE_MAX and 16 * (p := max(k, 6) + 2) <= n:
-        if factor is None:
-            factor = _block_cholesky(a, shift)
-        pairs = _krylov_lowest(a, factor, k, p, above)
-        if pairs is None:
-            break
-        if pairs[0][-1] > above:
+    p = max(k, 6) + 2
+    if n > _DENSE_MAX and 16 * p <= n:
+        # The factor is freed before the dense eigh allocates its workspace.
+        pairs = _krylov_lowest(a, _block_cholesky(a, shift), k, p, above)
+        if pairs is not None:
             return pairs
-        k = min(2 * pairs[0].size, n)
-    factor = None  # freed before the dense eigh allocates its workspace
     return np.linalg.eigh(a)
 
 
@@ -287,10 +271,10 @@ def _krylov_lowest(a: np.ndarray, factor, k: int, p: int,
     it once each of the k residuals ||a y - theta y|| is at most
     _RESIDUAL_ULPS * eps * ||a||_1. a is multiplied only by the columns new
     since the last such step, and Q^T a Q grows by their columns alone.
-    While the k pairs lie at or below `above` and 2 k pairs keep the block
-    width p, those are tested on the same basis, which is where a restart
-    with 2 k would stop too. None when the basis would pass n / 2 columns
-    first, as for a cluster of levels far above the shift.
+    While the k pairs lie at or below `above`, k doubles on the same basis,
+    and while 2 k exceeds the Ritz values on hand the doubling waits for the
+    next such step. None when the basis would pass n / 2 columns first, as
+    for a cluster of levels far above the shift.
     """
     n = a.shape[0]
     tol = _RESIDUAL_ULPS * np.finfo(float).eps * _norm_1(a)
@@ -316,8 +300,10 @@ def _krylov_lowest(a: np.ndarray, factor, k: int, p: int,
             res = np.linalg.norm(image @ s[:, :k] - y * theta[:k], axis=0)
             if not np.all(res <= tol):
                 break
-            if theta[k - 1] > above or 2 * k + 2 > p:
+            if theta[k - 1] > above:
                 return theta[:k], y
+            if 2 * k > theta.size:
+                break
             k *= 2
     return None
 
@@ -336,9 +322,8 @@ def eigensolve(op: OperatorMatrix, m: int) -> SpectralResult:
     ||H||_1, or whole by eigh where that does not converge while its basis
     is small (see _lowest_eigh). The star index counts the even levels below
     the lowest odd one, so the even block is solved for twice as many
-    levels, on the factor (and, while the block width allows, the Krylov
-    basis) it was first solved with, while all of its computed levels lie
-    below it.
+    levels, on the factor and the Krylov basis it was first solved with,
+    while all of its computed levels lie below it.
 
     Residuals use the assembled matrix. A ground state that is not strictly
     positive (for a symmetric operator: not even) raises DomainError.
@@ -351,7 +336,7 @@ def eigensolve(op: OperatorMatrix, m: int) -> SpectralResult:
     # (irreducibly so at alpha = 2), plus a nonnegative diagonal, so it is
     # positive definite, as is every parity block.
     shift = (float(np.min(np.diagonal(op.matrix)))
-             - op.grid.h ** (-op.alpha) * frac_coeffs(op.alpha, 1).g[0])
+             - op.grid.h ** (-op.alpha) * frac_coeffs(op.alpha, 1)[0])
     if op.potential.symmetric:
         # On (u, [sqrt 2 u_mid,] +-J u) / sqrt 2, J reversing k = n // 2 nodes,
         # H acts as A11 +- A12 J; an odd n's middle node joins the even block.
@@ -510,26 +495,4 @@ def richardson(levels: list[tuple[int, np.ndarray]],
             rate = DEFAULT_RICHARDSON_RATE
     factor = r ** rate - 1.0
     return lam_f + (lam_f - lam_m) / factor
-
-
-def result_to_json_dict(result: SpectralResult) -> dict:
-    """Plain-dict form of a spectral result for serialization."""
-    return {
-        "alpha": result.alpha,
-        "a": result.grid.a,
-        "b": result.grid.b,
-        "N": result.grid.n,
-        "eigenvalues": [float(v) for v in result.eigenvalues],
-        "parities": list(result.parities),
-        "residuals": [float(v) for v in result.residuals],
-    }
-
-
-def eigenvector_rows(result: SpectralResult) -> tuple[list[str], list[list[float]]]:
-    """Header and rows (x, phi_1..phi_m) for CSV output."""
-    header = ["x"] + [f"phi_{j + 1}" for j in range(result.m)]
-    x = result.grid.nodes()
-    rows = [[float(x[i])] + [float(result.eigenvectors[i, j]) for j in range(result.m)]
-            for i in range(result.grid.n)]
-    return header, rows
 

@@ -187,6 +187,20 @@ class TestConfigErrors:
         assert err.startswith("config error: N = 1000000 needs about")
         assert err.count("\n") == 1 and "GiB limit" in err, err
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"command": "phi", "chain": {"n_points": 0}}, "chain.n_points must be >= 1"),
+        ({"command": "poincare", "poincare": {"max_segments": 2}},
+         "poincare.max_segments must be >= 3"),
+    ])
+    def test_empty_sizes_rejected_before_output(self, tmp_path, capsys, payload, message):
+        # Both used to fail inside the stage, as internal errors after
+        # config_echo.json was written.
+        code, out = run_quiet(tmp_path, payload)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n", err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["gap", "all"])
     def test_asymmetric_potential_under_gap(self, tmp_path, capsys, command):
         # lambda_star belongs to mirror-symmetric wells; an off-centre well
@@ -365,6 +379,18 @@ class TestCounterexampleCommand:
         assert lines[0] == "n,value,error_estimate"
         assert len(lines) == 7
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_tail_slope_gate_across_alpha(self, tmp_path, capsys, alpha):
+        # The fit over n = 1..32 read -0.2053 at alpha 0.7, above the old
+        # fixed gate of -0.35; the tail slope tracks alpha - 1.
+        out = tmp_path / "out"
+        code = run(write_config(tmp_path, {"command": "counterexample", "alpha": alpha}),
+                   output_dir=str(out))
+        assert code == EXIT_OK
+        captured = capsys.readouterr().out
+        assert "PASS counterexample_decay" in captured
+        assert "PASS counterexample_slope" in captured
+
 
 class TestSimulateAndPhi:
     def test_simulate_outputs(self, tmp_path, capsys):
@@ -392,6 +418,71 @@ class TestSimulateAndPhi:
         captured = capsys.readouterr().out
         assert "PASS chain_1" in captured
         assert "PASS chain_2" in captured
+
+
+class TestOutputSchema:
+    """Every file a tiny `all` run writes: JSON keys in order, CSV headers."""
+
+    def test_all_files(self, tmp_path):
+        code, out = run_quiet(tmp_path, {
+            "command": "all", "N": 64,
+            "mc": {"n_paths": 200, "n_steps": 16, "n_points": 3},
+            "poincare": {"n_functions": 2},
+        })
+        assert code == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config_echo.json", "counterexample.csv", "eigenvectors.csv",
+            "fk_estimates.csv", "gap_report.json", "poincare_campaign.csv",
+            "spectrum.csv", "spectrum.json", "witness_0000.json", "witness_0001.json"]
+
+        spec = json.loads((out / "spectrum.json").read_text())
+        assert list(spec) == ["alpha", "a", "b", "N", "eigenvalues", "parities", "residuals"]
+        assert (spec["alpha"], spec["a"], spec["b"], spec["N"]) == (1.5, -1.0, 1.0, 64)
+        assert len(spec["eigenvalues"]) == len(spec["residuals"]) == 6
+        assert spec["parities"][:2] == ["symmetric", "antisymmetric"]
+
+        report = json.loads((out / "gap_report.json").read_text())
+        assert list(report) == [
+            "alpha", "a", "b", "gap", "gap_star", "star_index", "bound_main",
+            "bound_star", "rayleigh_value", "consistency_gap_vs_rayleigh",
+            "pass_main", "pass_star"]
+
+        cert = json.loads((out / "witness_0000.json").read_text())
+        assert list(cert) == ["alpha", "c", "n0", "certified_bound", "scale",
+                              "rectangle", "steps"]
+        assert len(cert["rectangle"]) == 4
+        assert len(cert["steps"]) == cert["n0"]
+        for step in cert["steps"]:
+            assert list(step) == ["n", "a", "b", "x", "y", "level_low", "level_high",
+                                  "first_cross", "last_cross", "branch"]
+        assert cert["steps"][-1]["branch"] == "terminal"
+
+        def table(name):
+            with open(out / name, newline="") as fh:
+                return list(csv.reader(fh))
+
+        assert table("spectrum.csv")[0] == ["k", "eigenvalue", "parity", "residual"]
+        vectors = table("eigenvectors.csv")
+        assert vectors[0] == ["x"] + [f"phi_{j}" for j in range(1, 7)]
+        assert len(vectors) == 65 and {len(row) for row in vectors} == {7}
+        assert table("poincare_campaign.csv")[0] == [
+            "id", "n_breakpoints", "lipschitz", "f1", "lhs", "lhs_error",
+            "rhs", "ratio", "n0", "certified_bound", "sound", "passed"]
+        assert table("counterexample.csv")[0] == ["n", "value", "error_estimate"]
+        paths = table("fk_estimates.csv")
+        assert paths[0] == ["x", "mean", "stderr", "n_paths"]
+        assert [row[0] for row in paths[1:]] == ["-0.5", "0.0", "0.5"]
+        assert {row[3] for row in paths[1:]} == {"200"}
+
+        # Below alpha = 1 the main bound does not apply: null, not absent.
+        low = tmp_path / "low"
+        assert run(write_config(tmp_path, {"command": "gap", "alpha": 0.7, "N": 64},
+                                "low.json"), output_dir=str(low), quiet=True) == EXIT_OK
+        report = json.loads((low / "gap_report.json").read_text())
+        assert list(report)[6:] == ["bound_main", "bound_star", "rayleigh_value",
+                                    "consistency_gap_vs_rayleigh", "pass_main", "pass_star"]
+        assert report["bound_main"] is None and report["pass_main"] is None
+        assert report["pass_star"] is True
 
 
 class TestOverridesAndDeterminism:

@@ -13,7 +13,6 @@ from fracgap.errors import DomainError
 from fracgap.forms import (
     check_gaps,
     gap_bounds,
-    gap_report_to_json_dict,
     ground_state_weight,
     rayleigh_gap,
     weighted_form,
@@ -152,15 +151,3 @@ class TestCheckGaps:
         op = assemble_operator(Grid(-1.0, 1.0, 64), 1.5, make_zero((-1.0, 1.0)))
         with pytest.raises(DomainError):
             check_gaps(eigensolve(op, 1))
-
-    def test_json_dict_preserves_none(self):
-        op = assemble_operator(Grid(-1.0, 1.0, 256), 0.7, make_zero((-1.0, 1.0)))
-        d = gap_report_to_json_dict(check_gaps(eigensolve(op, 4)))
-        assert d["bound_main"] is None
-        assert d["pass_main"] is None
-        assert d["pass_star"] is True
-        assert set(d) == {
-            "alpha", "a", "b", "gap", "gap_star", "star_index", "bound_main",
-            "bound_star", "rayleigh_value", "consistency_gap_vs_rayleigh",
-            "pass_main", "pass_star",
-        }

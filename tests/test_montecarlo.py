@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy import special, stats
 
 from fracgap import montecarlo
@@ -15,7 +16,6 @@ from fracgap.montecarlo import (
     PathConfig,
     cauchy_kernel_check,
     estimate_feynman_kac,
-    estimates_csv_rows,
     gaussian_chain,
     make_rng,
     sample_stable_increment,
@@ -370,6 +370,42 @@ class TestGaussianChain:
             gaussian_chain([0.0], [0.1], [-0.1], FREE)
 
 
+def unimodal_excess_loop(values, slack):
+    """The per-pair loop that the CLI's Monte Carlo check used to run."""
+    peak = int(np.argmax(values))
+    worst = 0.0
+    for i in range(len(values) - 1):
+        gap = values[i] - values[i + 1] if i < peak else values[i + 1] - values[i]
+        worst = max(worst, gap - (slack[i] if np.ndim(slack) else slack))
+    return worst
+
+
+# Few distinct values, so ties (and ties with the maximum) are common.
+PROFILES = st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.25, 3.0]), min_size=1, max_size=12)
+
+
+class TestUnimodalExcess:
+    # The examples put the peak at either end.
+    @given(PROFILES, st.sampled_from([0.0, 0.25, 1.0]))
+    @example([3.0, 1.0, 0.5, 1.0], 0.25)
+    @example([0.0, 1.0, 0.5, 3.0], 0.0)
+    def test_matches_loop_scalar_slack(self, values, slack):
+        got = montecarlo._unimodal_excess(values, slack)
+        assert got == unimodal_excess_loop(values, slack)
+        assert math.copysign(1.0, got) == 1.0
+
+    @given(PROFILES.flatmap(lambda v: st.tuples(
+        st.just(v), st.lists(st.sampled_from([0.0, 0.25, 0.5]),
+                             min_size=len(v) - 1, max_size=len(v) - 1))))
+    @example(([3.0, 0.0, 1.0], [0.5, 0.25]))
+    @example(([0.0, 1.25, 1.0, 3.0], [0.0, 0.5, 0.25]))
+    def test_matches_loop_per_pair_slack(self, case):
+        values, slack = case
+        got = montecarlo._unimodal_excess(values, np.array(slack))
+        assert got == unimodal_excess_loop(values, slack)
+        assert math.copysign(1.0, got) == 1.0
+
+
 class TestCauchyKernel:
     def test_unit_time_against_exact_density(self):
         # p_1(0) = 1/pi and p_1(1) = 1/(2 pi) for the alpha = 1 kernel.
@@ -392,13 +428,3 @@ class TestCauchyKernel:
         with pytest.raises(DomainError):
             cauchy_kernel_check(1.0, np.array([0.0]), n_samples=1)
 
-
-class TestCsvRows:
-    def test_header_and_rows(self):
-        cfg = PathConfig(1.5, 0.25, 8, (-1.0, 1.0), seed=2)
-        ests = estimate_feynman_kac(np.array([0.0, 0.5]), FREE, cfg, 100)
-        header, rows = estimates_csv_rows(ests)
-        assert header == ["x", "mean", "stderr", "n_paths"]
-        assert len(rows) == 2
-        assert rows[0][0] == 0.0
-        assert rows[1][3] == 100

@@ -13,7 +13,6 @@ from fracgap.montecarlo import make_rng
 from fracgap.numerics import piecewise_linear_form, piecewise_linear_weighted_form
 from fracgap.poincare import (
     PiecewiseLinear,
-    certificate_to_json_dict,
     counterexample_scan,
     poincare_check,
     poincare_constant,
@@ -215,14 +214,6 @@ class TestWitnessSearch:
         except WitnessSearchError:
             return
         assert cert.n0 > 10
-
-    def test_json_dict(self):
-        cert = witness_search(IDENTITY, 1.5)
-        d = certificate_to_json_dict(cert)
-        assert d["n0"] == 1
-        assert len(d["steps"]) == len(cert.steps)
-        assert d["steps"][-1]["branch"] == "terminal"
-        assert len(d["rectangle"]) == 4
 
 
 class TestWeightedCheck:

@@ -19,11 +19,9 @@ from fracgap.spectral import (
     assemble_operator,
     boundary_decay_check,
     eigensolve,
-    eigenvector_rows,
     frac_coeffs,
     ground_state_shape_check,
     lambda_star,
-    result_to_json_dict,
     richardson,
 )
 
@@ -43,19 +41,19 @@ class TestGrid:
 
 class TestFracCoeffs:
     def test_classical_limit_is_three_point_stencil(self):
-        g = frac_coeffs(2.0, 6).g
+        g = frac_coeffs(2.0, 6)
         assert g[0] == pytest.approx(2.0, rel=1e-13)
         assert g[1] == pytest.approx(-1.0, rel=1e-13)
         assert np.all(np.abs(g[2:]) < 1e-13)
 
     def test_alpha_one_leading_coefficient(self):
         # Gamma(2) / Gamma(3/2)^2 = 4 / pi
-        g = frac_coeffs(1.0, 4).g
+        g = frac_coeffs(1.0, 4)
         assert g[0] == pytest.approx(4.0 / math.pi, rel=1e-12)
 
     def test_signs_and_zero_sum(self):
         for alpha in (0.5, 1.0, 1.5, 1.9):
-            g = frac_coeffs(alpha, 20000).g
+            g = frac_coeffs(alpha, 20000)
             assert g[0] > 0
             assert np.all(g[1:] <= 0)
             # Two-sided stencil sums to zero; the truncated tail shrinks
@@ -72,7 +70,7 @@ class TestFracCoeffs:
 
     @given(st.floats(min_value=0.1, max_value=2.0))
     def test_ratio_recurrence(self, alpha):
-        g = frac_coeffs(alpha, 8).g
+        g = frac_coeffs(alpha, 8)
         for k in range(7):
             want = g[k] * (k - alpha / 2.0) / (k + 1.0 + alpha / 2.0)
             assert g[k + 1] == pytest.approx(want, rel=1e-12, abs=1e-300)
@@ -134,7 +132,7 @@ class TestAssembleOperator:
         pot = make_power_well(3.0, 2.0, (-1.0, 1.0))
         op = assemble_operator(grid, 1.3, pot)
         i = np.arange(grid.n)
-        want = grid.h ** -1.3 * frac_coeffs(1.3, grid.n).g[np.abs(i[:, None] - i[None, :])]
+        want = grid.h ** -1.3 * frac_coeffs(1.3, grid.n)[np.abs(i[:, None] - i[None, :])]
         left = pot(grid.nodes()[:19])
         want[i, i] += np.concatenate([left, left[:18][::-1]])
         assert np.array_equal(op.matrix, want)
@@ -381,6 +379,30 @@ class TestKrylovPath:
             lam, vec = spectral._lowest_eigh(op.matrix, 6, 0.0)
             assert lam.size == pairs and vec.shape == (n, pairs)
 
+    def test_widens_past_the_block_width_on_one_basis(self, monkeypatch):
+        # k = 1 on a basis of block width 8 doubles to 16 before a pair
+        # lies above lambda_10: one factor and one Krylov start.
+        op = assemble_operator(Grid(-1.0, 1.0, 512), 1.2, off_centre_well())
+        shift = float(np.min(np.diagonal(op.matrix))) - op.grid.h ** -1.2 * frac_coeffs(1.2, 1)[0]
+        ref_lam, ref_vec = np.linalg.eigh(op.matrix)
+        started = []
+        krylov = spectral._krylov_lowest
+
+        def starting(a, *args):
+            started.append(a.shape[0])
+            return krylov(a, *args)
+
+        monkeypatch.setattr(spectral, "_krylov_lowest", starting)
+        lam, vec = spectral._lowest_eigh(op.matrix, 1, shift, above=ref_lam[9])
+        assert started == [512]
+        assert 11 <= lam.size < 512
+        floor = np.finfo(float).eps * np.max(np.sum(np.abs(op.matrix), axis=0))
+        ref = ref_lam[:lam.size]
+        assert np.all(np.abs(lam - ref) <= np.maximum(1e-11 * ref, floor))
+        for j in range(lam.size):
+            v, w = vec[:, j], ref_vec[:, j]
+            assert min(np.max(np.abs(v - w)), np.max(np.abs(v + w))) <= 1e-9, j
+
     def test_cluster_far_above_the_shift_falls_back_to_dense(self):
         # Shift-inverted, the levels 1000 + 1e-3 j differ by 1e-6 relative:
         # the basis fills half the space before they converge.
@@ -417,7 +439,7 @@ class TestBlockFactor:
     @pytest.mark.parametrize("n", [129, 385, 777, 1023, 1024])
     def test_inverts_the_shifted_matrix(self, n):
         op = assemble_operator(Grid(-1.0, 1.0, n), 1.5, make_power_well(20.0, 2.0, (-1.0, 1.0)))
-        shift = float(np.min(np.diagonal(op.matrix))) - op.grid.h ** -1.5 * frac_coeffs(1.5, 1).g[0]
+        shift = float(np.min(np.diagonal(op.matrix))) - op.grid.h ** -1.5 * frac_coeffs(1.5, 1)[0]
         shifted = op.matrix - shift * np.eye(n)
         factor = spectral._block_cholesky(op.matrix, shift)
         low = dense_factor(factor)
@@ -594,18 +616,3 @@ class TestRichardson:
         out = richardson([(128, np.array([1.5, 2.5]))])
         assert np.allclose(out, [1.5, 2.5])
 
-
-class TestSerialization:
-    def test_json_dict_fields(self, free_15_512):
-        d = result_to_json_dict(free_15_512)
-        assert d["alpha"] == 1.5
-        assert d["N"] == 512
-        assert len(d["eigenvalues"]) == free_15_512.m
-        assert d["parities"][0] == "symmetric"
-
-    def test_eigenvector_rows(self, free_15_512):
-        header, rows = eigenvector_rows(free_15_512)
-        assert header[0] == "x"
-        assert header[1] == "phi_1"
-        assert len(rows) == 512
-        assert len(rows[0]) == free_15_512.m + 1
