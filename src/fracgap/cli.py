@@ -59,11 +59,15 @@ MAX_WORKING_BYTES = 2 * 1024**3
 # LAPACK's workspace is not in it.
 _DENSE_ARRAYS = 6
 # float64 arrays of n_points x n_paths that estimate_feynman_kac holds at
-# its peak: sums, positions, and the final exp and select. The potential's
-# values and temporaries exist only for the path blocks in flight, about
-# half the paths (4.7 at most under tracemalloc over the zero, power,
-# inverse boundary and tabulated wells, with 1, 2 or 8 CPUs).
-_MC_ARRAYS = 8
+# its peak: the sums, which become the returned values in place, plus the
+# positions and potential values of the path blocks in flight, about half
+# the paths, plus one step's draws. Under tracemalloc at 21 x 20 000 (max
+# of three runs, 16 steps, with 1 / 2 / 8 CPUs):
+#   zero 1.67 / 1.27 / 1.27 (no per-step evaluation; 1.27 after the
+#   process's first call), power (5, 2) and (5, 2.7) 2.48 / 2.48 / 2.47,
+#   inverse boundary 2.48 / 2.48 / 2.47, tabulated 2.48 / 2.48 / 2.42.
+# 4 leaves a margin of 1.6 over the largest.
+_MC_ARRAYS = 4
 
 _COMMANDS = ("spectrum", "gap", "poincare", "counterexample", "simulate",
              "phi", "all")

@@ -55,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .potentials import Potential
 
 __all__ = [
     "PathConfig",
@@ -185,7 +186,14 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int,
     paths move. Each element sees the same operations whatever the blocks,
     so the values do not depend on the CPU count, bit for bit. A sum that
     is not finite (a potential that overflows at a visited position)
-    raises DomainError.
+    raises DomainError. A zero-kind Potential is the constant 0.0 + offset:
+    its sum is one float, added up in step order as every path's would be.
+
+    Working set: the sums are the only n_points x n_paths array kept from
+    step to step, and the functional is formed in them. A block's
+    positions and potential values live only while its task runs, and
+    about half the paths are in flight at once, so the loop holds about
+    two such arrays, plus the draws of one step.
     """
     # Imported here: at module top it would add to every `import fracgap`.
     from concurrent.futures import ThreadPoolExecutor
@@ -194,39 +202,55 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int,
     dt = cfg.t_final / cfg.n_steps
     if np.any((xs <= a) | (xs >= b)):
         raise DomainError("all starting points must lie strictly inside the interval")
-    x0 = xs[:, None]
     free = np.zeros(n_paths)
     lo = np.zeros(n_paths)
     hi = np.zeros(n_paths)
-    v_sum = np.zeros((xs.size, n_paths))
-    n_cpu = _cpu_count()
-    # Two blocks per CPU, so the workers even out around the CPU that the
-    # draws hold.
-    edges = [n_paths * k // (2 * n_cpu) for k in range(2 * n_cpu + 1)]
-    blocks = [slice(i, j) for i, j in zip(edges, edges[1:]) if j > i]
-    # One contiguous position buffer per block, so the potential sees
-    # contiguous input, as it does when called on the whole array.
-    pos = [np.empty((xs.size, c.stop - c.start)) for c in blocks]
 
-    def add_potential(cols: slice, p: np.ndarray) -> None:
-        np.clip(np.add(x0, free[cols], out=p), a, b, out=p)
-        v = np.asarray(potential(p), dtype=float)
-        v_sum[:, cols] += np.multiply(v, dt, out=v)
+    def move(step: np.ndarray) -> None:
+        np.add(free, step, out=free)
+        np.minimum(lo, free, out=lo)
+        np.maximum(hi, free, out=hi)
 
-    with ThreadPoolExecutor(max_workers=n_cpu) as pool:
+    if isinstance(potential, Potential) and potential.kind == "zero":
+        v = 0.0 + potential.offset
+        total = 0.0
         for _ in range(cfg.n_steps):
-            sums = [pool.submit(contextvars.copy_context().run, add_potential, cols, p)
-                    for cols, p in zip(blocks, pos)]
-            step = sample_stable_increment(cfg.alpha, dt, rng, size=n_paths)
-            for f in sums:
-                f.result()
-            free += step
-            np.minimum(lo, free, out=lo)
-            np.maximum(hi, free, out=hi)
+            total += v * dt
+            move(sample_stable_increment(cfg.alpha, dt, rng, size=n_paths))
+        v_sum = np.full((xs.size, n_paths), total)
+    else:
+        x0 = xs[:, None]
+        v_sum = np.zeros((xs.size, n_paths))
+        n_cpu = _cpu_count()
+        # Two blocks per CPU, so the workers even out around the CPU that
+        # the draws hold.
+        edges = [n_paths * k // (2 * n_cpu) for k in range(2 * n_cpu + 1)]
+        blocks = [slice(i, j) for i, j in zip(edges, edges[1:]) if j > i]
+
+        def add_potential(cols: slice) -> None:
+            # Contiguous positions, as when the potential is called on the
+            # whole array; released before the sum grows.
+            p = np.add(x0, free[cols])
+            np.clip(p, a, b, out=p)
+            v = np.asarray(potential(p), dtype=float)
+            del p
+            v_sum[:, cols] += np.multiply(v, dt, out=v)
+
+        with ThreadPoolExecutor(max_workers=n_cpu) as pool:
+            for _ in range(cfg.n_steps):
+                sums = [pool.submit(contextvars.copy_context().run, add_potential, cols)
+                        for cols in blocks]
+                step = sample_stable_increment(cfg.alpha, dt, rng, size=n_paths)
+                for f in sums:
+                    f.result()
+                move(step)
     if not np.all(np.isfinite(v_sum)):
         raise DomainError("the potential summed along some path is not finite")
-    alive = (x0 + lo > a) & (x0 + hi < b)
-    return np.where(alive, np.exp(-v_sum), 0.0)
+    # exp(-sum) in place, then 0 where killed, one start point at a time.
+    np.exp(np.negative(v_sum, out=v_sum), out=v_sum)
+    for i, x in enumerate(xs):
+        v_sum[i, ~((x + lo > a) & (x + hi < b))] = 0.0
+    return v_sum
 
 
 def estimate_feynman_kac(x_points, potential, cfg: PathConfig,
@@ -239,7 +263,8 @@ def estimate_feynman_kac(x_points, potential, cfg: PathConfig,
     case the mean estimates the survival probability; generally it
     estimates the semigroup applied to the constant 1. The potential is
     called from worker threads, concurrently, on 2-d blocks of positions,
-    and must act elementwise.
+    and must act elementwise; a zero-kind Potential is a constant and is
+    not called.
     """
     if n_paths < 2:
         raise DomainError(f"n_paths must be >= 2, got {n_paths}")
@@ -298,6 +323,8 @@ def gaussian_chain(x_points, kernel_times, potential_times, potential) -> ChainR
         raise DomainError("potential times must be nonnegative")
     a, b = potential.interval
     xs = np.asarray(x_points, dtype=float)
+    if xs.ndim != 1 or xs.size == 0:
+        raise DomainError("x_points must be a nonempty 1d array")
 
     gx, gw = np.polynomial.legendre.leggauss(_CHAIN_NODES)
     y = 0.5 * (a + b) + 0.5 * (b - a) * gx

@@ -388,9 +388,12 @@ def random_piecewise_linear(rng: np.random.Generator,
                             max_segments: int = 32) -> PiecewiseLinear:
     """Random Lipschitz test function with f(0) = 0 and f(1) in [0.2, 1.5].
 
+    It has 3 to max_segments segments, so max_segments must be at least 3.
     Breakpoint gaps are bounded away from zero so the Lipschitz constant
     stays moderate; interior values are free to wander in [-1, 1].
     """
+    if max_segments < 3:
+        raise DomainError(f"max_segments must be >= 3, got {max_segments}")
     k = int(rng.integers(3, max_segments + 1))
     gaps = rng.uniform(0.2, 1.0, size=k)
     xs = np.concatenate([[0.0], np.cumsum(gaps)])

@@ -50,24 +50,42 @@ class Potential:
     table: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __call__(self, x) -> np.ndarray:
+        """V at x, elementwise; x is never written.
+
+        Each family makes one result array and finishes it in place, in
+        the order of its formula, so every element sees the operations of
+        the plain expression. A ufunc returns a 0-d x as a numpy scalar,
+        which the augmented operators rebind in scalar arithmetic, as in
+        the plain expression: numpy's array and scalar powers can differ
+        in the last bit.
+        """
         x = np.asarray(x, dtype=float)
         a, b = self.interval
         if self.kind == "zero":
-            vals = np.zeros_like(x)
+            vals = np.zeros_like(x) if x.ndim else np.float64(0.0)
         elif self.kind == "power_well":
             kappa, p = self.params
-            vals = kappa * np.abs(x - 0.5 * (a + b)) ** p
+            vals = x - 0.5 * (a + b)
+            vals = np.abs(vals, out=_into(vals))
+            vals **= p
+            vals *= kappa
         elif self.kind == "inverse_boundary_well":
             (beta,) = self.params
-            xc = np.clip(x, a + _ENDPOINT_CLAMP, b - _ENDPOINT_CLAMP)
-            s = (2.0 * xc - (a + b)) / (b - a)
-            vals = (1.0 - s * s) ** (-beta)
+            # s = (2 x - (a + b)) / (b - a) at the clamped x, then (1 - s^2)^(-beta).
+            vals = np.clip(x, a + _ENDPOINT_CLAMP, b - _ENDPOINT_CLAMP)
+            vals *= 2.0
+            vals -= a + b
+            vals /= b - a
+            vals *= vals
+            vals = np.subtract(1.0, vals, out=_into(vals))
+            vals **= -beta
         elif self.kind == "tabulated":
             xs, ys = self.table
             vals = np.interp(x, xs, ys)
         else:
             raise DomainError(f"unknown potential kind {self.kind!r}")
-        return vals + self.offset
+        vals += self.offset
+        return vals
 
     @property
     def symmetric(self) -> bool:
@@ -212,6 +230,12 @@ def validate_single_well(potential: Potential) -> WellReport:
                   f"and x={lx[j + 1]:g}")
     return WellReport(symmetric and single_well, symmetric, single_well,
                       sym_err, violation, detail)
+
+
+def _into(vals):
+    """vals as the out= of a ufunc that overwrites it: the array itself, or
+    None for a numpy scalar, which a ufunc returns anew."""
+    return vals if isinstance(vals, np.ndarray) else None
 
 
 def _check_interval(interval) -> None:

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import special, stats
 
-from fracgap import montecarlo
+from fracgap import cli, montecarlo
 from fracgap.errors import DomainError
 from fracgap.montecarlo import (
     PathConfig,
@@ -190,6 +191,11 @@ class TestCommonRandomNumbers:
                 assert 0.0 <= est.mean <= 1.0
 
 
+# One well of each family, offsets included.
+FAMILIES = (make_zero((-1.0, 1.0), offset=0.3), *TestCommonRandomNumbers.WELLS[1:])
+FAMILY_IDS = ("zero", "power", "inverse", "tabulated")
+
+
 class TestWorkerThreads:
     """The potential is summed on path blocks in worker threads."""
 
@@ -199,16 +205,60 @@ class TestWorkerThreads:
     def test_estimates_independent_of_cpu_count(self, monkeypatch):
         # 8 workers on fewer cores with frequent thread switches: a lost or
         # misplaced block sum would change the estimates.
-        pot = make_power_well(5.0, 2.0, (-1.0, 1.0))
-        default = estimate_feynman_kac(self.XS, pot, self.CFG, 2001)
+        defaults = [estimate_feynman_kac(self.XS, pot, self.CFG, 2001) for pot in FAMILIES]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for n_cpu in (1, 8):
                 monkeypatch.setattr(montecarlo, "_cpu_count", lambda n=n_cpu: n)
-                assert estimate_feynman_kac(self.XS, pot, self.CFG, 2001) == default
+                for pot, default in zip(FAMILIES, defaults):
+                    assert estimate_feynman_kac(self.XS, pot, self.CFG, 2001) == default, \
+                        (n_cpu, pot.kind)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("pot", FAMILIES, ids=FAMILY_IDS)
+    def test_working_set_within_the_cli_estimate(self, monkeypatch, pot):
+        # The sums are the only n_points x n_paths array kept between steps;
+        # the CLI sizes a run by _MC_ARRAYS such arrays.
+        n_points, n_paths = 21, 20_000
+        xs = np.linspace(-1.0, 1.0, n_points + 2)[1:-1]
+        cfg = PathConfig(1.5, 0.1, 3, (-1.0, 1.0), seed=2)
+        for n_cpu in (1, 2, 8):
+            monkeypatch.setattr(montecarlo, "_cpu_count", lambda n=n_cpu: n)
+            tracemalloc.start()
+            try:
+                estimate_feynman_kac(xs, pot, cfg, n_paths)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= cli._MC_ARRAYS * 8 * n_points * n_paths, (n_cpu, peak)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.3, -0.0])
+    def test_constant_potential_skips_evaluation_bitwise(self, offset):
+        # A zero-kind Potential adds 0.0 + offset per step to one float; the
+        # same well behind a plain function is evaluated at every step.
+        pot = make_zero((-1.0, 1.0), offset=offset)
+        calls = []
+
+        def evaluated(x):
+            calls.append(x.shape)
+            return pot(x)
+
+        # 37 steps of 0.3 dt sum to another float than 0.3 t_final, and
+        # exp tells them apart: a shortcut product would show.
+        cfg = PathConfig(1.3, 0.3, 37, (-1.0, 1.0), seed=17)
+        got = montecarlo._fk_values(self.XS, pot, cfg, 2001, make_rng(17))
+        want = montecarlo._fk_values(self.XS, evaluated, cfg, 2001, make_rng(17))
+        assert calls
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_constant_potential_sum_must_be_finite(self):
+        pot = make_zero((-1.0, 1.0), offset=math.inf)
+        for potential in (pot, lambda x: pot(x)):
+            with pytest.raises(DomainError, match="summed along some path"):
+                estimate_feynman_kac(self.XS, potential, self.CFG, 100)
 
     def test_fewer_paths_than_blocks(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)
@@ -360,6 +410,9 @@ class TestGaussianChain:
         assert np.allclose(rep.values, rep.values[::-1], rtol=1e-11)
 
     def test_validation(self):
+        for xs in ([], 0.0, [[0.0, 0.1]]):
+            with pytest.raises(DomainError, match="x_points must be a nonempty 1d array"):
+                gaussian_chain(xs, [0.1], [0.05], FREE)
         with pytest.raises(DomainError):
             gaussian_chain([0.0], [0.1, 0.2], [0.1], FREE)
         with pytest.raises(DomainError):

@@ -352,3 +352,9 @@ class TestRandomPiecewiseLinear:
         assert f.xs[-1] == pytest.approx(1.0)
         assert np.all(np.diff(f.xs) > 0)
         assert 4 <= f.xs.size <= 33
+
+    def test_fewer_than_three_segments_rejected(self):
+        for max_segments in (2, 0, -1):
+            with pytest.raises(DomainError, match="max_segments must be >= 3"):
+                random_piecewise_linear(make_rng(1), max_segments)
+        assert random_piecewise_linear(make_rng(1), 3).xs.size == 4

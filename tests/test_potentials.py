@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from fracgap.errors import DomainError
 from fracgap.potentials import (
+    Potential,
     load_tabulated_csv,
     make_inverse_boundary_well,
     make_power_well,
@@ -176,3 +177,56 @@ class TestSymmetric:
     def test_off_centre_table(self):
         xs = np.linspace(-1.0, 1.0, 17)
         assert not make_tabulated(xs, 10.0 * np.abs(xs - 0.4) ** 2).symmetric
+
+
+def plain_values(pot, x):
+    """The families' formulas as plain out-of-place expressions."""
+    x = np.asarray(x, dtype=float)
+    a, b = pot.interval
+    if pot.kind == "zero":
+        vals = np.zeros_like(x)
+    elif pot.kind == "power_well":
+        kappa, p = pot.params
+        vals = kappa * np.abs(x - 0.5 * (a + b)) ** p
+    elif pot.kind == "inverse_boundary_well":
+        (beta,) = pot.params
+        xc = np.clip(x, a + 1e-9, b - 1e-9)
+        s = (2.0 * xc - (a + b)) / (b - a)
+        vals = (1.0 - s * s) ** (-beta)
+    else:
+        xs, ys = pot.table
+        vals = np.interp(x, xs, ys)
+    return vals + pot.offset
+
+
+class TestInPlaceEvaluation:
+    """Potential.__call__ builds its values in place, bit for bit as the
+    plain expressions, without writing its input."""
+
+    INTERVAL = (-1.3, 0.7)
+    TABLE = make_tabulated([-1.3, -0.5, -0.3, 0.2, 0.7], [3.0, 1.0, 0.0, 1.0, 3.0])
+
+    @pytest.mark.parametrize("offset", [0.0, 0.3])
+    @pytest.mark.parametrize("family", [
+        ("zero", ()), ("power_well", (1.7, 1.0)), ("power_well", (1.7, 2.0)),
+        ("power_well", (1.7, 2.7)), ("inverse_boundary_well", (0.6,)), ("tabulated", ()),
+    ], ids=["zero", "power1", "power2", "power2.7", "inverse", "tabulated"])
+    def test_matches_plain_expressions(self, family, offset):
+        kind, params = family
+        table = self.TABLE.table if kind == "tabulated" else None
+        pot = Potential(kind, self.INTERVAL, params, offset, table)
+        x = np.random.default_rng(5).uniform(-1.5, 0.9, size=(4, 97))
+        # The midpoint, both zeros, and the endpoints.
+        x[0, :5] = [-0.3, -0.0, 0.0, -1.3, 0.7]
+        inputs = [x, x[:, ::3], np.array(-0.3), np.array(-0.0), -0.3, -0.0,
+                  *map(float, x[1, :40])]
+        for xin in inputs:
+            before = np.array(xin, copy=True)
+            got, want = pot(xin), plain_values(pot, xin)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(np.asarray(xin), before)
+            assert np.signbit(np.asarray(xin)).tolist() == np.signbit(before).tolist()
+            if np.ndim(xin) == 0:
+                assert type(got) is np.float64
