@@ -58,16 +58,19 @@ MAX_WORKING_BYTES = 2 * 1024**3
 # converges; 2.8 and 1.9 on a symmetric well. tracemalloc sees 2.1 and 1.9;
 # LAPACK's workspace is not in it.
 _DENSE_ARRAYS = 6
-# float64 arrays of n_points x n_paths that estimate_feynman_kac holds at
-# its peak: the sums, which become the returned values in place, plus the
-# positions and potential values of the path blocks in flight, about half
-# the paths, plus one step's draws. Under tracemalloc at 21 x 20 000 (max
-# of three runs, 16 steps, with 1 / 2 / 8 CPUs):
-#   zero 1.67 / 1.27 / 1.27 (no per-step evaluation; 1.27 after the
-#   process's first call), power (5, 2) and (5, 2.7) 2.48 / 2.48 / 2.47,
-#   inverse boundary 2.48 / 2.48 / 2.47, tabulated 2.48 / 2.48 / 2.42.
-# 4 leaves a margin of 1.6 over the largest.
+# estimate_feynman_kac's peak, in float64 arrays of n_paths: _MC_ARRAYS per
+# start point (the sums, which become the returned values in place, plus
+# the positions and potential values of the path blocks in flight, about
+# half the paths) and _MC_PATH_ARRAYS shared by all points (the free path,
+# its running extremes, and one step's draws with their temporaries).
+# Under tracemalloc at 20 000 paths (max of four runs after a warm-up, 16
+# steps, alpha 0.5 and 1.5, 1 / 2 / 8 CPUs, the zero, power (5, 2) and
+# (5, 2.7), inverse boundary and tabulated wells), the peak is 12.1 arrays
+# at 1 point, 14.3 at 2, 17.4 at 3, 22.0 at 5, 52.4 at 21 and 92.4 at 41:
+# about 2 per point plus 10. 4 per point plus 16 leaves a margin of at
+# least 1.6 at every size.
 _MC_ARRAYS = 4
+_MC_PATH_ARRAYS = 16
 
 _COMMANDS = ("spectrum", "gap", "poincare", "counterexample", "simulate",
              "phi", "all")
@@ -89,7 +92,7 @@ def _take(raw: dict, key: str, default):
 
 def _mc_working_bytes(n_points: int, n_paths: int) -> int:
     """Estimated peak bytes of estimate_feynman_kac at this size."""
-    return 8 * _MC_ARRAYS * n_points * n_paths
+    return 8 * (_MC_ARRAYS * n_points + _MC_PATH_ARRAYS) * n_paths
 
 
 def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict:

@@ -55,7 +55,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .potentials import Potential
 
 __all__ = [
     "PathConfig",
@@ -186,8 +185,7 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int,
     paths move. Each element sees the same operations whatever the blocks,
     so the values do not depend on the CPU count, bit for bit. A sum that
     is not finite (a potential that overflows at a visited position)
-    raises DomainError. A zero-kind Potential is the constant 0.0 + offset:
-    its sum is one float, added up in step order as every path's would be.
+    raises DomainError.
 
     Working set: the sums are the only n_points x n_paths array kept from
     step to step, and the functional is formed in them. A block's
@@ -202,48 +200,36 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int,
     dt = cfg.t_final / cfg.n_steps
     if np.any((xs <= a) | (xs >= b)):
         raise DomainError("all starting points must lie strictly inside the interval")
+    x0 = xs[:, None]
     free = np.zeros(n_paths)
     lo = np.zeros(n_paths)
     hi = np.zeros(n_paths)
+    v_sum = np.zeros((xs.size, n_paths))
+    n_cpu = _cpu_count()
+    # Two blocks per CPU, so the workers even out around the CPU that the
+    # draws hold.
+    edges = [n_paths * k // (2 * n_cpu) for k in range(2 * n_cpu + 1)]
+    blocks = [slice(i, j) for i, j in zip(edges, edges[1:]) if j > i]
 
-    def move(step: np.ndarray) -> None:
-        np.add(free, step, out=free)
-        np.minimum(lo, free, out=lo)
-        np.maximum(hi, free, out=hi)
+    def add_potential(cols: slice) -> None:
+        # Contiguous positions, as when the potential is called on the
+        # whole array; released before the sum grows.
+        p = np.add(x0, free[cols])
+        np.clip(p, a, b, out=p)
+        v = np.asarray(potential(p), dtype=float)
+        del p
+        v_sum[:, cols] += np.multiply(v, dt, out=v)
 
-    if isinstance(potential, Potential) and potential.kind == "zero":
-        v = 0.0 + potential.offset
-        total = 0.0
+    with ThreadPoolExecutor(max_workers=n_cpu) as pool:
         for _ in range(cfg.n_steps):
-            total += v * dt
-            move(sample_stable_increment(cfg.alpha, dt, rng, size=n_paths))
-        v_sum = np.full((xs.size, n_paths), total)
-    else:
-        x0 = xs[:, None]
-        v_sum = np.zeros((xs.size, n_paths))
-        n_cpu = _cpu_count()
-        # Two blocks per CPU, so the workers even out around the CPU that
-        # the draws hold.
-        edges = [n_paths * k // (2 * n_cpu) for k in range(2 * n_cpu + 1)]
-        blocks = [slice(i, j) for i, j in zip(edges, edges[1:]) if j > i]
-
-        def add_potential(cols: slice) -> None:
-            # Contiguous positions, as when the potential is called on the
-            # whole array; released before the sum grows.
-            p = np.add(x0, free[cols])
-            np.clip(p, a, b, out=p)
-            v = np.asarray(potential(p), dtype=float)
-            del p
-            v_sum[:, cols] += np.multiply(v, dt, out=v)
-
-        with ThreadPoolExecutor(max_workers=n_cpu) as pool:
-            for _ in range(cfg.n_steps):
-                sums = [pool.submit(contextvars.copy_context().run, add_potential, cols)
-                        for cols in blocks]
-                step = sample_stable_increment(cfg.alpha, dt, rng, size=n_paths)
-                for f in sums:
-                    f.result()
-                move(step)
+            sums = [pool.submit(contextvars.copy_context().run, add_potential, cols)
+                    for cols in blocks]
+            step = sample_stable_increment(cfg.alpha, dt, rng, size=n_paths)
+            for f in sums:
+                f.result()
+            free += step
+            np.minimum(lo, free, out=lo)
+            np.maximum(hi, free, out=hi)
     if not np.all(np.isfinite(v_sum)):
         raise DomainError("the potential summed along some path is not finite")
     # exp(-sum) in place, then 0 where killed, one start point at a time.
@@ -263,8 +249,7 @@ def estimate_feynman_kac(x_points, potential, cfg: PathConfig,
     case the mean estimates the survival probability; generally it
     estimates the semigroup applied to the constant 1. The potential is
     called from worker threads, concurrently, on 2-d blocks of positions,
-    and must act elementwise; a zero-kind Potential is a constant and is
-    not called.
+    and must act elementwise.
     """
     if n_paths < 2:
         raise DomainError(f"n_paths must be >= 2, got {n_paths}")

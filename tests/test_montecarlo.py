@@ -191,9 +191,9 @@ class TestCommonRandomNumbers:
                 assert 0.0 <= est.mean <= 1.0
 
 
-# One well of each family, offsets included.
-FAMILIES = (make_zero((-1.0, 1.0), offset=0.3), *TestCommonRandomNumbers.WELLS[1:])
-FAMILY_IDS = ("zero", "power", "inverse", "tabulated")
+# A well of each family, with offsets; the (5, 2) power well is the pipeline's.
+FAMILIES = (make_zero((-1.0, 1.0), offset=0.3), *TestCommonRandomNumbers.WELLS)
+FAMILY_IDS = ("zero", "power", "power-offset", "inverse", "tabulated")
 
 
 class TestWorkerThreads:
@@ -219,46 +219,29 @@ class TestWorkerThreads:
 
     @pytest.mark.parametrize("pot", FAMILIES, ids=FAMILY_IDS)
     def test_working_set_within_the_cli_estimate(self, monkeypatch, pot):
-        # The sums are the only n_points x n_paths array kept between steps;
-        # the CLI sizes a run by _MC_ARRAYS such arrays.
-        n_points, n_paths = 21, 20_000
-        xs = np.linspace(-1.0, 1.0, n_points + 2)[1:-1]
+        # The sums are the only n_points x n_paths array kept between steps,
+        # and the draws add arrays of n_paths that do not grow with n_points:
+        # they are the whole working set at one point.
+        n_paths = 20_000
         cfg = PathConfig(1.5, 0.1, 3, (-1.0, 1.0), seed=2)
+        # The first call in a process imports the thread pool.
+        estimate_feynman_kac([0.0], pot, cfg, 2)
         for n_cpu in (1, 2, 8):
             monkeypatch.setattr(montecarlo, "_cpu_count", lambda n=n_cpu: n)
-            tracemalloc.start()
-            try:
-                estimate_feynman_kac(xs, pot, cfg, n_paths)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= cli._MC_ARRAYS * 8 * n_points * n_paths, (n_cpu, peak)
-
-    @pytest.mark.parametrize("offset", [0.0, 0.3, -0.0])
-    def test_constant_potential_skips_evaluation_bitwise(self, offset):
-        # A zero-kind Potential adds 0.0 + offset per step to one float; the
-        # same well behind a plain function is evaluated at every step.
-        pot = make_zero((-1.0, 1.0), offset=offset)
-        calls = []
-
-        def evaluated(x):
-            calls.append(x.shape)
-            return pot(x)
-
-        # 37 steps of 0.3 dt sum to another float than 0.3 t_final, and
-        # exp tells them apart: a shortcut product would show.
-        cfg = PathConfig(1.3, 0.3, 37, (-1.0, 1.0), seed=17)
-        got = montecarlo._fk_values(self.XS, pot, cfg, 2001, make_rng(17))
-        want = montecarlo._fk_values(self.XS, evaluated, cfg, 2001, make_rng(17))
-        assert calls
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-
-    def test_constant_potential_sum_must_be_finite(self):
-        pot = make_zero((-1.0, 1.0), offset=math.inf)
-        for potential in (pot, lambda x: pot(x)):
-            with pytest.raises(DomainError, match="summed along some path"):
-                estimate_feynman_kac(self.XS, potential, self.CFG, 100)
+            peaks = {}
+            for n_points in (1, 3, 21):
+                xs = np.linspace(-1.0, 1.0, n_points + 2)[1:-1]
+                tracemalloc.start()
+                try:
+                    estimate_feynman_kac(xs, pot, cfg, n_paths)
+                    peaks[n_points] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peaks[n_points] <= cli._mc_working_bytes(n_points, n_paths), \
+                    (n_points, n_cpu, peaks)
+            # A further start point costs about two arrays of n_paths: its
+            # sums, and its positions and values on the blocks in flight.
+            assert peaks[21] - peaks[1] <= 20 * 3 * 8 * n_paths, (n_cpu, peaks)
 
     def test_fewer_paths_than_blocks(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)
