@@ -52,11 +52,11 @@ EXIT_INTERNAL = 4
 # mc.n_points x mc.n_paths fails as a configuration error before allocating.
 MAX_WORKING_BYTES = 2 * 1024**3
 # float64 N x N arrays at the peak of assembly + eigensolve, as resident
-# memory grows from a cold start at N = 2048 (alpha 1.2, m = 6 or 200): 5.3
+# memory grows from a warm start at N = 2048 (alpha 1.2, m = 6 or 200): 5.2
 # on an asymmetric well solved by the dense eigh, which still runs at any N
-# when m is large or the Krylov solve gives up; 2.2 when the Krylov solve
-# converges; 2.8 and 1.9 on a symmetric well. tracemalloc sees 2.1 and 1.9;
-# LAPACK's workspace is not in it.
+# when m is large or the Krylov solve gives up, and builds H whole for it;
+# 1.2 when the Krylov solve converges; 1.6 and 1.1 on a symmetric well.
+# tracemalloc sees 2.0, 0.9, 1.2 and 0.8; LAPACK's workspace is not in it.
 _DENSE_ARRAYS = 6
 # estimate_feynman_kac's peak, in float64 arrays of n_paths: _MC_ARRAYS per
 # start point (the sums, which become the returned values in place, plus

@@ -198,7 +198,7 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int,
 
     a, b = cfg.interval
     dt = cfg.t_final / cfg.n_steps
-    if np.any((xs <= a) | (xs >= b)):
+    if np.any(~((xs > a) & (xs < b))):
         raise DomainError("all starting points must lie strictly inside the interval")
     x0 = xs[:, None]
     free = np.zeros(n_paths)
@@ -310,6 +310,8 @@ def gaussian_chain(x_points, kernel_times, potential_times, potential) -> ChainR
     xs = np.asarray(x_points, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise DomainError("x_points must be a nonempty 1d array")
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("x_points must be finite")
 
     gx, gw = np.polynomial.legendre.leggauss(_CHAIN_NODES)
     y = 0.5 * (a + b) + 0.5 * (b - a) * gx

@@ -8,7 +8,9 @@ matrix h^(-alpha) * g_|i-j| built from the coefficient sequence
 
 truncated at the interval width. Values outside the interval are zero
 (killing at exit), which is exactly the Dirichlet exterior condition, so no
-boundary rows are modified. The potential enters on the diagonal.
+boundary rows are modified. The potential enters on the diagonal. The
+matrix is kept as its column and its diagonal only (OperatorMatrix); the
+solver copies out the blocks it factors and multiplies.
 
 Only the bottom of the spectrum is wanted. Blocks of more than
 _DENSE_MAX unknowns are solved for their lowest eigenpairs alone, by block
@@ -18,15 +20,17 @@ pair from the dense np.linalg.eigh. The inverse is applied by a forward
 and a back substitution through the Cholesky factor L of H - sigma I,
 built once per block and stored as its diagonal blocks and dense
 lower-left rectangles, so its zero upper half is neither stored nor
-multiplied. The Krylov solve of an n x n block peaks at about n^2 float64
-values beside H (1.05 n^2 at n = 1024, 0.87 n^2 at 2048), half of them the
-factor.
+multiplied. With H never stored whole, assembly and solve at N = 2048 and
+m = 6 peak at about 0.87 N^2 float64 values on an asymmetric well, 0.53
+N^2 of them the factor, and 0.75 N^2 on a symmetric one, where the near
+and far halves of the top rows make the parity blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -117,12 +121,97 @@ def frac_coeffs(alpha: float, k_max: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense symmetric discretization, kept with its provenance."""
+    """The discretized operator H, kept as the two arrays that define it.
 
-    matrix: np.ndarray = field(repr=False)
+    H has column[|i - j|] off the diagonal and diagonal[i] on it; its N^2
+    entries are never stored. op[rows, cols], for slices of step 1 or -1,
+    is a block of H that np.asarray copies out, op @ x multiplies 128 rows
+    at a time, and op.matrix builds the dense H on each access.
+    """
+
+    column: np.ndarray = field(repr=False)
+    diagonal: np.ndarray = field(repr=False)
     grid: Grid
     alpha: float
     potential: Potential
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.column.size,) * 2
+
+    @cached_property
+    def _toeplitz(self) -> np.ndarray:
+        """column[|i - j|] for all i, j: a read-only view of 2N - 1 values."""
+        n = self.column.size
+        # Row i of the reversed windows over (c_(n-1), ..., c_1, c_0, ..., c_(n-1))
+        # is c_|i-j|.
+        return sliding_window_view(np.concatenate([self.column[:0:-1], self.column]), n)[::-1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self[:, :].copy()
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.matrix
+
+    def __getitem__(self, key) -> _Block:
+        whole = range(self.column.size)
+        return _Block(self, whole, whole)[key]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self[:, :] @ x
+
+
+def _as_slice(r: range) -> slice:
+    """The slice that picks r out of a sequence."""
+    if not r:
+        return slice(0, 0)
+    # A reversed range through index 0 stops at -1, which a slice reads as n - 1.
+    return slice(r.start, r.stop if r.stop >= 0 else None, r.step)
+
+
+class _Block:
+    """The rows and columns of an OperatorMatrix's H in two ranges of step 1 or -1.
+
+    Slicing composes the ranges and copies nothing; a reversed column range
+    gives the blocks of H J, J the reversal. numpy functions copy the block
+    out through __array__.
+    """
+
+    def __init__(self, op: OperatorMatrix, rows: range, cols: range):
+        self.op, self.rows, self.cols = op, rows, cols
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), len(self.cols)
+
+    def __getitem__(self, key) -> _Block:
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        return _Block(self.op, self.rows[rows], self.cols[cols])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.copy()
+
+    def copy(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The block as an array, written into out if given, diagonal of H patched in."""
+        if out is None:
+            out = np.empty(self.shape)
+        out[...] = self.op._toeplitz[_as_slice(self.rows), _as_slice(self.cols)]
+        # Row i meets the diagonal where the column range holds rows[i].
+        rows = np.arange(self.rows.start, self.rows.stop, self.rows.step)
+        cols = (rows - self.cols.start) * self.cols.step
+        on = (cols >= 0) & (cols < len(self.cols))
+        out[np.flatnonzero(on), cols[on]] = self.op.diagonal[rows[on]]
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product, through one copy of at most 128 rows reused."""
+        out = np.empty(self.shape[:1] + x.shape[1:])
+        buf = np.empty((min(128, len(self.rows)), len(self.cols)))
+        for i in range(0, len(self.rows), 128):
+            part = self[i:i + 128]
+            np.matmul(part.copy(buf[:part.shape[0]]), x, out=out[i:i + 128])
+        return out
 
 
 def assemble_operator(grid: Grid, alpha: float, potential: Potential) -> OperatorMatrix:
@@ -148,13 +237,8 @@ def assemble_operator(grid: Grid, alpha: float, potential: Potential) -> Operato
     if not np.all(np.isfinite(vals)):
         bad = float(nodes[np.flatnonzero(~np.isfinite(vals))[0]])
         raise DomainError(f"potential is not finite at node x={bad!r}")
-    g = frac_coeffs(alpha, n)
-    # Row i of the reversed windows over (g_(n-1), ..., g_1, g_0, ..., g_(n-1))
-    # is g_|i-j|, without an n x n index array.
-    toeplitz = sliding_window_view(np.concatenate([g[n - 1:0:-1], g[:n]]), n)[::-1]
-    mat = grid.h ** (-alpha) * toeplitz
-    mat[np.diag_indices(n)] += vals
-    return OperatorMatrix(mat, grid, alpha, potential)
+    column = grid.h ** (-alpha) * frac_coeffs(alpha, n - 1)
+    return OperatorMatrix(column, column[0] + vals, grid, alpha, potential)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +276,10 @@ def _block_cholesky(a: np.ndarray, shift: float):
     same way. That is matrix products only, 1.5 (n/2)^3 multiply-adds per
     split, and runs faster than numpy's Cholesky, which would still need
     triangular solves that numpy does not have.
+
+    a is an array or a block of an OperatorMatrix. Of the latter only the
+    leaves are copied whole, a12 by the row blocks _forward reaches, and
+    a22 128 rows at a time.
     """
     n = a.shape[0]
     if n <= 128:
@@ -200,12 +288,16 @@ def _block_cholesky(a: np.ndarray, shift: float):
     l11 = _block_cholesky(a[:h, :h], shift)
     l21t = _forward(l11, a[:h, h:], np.empty((h, n - h)))
     schur = l21t.T @ l21t
-    np.subtract(a[h:, h:], schur, out=schur)
+    for i in range(0, n - h, 128):
+        np.subtract(a[h + i:h + i + 128, h:], schur[i:i + 128], out=schur[i:i + 128])
     return l11, l21t, _block_cholesky(schur, shift)
 
 
 def _forward(factor, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = L^(-1) x for L from _block_cholesky; out must not overlap x."""
+    """out = L^(-1) x for L from _block_cholesky; out must not overlap x.
+
+    An operator block x is copied out by the row blocks the recursion reaches.
+    """
     if isinstance(factor, np.ndarray):
         return np.matmul(factor, x, out=out)
     l11, l21t, l22 = factor
@@ -251,6 +343,7 @@ def _lowest_eigh(a: np.ndarray, k: int, shift: float,
         pairs = _krylov_lowest(a, _block_cholesky(a, shift), k, p, above)
         if pairs is not None:
             return pairs
+    # An OperatorMatrix is built whole here.
     return np.linalg.eigh(a)
 
 
@@ -325,7 +418,7 @@ def eigensolve(op: OperatorMatrix, m: int) -> SpectralResult:
     levels, on the factor and the Krylov basis it was first solved with,
     while all of its computed levels lie below it.
 
-    Residuals use the assembled matrix. A ground state that is not strictly
+    Residuals are formed with op @ vec. A ground state that is not strictly
     positive (for a symmetric operator: not even) raises DomainError.
     """
     n = op.grid.n
@@ -335,20 +428,22 @@ def eigensolve(op: OperatorMatrix, m: int) -> SpectralResult:
     # diagonally dominant since g_0 = 2 sum_(k >= 1) |g_k| untruncated
     # (irreducibly so at alpha = 2), plus a nonnegative diagonal, so it is
     # positive definite, as is every parity block.
-    shift = (float(np.min(np.diagonal(op.matrix)))
-             - op.grid.h ** (-op.alpha) * frac_coeffs(op.alpha, 1)[0])
+    shift = float(np.min(op.diagonal)) - float(op.column[0])
     if op.potential.symmetric:
         # On (u, [sqrt 2 u_mid,] +-J u) / sqrt 2, J reversing k = n // 2 nodes,
         # H acts as A11 +- A12 J; an odd n's middle node joins the even block.
         k, ke = n // 2, (n + 1) // 2
-        near = op.matrix[:ke, :ke]
-        far = op.matrix[:ke, ::-1][:, :ke]
-        lam_o, vec_o = _lowest_eigh(near[:k, :k] - far[:k, :k], min(m, k), shift)
-        even = near + far
-        even[k:] /= math.sqrt(2.0)
-        even[:, k:] /= math.sqrt(2.0)
-        even[k:, k:] = op.matrix[k:ke, k:ke]
-        lam_e, vec_e = _lowest_eigh(even, min(m, ke), shift, above=lam_o[0])
+        block_e = op[:ke, :ke].copy()
+        far = op[:ke, ::-1][:, :ke].copy()
+        block_o = block_e[:k, :k] - far[:k, :k]
+        block_e += far
+        del far
+        block_e[k:] /= math.sqrt(2.0)
+        block_e[:, k:] /= math.sqrt(2.0)
+        block_e[k:, k:] = op.diagonal[k:ke]
+        lam_o, vec_o = _lowest_eigh(block_o, min(m, k), shift)
+        del block_o
+        lam_e, vec_e = _lowest_eigh(block_e, min(m, ke), shift, above=lam_o[0])
         both = np.concatenate([lam_e, lam_o])
         order = np.argsort(both, kind="stable")[:m]
         lam = both[order]
@@ -361,13 +456,13 @@ def eigensolve(op: OperatorMatrix, m: int) -> SpectralResult:
         labels = tuple("antisymmetric" if o else "symmetric" for o in odd)
         star = (int(np.sum(lam_e <= lam_o[0])) + 1, float(lam_o[0]))
     else:
-        lam, vec = _lowest_eigh(op.matrix, m, shift)
+        lam, vec = _lowest_eigh(op, m, shift)
         lam, vec = lam[:m], vec[:, :m].copy()
         labels, star = ("mixed",) * m, None
 
     # Mirrored entries tie bitwise, so the first maximum is the leftmost.
     vec *= np.sign(vec[np.argmax(np.abs(vec), axis=0), np.arange(m)])
-    residuals = np.linalg.norm(op.matrix @ vec - vec * lam[None, :], axis=0)
+    residuals = np.linalg.norm(op @ vec - vec * lam[None, :], axis=0)
 
     vec /= math.sqrt(op.grid.h)
     if np.any(vec[:, 0] <= 0):

@@ -2,21 +2,49 @@
 
 fgbench builds numerics.QuadConfig when imported, reads poincare.CAMPAIGN_CFG,
 and passes a positional cfg to forms.check_gaps, poincare.poincare_check and
-poincare.weighted_poincare_check. The library keeps those only for the
-harness; this test fails if one goes before the benchmark definition changes.
+poincare.weighted_poincare_check. Its spectral-sweep checks eigenvalues
+against scipy in a separate process, and its tracing probe reads op.matrix.
+The library keeps those only for the harness; these tests fail if one goes
+before the benchmark definition changes.
 """
 
 import contextlib
 import importlib
 from pathlib import Path
 
+import pytest
+
+from fracgap.potentials import make_power_well
+from fracgap.spectral import Grid, assemble_operator, eigensolve
+
 FGBENCH = Path(__file__).resolve().parent.parent / "fgbench"
 
 
-def test_forms_campaign_runs(tmp_path, monkeypatch):
+@pytest.fixture
+def fgbench(monkeypatch):
     monkeypatch.syspath_prepend(str(FGBENCH))
-    workloads = importlib.import_module("workloads")
+    return importlib.import_module
+
+
+def test_forms_campaign_runs(tmp_path, fgbench):
+    workloads = fgbench("workloads")
     ops = workloads.generate("forms-campaign", 1, tiny=True)
     ctx = workloads.prepare("forms-campaign", ops, tmp_path, False)
     problems = [workloads.run_op(op, ctx, contextlib.nullcontext())[1] for op in ops]
     assert problems == [None] * len(ops)
+
+
+def test_spectral_sweep_op_matches_its_reference(tmp_path, fgbench):
+    workloads = fgbench("workloads")
+    ops = workloads.generate("spectral-sweep", 1, tiny=True)[:1]
+    ctx = workloads.prepare("spectral-sweep", ops, tmp_path, False)
+    assert workloads.run_op(ops[0], ctx, contextlib.nullcontext())[1] is None
+
+
+def test_tracing_probe_reads_the_operator(fgbench):
+    tracing = fgbench("tracing")
+    op = assemble_operator(Grid(-1.0, 1.0, 64), 1.5, make_power_well(5.0, 2.0, (-1.0, 1.0)))
+    counts = tracing._eigensolve({"op": op}, eigensolve(op, 2))
+    assert counts["n3"] == 64 ** 3
+    assert counts["symmetric"] is True
+    assert 0.0 < counts["residual"] < 1e-10

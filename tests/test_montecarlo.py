@@ -333,6 +333,12 @@ class TestFeynmanKac:
         with pytest.raises(DomainError):
             estimate_feynman_kac(np.array([0.0]), FREE, cfg, 1)
 
+    def test_nan_start_rejected(self):
+        # NaN fails every comparison, so it is not counted as killed at t = 0.
+        cfg = PathConfig(1.5, 0.25, 8, (-1.0, 1.0), seed=1)
+        with pytest.raises(DomainError, match="strictly inside"):
+            estimate_feynman_kac([math.nan, 0.0], FREE, cfg, 100)
+
     def test_survival_matches_eigenexpansion(self):
         # Independent oracle: semigroup series from the matrix eigensolve,
         # extrapolated over N in {512, 1024}. The pad on the standard error
@@ -404,6 +410,11 @@ class TestGaussianChain:
             gaussian_chain([0.0], [0.0], [0.1], FREE)
         with pytest.raises(DomainError):
             gaussian_chain([0.0], [0.1], [-0.1], FREE)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_start_rejected(self, bad):
+        with pytest.raises(DomainError, match="x_points must be finite"):
+            gaussian_chain([bad, 0.0], [0.1], [0.05], FREE)
 
 
 def unimodal_excess_loop(values, slack):
