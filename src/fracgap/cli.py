@@ -52,11 +52,12 @@ EXIT_INTERNAL = 4
 # mc.n_points x mc.n_paths fails as a configuration error before allocating.
 MAX_WORKING_BYTES = 2 * 1024**3
 # float64 N x N arrays at the peak of assembly + eigensolve, as resident
-# memory grows from a warm start at N = 2048 (alpha 1.2, m = 6 or 200): 5.2
-# on an asymmetric well solved by the dense eigh, which still runs at any N
-# when m is large or the Krylov solve gives up, and builds H whole for it;
-# 1.2 when the Krylov solve converges; 1.6 and 1.1 on a symmetric well.
-# tracemalloc sees 2.0, 0.9, 1.2 and 0.8; LAPACK's workspace is not in it.
+# memory grows from a warm start (one solve at N = 512) at N = 2048 (alpha
+# 1.2, m = 200 or 6): 4.9 on an asymmetric well solved by the dense eigh,
+# which still runs at any N when m is large or the Krylov solve gives up,
+# and builds H whole for it; 0.6 when the Krylov solve converges; 1.5 and
+# 0.7 on a symmetric well. tracemalloc sees 2.0, 0.56, 0.9 and 0.5;
+# LAPACK's workspace is not in it.
 _DENSE_ARRAYS = 6
 # estimate_feynman_kac's peak, in float64 arrays of n_paths: _MC_ARRAYS per
 # start point (the sums, which become the returned values in place, plus

@@ -16,14 +16,21 @@ Only the bottom of the spectrum is wanted. Blocks of more than
 _DENSE_MAX unknowns are solved for their lowest eigenpairs alone, by block
 Lanczos on (H - sigma I)^(-1), with sigma the minimum of V at the nodes;
 smaller blocks, and requests for a large share of the spectrum, take every
-pair from the dense np.linalg.eigh. The inverse is applied by a forward
-and a back substitution through the Cholesky factor L of H - sigma I,
-built once per block and stored as its diagonal blocks and dense
-lower-left rectangles, so its zero upper half is neither stored nor
-multiplied. With H never stored whole, assembly and solve at N = 2048 and
-m = 6 peak at about 0.87 N^2 float64 values on an asymmetric well, 0.53
-N^2 of them the factor, and 0.75 N^2 on a symmetric one, where the near
-and far halves of the top rows make the parity blocks.
+pair from the dense np.linalg.eigh. The solver works in the parity basis:
+the even and odd blocks of H's centrosymmetric part, whose diagonal is the
+mirror average of H's, are copied out of the operator 128 rows at a time.
+For a symmetric potential they are H's own blocks and are solved apart,
+the odd one solved and freed before the even one is built. Otherwise the
+rest of the diagonal couples them, and (H - sigma I)^(-1) is applied by
+block elimination through the even block and the odd block's Schur
+complement, which is formed in the odd block's storage. Each inverse is a
+forward and a back substitution through a Cholesky factor L, built once
+and stored as its diagonal blocks and dense lower-left rectangles, so its
+zero upper half is neither stored nor multiplied. With H never stored
+whole and one parity block alive at a time, assembly and solve at N = 2048
+and m = 6 peak at about 0.56 N^2 float64 values on an asymmetric well (the
+Schur complement, the even block's factor and the first split of the
+complement's) and 0.48 to 0.51 N^2 on a symmetric one.
 """
 
 from __future__ import annotations
@@ -277,9 +284,8 @@ def _block_cholesky(a: np.ndarray, shift: float):
     split, and runs faster than numpy's Cholesky, which would still need
     triangular solves that numpy does not have.
 
-    a is an array or a block of an OperatorMatrix. Of the latter only the
-    leaves are copied whole, a12 by the row blocks _forward reaches, and
-    a22 128 rows at a time.
+    a is not needed once its Schur complement is formed, so an array that
+    only the call refers to is freed before that complement is factored.
     """
     n = a.shape[0]
     if n <= 128:
@@ -288,16 +294,13 @@ def _block_cholesky(a: np.ndarray, shift: float):
     l11 = _block_cholesky(a[:h, :h], shift)
     l21t = _forward(l11, a[:h, h:], np.empty((h, n - h)))
     schur = l21t.T @ l21t
-    for i in range(0, n - h, 128):
-        np.subtract(a[h + i:h + i + 128, h:], schur[i:i + 128], out=schur[i:i + 128])
+    np.subtract(a[h:, h:], schur, out=schur)
+    del a
     return l11, l21t, _block_cholesky(schur, shift)
 
 
 def _forward(factor, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = L^(-1) x for L from _block_cholesky; out must not overlap x.
-
-    An operator block x is copied out by the row blocks the recursion reaches.
-    """
+    """out = L^(-1) x for L from _block_cholesky; out must not overlap x."""
     if isinstance(factor, np.ndarray):
         return np.matmul(factor, x, out=out)
     l11, l21t, l22 = factor
@@ -322,16 +325,115 @@ def _back(factor, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lowest_eigh(a: np.ndarray, k: int, shift: float,
-                 above: float = -math.inf) -> tuple[np.ndarray, np.ndarray]:
+def _substitute(factor, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = (L L^T)^(-1) x for L from _block_cholesky: a forward and a back
+    substitution; out may be x."""
+    return _back(factor, _forward(factor, x, np.empty(x.shape)), out)
+
+
+def _cholesky_solver(a: np.ndarray, shift: float):
+    """solve(x, out): out = (a - shift I)^(-1) x, through one _block_cholesky factor."""
+    factor = _block_cholesky(a, shift)
+    return lambda x, out: _substitute(factor, x, out)
+
+
+def _parity_block(op: OperatorMatrix, sign: int) -> np.ndarray:
+    """The even (sign 1) or odd (sign -1) block of op's centrosymmetric part.
+
+    That part has op's Toeplitz column and the diagonal (d + J d) / 2, d
+    op's own and J the reversal; for a symmetric potential it is op, bit for
+    bit (see assemble_operator). On (u, [sqrt 2 u_mid,] +-J u) / sqrt 2, J
+    reversing k = n // 2 nodes, it acts as A11 +- A12 J; an odd n's middle
+    node joins the even block. Built from op 128 rows at a time, through one
+    buffer for the rows of A12 J, and the diagonal set last.
+    """
+    n = op.shape[0]
+    k = n // 2
+    size = n - k if sign > 0 else k
+    out = np.empty((size, size))
+    far = np.empty((min(128, size), size))
+    for i in range(0, size, 128):
+        rows = out[i:i + 128]
+        near = far[:rows.shape[0]]
+        op[i:i + rows.shape[0], :size].copy(rows)
+        op[i:i + rows.shape[0], ::-1][:, :size].copy(near)
+        (np.add if sign > 0 else np.subtract)(rows, near, out=rows)
+    mirrored = (op.diagonal + op.diagonal[::-1]) / 2
+    idx = np.arange(k)
+    out[idx, idx] = mirrored[:k] + sign * op.column[n - 1 - 2 * idx]
+    if size > k:
+        out[k:] /= math.sqrt(2.0)
+        out[:, k:] /= math.sqrt(2.0)
+        out[k:, k:] = mirrored[k]
+    return out
+
+
+def _schur_complement(op: OperatorMatrix, even, delta: np.ndarray) -> np.ndarray:
+    """O - Delta (E - shift I)^(-1) Delta, formed in the storage of O.
+
+    O is op's odd parity block, `even` the factor of E - shift I, and Delta
+    = diag(delta) maps the first k = delta.size even coordinates to the odd
+    ones. One buffer carries 128 columns of Delta at a time through E's
+    inverse.
+    """
+    k = delta.size
+    schur = _parity_block(op, -1)
+    panel = np.empty((op.shape[0] - k, min(128, k)))
+    for j in range(0, k, 128):
+        cols = panel[:, :min(128, k - j)]
+        w = cols.shape[1]
+        cols[...] = 0.0
+        cols[j + np.arange(w), np.arange(w)] = delta[j:j + w]
+        _substitute(even, cols, cols)
+        cols[:k] *= delta[:, None]
+        schur[:, j:j + w] -= cols[:k]
+    return schur
+
+
+def _coupled_solver(op: OperatorMatrix, shift: float):
+    """solve(x, out): out = (H - shift I)^(-1) x for H = op, in the parity basis.
+
+    With d the diagonal and J the reversal, H is its centrosymmetric part,
+    of diagonal (d + J d) / 2, plus diag((d - J d) / 2). In the parity basis
+    the first has the blocks E and O of _parity_block, and the second
+    couples them by Delta = diag((d - J d) / 2) on the first k = n // 2
+    nodes (an odd n's middle node is not coupled). E - shift I is factored
+    and E freed, then the Schur complement S of _schur_complement is
+    factored with the same shift and freed. A solve is block elimination:
+    E^(-1), S^(-1), E^(-1), in vectors of k and n - k values.
+    """
+    n = op.shape[0]
+    k = n // 2
+    delta = (op.diagonal[:k] - op.diagonal[::-1][:k]) / 2
+    even = _block_cholesky(_parity_block(op, 1), shift)
+    odd = _block_cholesky(_schur_complement(op, even, delta), shift)
+
+    def solve(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        mirror = x[::-1][:k]
+        x_e = np.concatenate([(x[:k] + mirror) / math.sqrt(2.0), x[k:n - k]])
+        x_o = (x[:k] - mirror) / math.sqrt(2.0)
+        x_o -= delta[:, None] * _substitute(even, x_e, np.empty(x_e.shape))[:k]
+        y_o = _substitute(odd, x_o, x_o)
+        x_e[:k] -= delta[:, None] * y_o
+        y_e = _substitute(even, x_e, x_e)
+        out[:k] = (y_e[:k] + y_o) / math.sqrt(2.0)
+        out[k:n - k] = y_e[k:]
+        out[n - k:] = ((y_e[:k] - y_o) / math.sqrt(2.0))[::-1]
+        return out
+
+    return solve
+
+
+def _lowest_eigh(a: np.ndarray, k: int, shift: float, above: float = -math.inf,
+                 solver=_cholesky_solver) -> tuple[np.ndarray, np.ndarray]:
     """At least the k lowest eigenpairs of the symmetric a, ascending.
 
     While every pair found lies at or below `above`, twice as many are
     found. Blocks of up to _DENSE_MAX unknowns, requests whose Krylov space
     would not stay small, and Krylov solves that do not converge get every
     pair from np.linalg.eigh; otherwise _krylov_lowest gives them, on one
-    Cholesky factor of a - shift I and one basis. shift must lie below the
-    spectrum of a.
+    solver(a, shift) for (a - shift I)^(-1) and one basis. shift must lie
+    below the spectrum of a.
     """
     n = a.shape[0]
     # Two guard columns; at least 8 in all, since a narrower block takes
@@ -339,58 +441,72 @@ def _lowest_eigh(a: np.ndarray, k: int, shift: float,
     # basis must leave room for 7 block steps below its n / 2 cap.
     p = max(k, 6) + 2
     if n > _DENSE_MAX and 16 * p <= n:
-        # The factor is freed before the dense eigh allocates its workspace.
-        pairs = _krylov_lowest(a, _block_cholesky(a, shift), k, p, above)
+        # The solver's factors are freed before the dense eigh allocates its workspace.
+        pairs = _krylov_lowest(a, solver(a, shift), k, p, above)
         if pairs is not None:
             return pairs
     # An OperatorMatrix is built whole here.
     return np.linalg.eigh(a)
 
 
-def _norm_1(a: np.ndarray) -> float:
-    """||a||_1 of the symmetric a, from its rows 128 at a time."""
+def _norm_1(a: np.ndarray | OperatorMatrix) -> float:
+    """||a||_1 of the symmetric a: in O(n) for an OperatorMatrix, whose row
+    i sums to |d_i| plus the |column| entries 1..i and 1..n-1-i, else from
+    the rows of a 128 at a time."""
+    if isinstance(a, OperatorMatrix):
+        sums = np.concatenate([[0.0], np.cumsum(np.abs(a.column[1:]))])
+        return float(np.max(np.abs(a.diagonal) + sums + sums[::-1]))
     return max(float(np.max(np.sum(np.abs(a[i:i + 128]), axis=1)))
                for i in range(0, a.shape[0], 128))
 
 
-def _krylov_lowest(a: np.ndarray, factor, k: int, p: int,
+def _krylov_lowest(a: np.ndarray | OperatorMatrix, solve, k: int, p: int,
                    above: float) -> tuple[np.ndarray, np.ndarray] | None:
     """The k or more lowest eigenpairs of a by shift-inverted block Lanczos, or None.
 
     Block Lanczos with full reorthogonalisation runs on (a - shift I)^(-1),
-    applied as a forward and a back substitution through the factor L of
-    a - shift I from _block_cholesky. A block of p Philox columns starts
-    it, and every second block step a Rayleigh-Ritz step on a itself stops
-    it once each of the k residuals ||a y - theta y|| is at most
-    _RESIDUAL_ULPS * eps * ||a||_1. a is multiplied only by the columns new
-    since the last such step, and Q^T a Q grows by their columns alone.
-    While the k pairs lie at or below `above`, k doubles on the same basis,
-    and while 2 k exceeds the Ritz values on hand the doubling waits for the
-    next such step. None when the basis would pass n / 2 columns first, as
-    for a cluster of levels far above the shift.
+    applied by solve(x, out) as _cholesky_solver or _coupled_solver gives
+    it. A block of p Philox columns starts it, and every second block step a
+    Rayleigh-Ritz step on a itself stops it once each of the k residuals
+    ||a y - theta y|| is at most _RESIDUAL_ULPS * eps * ||a||_1. a is
+    multiplied only by the columns new since the last such step, and
+    Q^T a Q grows by their columns alone. Q and a Q are kept in arrays with
+    room to spare, widened 1.5 times when full (_room), so neither is
+    copied at every step. While the k pairs lie at or below `above`, k
+    doubles on the same basis, and while 2 k exceeds the Ritz values on hand
+    the doubling waits for the next such step. None when the basis would
+    pass n / 2 columns first, as for a cluster of levels far above the
+    shift.
     """
     n = a.shape[0]
     tol = _RESIDUAL_ULPS * np.finfo(float).eps * _norm_1(a)
     rng = np.random.Generator(np.random.Philox(_KRYLOV_KEY))
-    basis = np.linalg.qr(rng.standard_normal((n, p)))[0]
-    image, proj = np.empty((n, 0)), np.empty((0, 0))
-    half, w = np.empty((n, p)), np.empty((n, p))
+    # The loop's last step leaves the basis `most` columns wide.
+    most = p * (n // (2 * p))
+    basis, image = np.empty((n, 4 * p)), np.empty((n, 4 * p))
+    basis[:, :p] = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    cols, done, proj = p, 0, np.empty((0, 0))
+    w = np.empty((n, p))
     for step in range(1, n // (2 * p)):
-        _back(factor, _forward(factor, basis[:, -p:], half), w)
+        solve(basis[:, cols - p:cols], w)
         for _ in range(2):
-            w -= basis @ (basis.T @ w)
-        basis = np.hstack([basis, np.linalg.qr(w)[0]])
+            w -= basis[:, :cols] @ (basis[:, :cols].T @ w)
+        basis = _room(basis, cols, p, most)
+        basis[:, cols:cols + p] = np.linalg.qr(w)[0]
+        cols += p
         if step % 2:
             continue
-        done = image.shape[1]
-        new = a @ basis[:, done:]
-        cross = basis.T @ new
-        image = np.hstack([image, new])
-        proj = np.hstack([np.vstack([proj, cross[:done].T]), cross])
+        q = basis[:, :cols]
+        new = a @ q[:, done:]
+        cross = q.T @ new
+        image = _room(image, done, cols - done, most)
+        image[:, done:cols] = new
+        proj = np.block([[proj, cross[:done]], [cross[:done].T, cross[done:]]])
+        done = cols
         theta, s = np.linalg.eigh(proj)
         while True:
-            y = basis @ s[:, :k]
-            res = np.linalg.norm(image @ s[:, :k] - y * theta[:k], axis=0)
+            y = q @ s[:, :k]
+            res = np.linalg.norm(image[:, :cols] @ s[:, :k] - y * theta[:k], axis=0)
             if not np.all(res <= tol):
                 break
             if theta[k - 1] > above:
@@ -401,22 +517,34 @@ def _krylov_lowest(a: np.ndarray, factor, k: int, p: int,
     return None
 
 
+def _room(store: np.ndarray, used: int, more: int, most: int) -> np.ndarray:
+    """store if `more` columns fit after its first `used`, else those copied
+    into 1.5 times as many columns (at least used + more, at most `most`)."""
+    if used + more <= store.shape[1]:
+        return store
+    wider = np.empty((store.shape[0], min(max(3 * store.shape[1] // 2, used + more), most)))
+    wider[:, :used] = store[:, :used]
+    return wider
+
+
 def eigensolve(op: OperatorMatrix, m: int) -> SpectralResult:
     """Lowest m eigenpairs of the assembled operator; deterministic.
 
     When op.potential is symmetric, the operator is centrosymmetric (see
     assemble_operator), and the even and odd blocks are solved apart,
     merged by a stable sort (even first on a tie); parities are then exact.
-    Otherwise the full matrix is solved and every level is "mixed".
+    Otherwise the whole operator is solved, through the same blocks coupled
+    by its asymmetric diagonal (_coupled_solver), and every level is
+    "mixed".
 
-    Each block (or the full matrix) of up to _DENSE_MAX unknowns is solved
-    whole by np.linalg.eigh. A larger one is solved for its m lowest pairs
-    only, by shift-inverted block Lanczos, to residuals of at most 8 eps
-    ||H||_1, or whole by eigh where that does not converge while its basis
-    is small (see _lowest_eigh). The star index counts the even levels below
-    the lowest odd one, so the even block is solved for twice as many
-    levels, on the factor and the Krylov basis it was first solved with,
-    while all of its computed levels lie below it.
+    Each block (or the whole operator) of up to _DENSE_MAX unknowns is
+    solved whole by np.linalg.eigh. A larger one is solved for its m lowest
+    pairs only, by shift-inverted block Lanczos, to residuals of at most
+    8 eps ||H||_1, or whole by eigh where that does not converge while its
+    basis is small (see _lowest_eigh). The star index counts the even
+    levels below the lowest odd one, so the even block is solved for twice
+    as many levels, on the factor and the Krylov basis it was first solved
+    with, while all of its computed levels lie below it.
 
     Residuals are formed with op @ vec. A ground state that is not strictly
     positive (for a symmetric operator: not even) raises DomainError.
@@ -427,23 +555,16 @@ def eigensolve(op: OperatorMatrix, m: int) -> SpectralResult:
     # min V at the nodes: H - shift I is the Toeplitz part, strictly
     # diagonally dominant since g_0 = 2 sum_(k >= 1) |g_k| untruncated
     # (irreducibly so at alpha = 2), plus a nonnegative diagonal, so it is
-    # positive definite, as is every parity block.
+    # positive definite, as are the parity blocks of its centrosymmetric
+    # part (whose diagonal is no lower) and _coupled_solver's Schur
+    # complement.
     shift = float(np.min(op.diagonal)) - float(op.column[0])
     if op.potential.symmetric:
-        # On (u, [sqrt 2 u_mid,] +-J u) / sqrt 2, J reversing k = n // 2 nodes,
-        # H acts as A11 +- A12 J; an odd n's middle node joins the even block.
+        # The parity blocks of _parity_block, the odd one solved and freed
+        # before the even one is built.
         k, ke = n // 2, (n + 1) // 2
-        block_e = op[:ke, :ke].copy()
-        far = op[:ke, ::-1][:, :ke].copy()
-        block_o = block_e[:k, :k] - far[:k, :k]
-        block_e += far
-        del far
-        block_e[k:] /= math.sqrt(2.0)
-        block_e[:, k:] /= math.sqrt(2.0)
-        block_e[k:, k:] = op.diagonal[k:ke]
-        lam_o, vec_o = _lowest_eigh(block_o, min(m, k), shift)
-        del block_o
-        lam_e, vec_e = _lowest_eigh(block_e, min(m, ke), shift, above=lam_o[0])
+        lam_o, vec_o = _lowest_eigh(_parity_block(op, -1), min(m, k), shift)
+        lam_e, vec_e = _lowest_eigh(_parity_block(op, 1), min(m, ke), shift, above=lam_o[0])
         both = np.concatenate([lam_e, lam_o])
         order = np.argsort(both, kind="stable")[:m]
         lam = both[order]
@@ -456,7 +577,7 @@ def eigensolve(op: OperatorMatrix, m: int) -> SpectralResult:
         labels = tuple("antisymmetric" if o else "symmetric" for o in odd)
         star = (int(np.sum(lam_e <= lam_o[0])) + 1, float(lam_o[0]))
     else:
-        lam, vec = _lowest_eigh(op, m, shift)
+        lam, vec = _lowest_eigh(op, m, shift, solver=_coupled_solver)
         lam, vec = lam[:m], vec[:, :m].copy()
         labels, star = ("mixed",) * m, None
 

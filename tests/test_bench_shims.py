@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from fracgap import spectral
 from fracgap.potentials import make_power_well
 from fracgap.spectral import Grid, assemble_operator, eigensolve
 
@@ -39,6 +40,26 @@ def test_spectral_sweep_op_matches_its_reference(tmp_path, fgbench):
     ops = workloads.generate("spectral-sweep", 1, tiny=True)[:1]
     ctx = workloads.prepare("spectral-sweep", ops, tmp_path, False)
     assert workloads.run_op(ops[0], ctx, contextlib.nullcontext())[1] is None
+
+
+def test_asymmetric_sweep_op_matches_its_reference(tmp_path, fgbench, monkeypatch):
+    # At N = 512 the seed's off-centre well takes the Krylov solve through
+    # its coupled parity blocks; reference.py's scipy eigh shares no code
+    # with it.
+    workloads = fgbench("workloads")
+    seeded = next(op for op in workloads.generate("spectral-sweep", 1, tiny=True)
+                  if not op.symmetric)
+    op = workloads.SweepOp(0, seeded.alpha, seeded.spec, (512,))
+    ctx = workloads.prepare("spectral-sweep", [op], tmp_path, False)
+    coupled, solver = [], spectral._coupled_solver
+
+    def counting(*args):
+        coupled.append(args[0].shape[0])
+        return solver(*args)
+
+    monkeypatch.setattr(spectral, "_coupled_solver", counting)
+    assert workloads.run_op(op, ctx, contextlib.nullcontext())[1] is None
+    assert coupled == [512]
 
 
 def test_tracing_probe_reads_the_operator(fgbench):
