@@ -10,7 +10,8 @@ truncated at the interval width. Values outside the interval are zero
 (killing at exit), which is exactly the Dirichlet exterior condition, so no
 boundary rows are modified. The potential enters on the diagonal. The
 matrix is kept as its column and its diagonal only (OperatorMatrix); the
-solver copies out the blocks it factors and multiplies.
+solver copies out the blocks it factors, and multiplies by H through one
+FFT of the circulant of order 2N that embeds its Toeplitz part.
 
 Only the bottom of the spectrum is wanted. Blocks of more than
 _DENSE_MAX unknowns are solved for their lowest eigenpairs alone, by block
@@ -23,14 +24,16 @@ For a symmetric potential they are H's own blocks and are solved apart,
 the odd one solved and freed before the even one is built. Otherwise the
 rest of the diagonal couples them, and (H - sigma I)^(-1) is applied by
 block elimination through the even block and the odd block's Schur
-complement, which is formed in the odd block's storage. Each inverse is a
-forward and a back substitution through a Cholesky factor L, built once
-and stored as its diagonal blocks and dense lower-left rectangles, so its
-zero upper half is neither stored nor multiplied. With H never stored
-whole and one parity block alive at a time, assembly and solve at N = 2048
-and m = 6 peak at about 0.56 N^2 float64 values on an asymmetric well (the
-Schur complement, the even block's factor and the first split of the
-complement's) and 0.48 to 0.51 N^2 on a symmetric one.
+complement, which is formed in the odd block's storage: its lower
+triangle by substitutions through the trailing rows of the even block's
+factor, then mirrored. Each inverse is a forward and a back substitution
+through a Cholesky factor L, built once and stored as its diagonal blocks
+(inverted triangles of at most 64 rows at the leaves) and dense lower-left
+rectangles, so its zero upper half is neither stored nor multiplied. With
+H never stored whole and one parity block alive at a time, assembly and
+solve at N = 2048 and m = 6 peak at about 0.58 N^2 float64 values on an
+asymmetric well (the Schur complement, the even block's factor and the
+first split of the complement's) and 0.47 N^2 on the (5, 2) power well.
 """
 
 from __future__ import annotations
@@ -68,11 +71,13 @@ __all__ = [
 DEFAULT_RICHARDSON_RATE = 1.0
 
 # Blocks of up to this many unknowns go to the dense np.linalg.eigh. Six
-# pairs of a (5, 2) power-well parity block on a 2-vCPU guest with OpenBLAS,
-# median of seven: the Krylov solve is 1.2 to 1.4 times faster than eigh at
-# 385 unknowns for alpha 1.2 and 1.7, and 1.7 to 2 times at 512; for alpha
-# 0.7 (more block steps) it ties at 448 and is 1.2 times faster at 512; for
-# alpha 0.3 it is 2 times slower at 385 and catches up only at 768.
+# pairs of a (5, 2) power-well parity block on a 2-vCPU Xeon with OpenBLAS,
+# median of seven, the range of three runs: the Krylov solve is 1.2 to 1.5
+# times faster than eigh at 385 unknowns for alpha 1.2 and 1.7, and 1.7 to
+# 2.4 times at 512; for alpha 0.7 (more block steps) it is 1.1 to 1.3 times
+# slower at 385, ties at 448 and is 1.1 to 1.5 times faster at 512; for
+# alpha 0.3 it is 1.6 to 2.2 times slower at 385, ties at 512 and is 1.25
+# to 1.5 times faster at 768. No cut-off above 256 is faster at every alpha.
 _DENSE_MAX = 384
 # Philox key of the Krylov start block: a fixed start keeps reruns
 # bit-identical.
@@ -132,8 +137,9 @@ class OperatorMatrix:
 
     H has column[|i - j|] off the diagonal and diagonal[i] on it; its N^2
     entries are never stored. op[rows, cols], for slices of step 1 or -1,
-    is a block of H that np.asarray copies out, op @ x multiplies 128 rows
-    at a time, and op.matrix builds the dense H on each access.
+    is a block of H that np.asarray copies out, op @ x multiplies through
+    the FFT of a circulant of order 2N, in O(N log N) per column, and
+    op.matrix builds the dense H on each access.
     """
 
     column: np.ndarray = field(repr=False)
@@ -154,6 +160,13 @@ class OperatorMatrix:
         # is c_|i-j|.
         return sliding_window_view(np.concatenate([self.column[:0:-1], self.column]), n)[::-1]
 
+    @cached_property
+    def _circulant_fft(self) -> np.ndarray:
+        """The rFFT of the circulant of order 2N whose first column is
+        (column, 0, column reversed without c_0); H's Toeplitz part is its
+        leading N x N block."""
+        return np.fft.rfft(np.concatenate([self.column, [0.0], self.column[:0:-1]]))
+
     @property
     def matrix(self) -> np.ndarray:
         return self[:, :].copy()
@@ -166,7 +179,14 @@ class OperatorMatrix:
         return _Block(self, whole, whole)[key]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self[:, :] @ x
+        """H x: the Toeplitz part through the circulant's FFT, zero-padded
+        to 2N rows, plus the diagonal beyond column[0]."""
+        n = self.column.size
+        tail = (1,) * (x.ndim - 1)
+        spectrum = np.fft.rfft(x, 2 * n, axis=0) * self._circulant_fft.reshape((-1,) + tail)
+        out = np.fft.irfft(spectrum, 2 * n, axis=0)[:n]
+        out += (self.diagonal - self.column[0]).reshape((n,) + tail) * x
+        return out
 
 
 def _as_slice(r: range) -> slice:
@@ -209,15 +229,6 @@ class _Block:
         cols = (rows - self.cols.start) * self.cols.step
         on = (cols >= 0) & (cols < len(self.cols))
         out[np.flatnonzero(on), cols[on]] = self.op.diagonal[rows[on]]
-        return out
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """The product, through one copy of at most 128 rows reused."""
-        out = np.empty(self.shape[:1] + x.shape[1:])
-        buf = np.empty((min(128, len(self.rows)), len(self.cols)))
-        for i in range(0, len(self.rows), 128):
-            part = self[i:i + 128]
-            np.matmul(part.copy(buf[:part.shape[0]]), x, out=out[i:i + 128])
         return out
 
 
@@ -275,10 +286,10 @@ class SpectralResult:
 def _block_cholesky(a: np.ndarray, shift: float):
     """Lower-triangular L with L L^T = a - shift I, stored by blocks.
 
-    A block of at most 128 rows is kept as the dense triangle L^(-1). A
-    larger one splits at h = n // 2 into the tuple (L11, L21^T, L22): L11
-    and L22 stored the same way, L21^T a dense h x (n - h) array, so the
-    zero upper half is never stored. L21^T = L11^(-1) a12 by forward
+    A block of at most 64 rows is kept as the dense triangle L^(-1), from
+    np.linalg.cholesky and inv. A larger one splits at h = n // 2 into the
+    tuple (L11, L21^T, L22): L11 and L22 stored the same way, L21^T a dense
+    h x (n - h) array, so the zero upper half is never stored. L21^T = L11^(-1) a12 by forward
     substitution, and the Schur complement a22 - L21 L21^T is factored the
     same way. That is matrix products only, 1.5 (n/2)^3 multiply-adds per
     split, and runs faster than numpy's Cholesky, which would still need
@@ -288,7 +299,7 @@ def _block_cholesky(a: np.ndarray, shift: float):
     only the call refers to is freed before that complement is factored.
     """
     n = a.shape[0]
-    if n <= 128:
+    if n <= 64:
         return np.tril(np.linalg.inv(np.linalg.cholesky(a - shift * np.eye(n))))
     h = n // 2
     l11 = _block_cholesky(a[:h, :h], shift)
@@ -299,36 +310,44 @@ def _block_cholesky(a: np.ndarray, shift: float):
     return l11, l21t, _block_cholesky(schur, shift)
 
 
-def _forward(factor, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = L^(-1) x for L from _block_cholesky; out must not overlap x."""
+def _forward(factor, x: np.ndarray, out: np.ndarray, start: int = 0) -> np.ndarray:
+    """out = L[start:, start:]^(-1) x for L from _block_cholesky; out must
+    not overlap x. That is rows start.. of L^(-1) x' for x' zero above them."""
     if isinstance(factor, np.ndarray):
-        return np.matmul(factor, x, out=out)
+        return np.matmul(factor[start:, start:], x, out=out)
     l11, l21t, l22 = factor
     h = l21t.shape[0]
-    _forward(l11, x[:h], out[:h])
-    rest = l21t.T @ out[:h]
-    np.subtract(x[h:], rest, out=rest)
-    _forward(l22, rest, out[h:])
+    if start >= h:
+        return _forward(l22, x, out, start - h)
+    top = h - start
+    _forward(l11, x[:top], out[:top], start)
+    rest = l21t[start:].T @ out[:top]
+    np.subtract(x[top:], rest, out=rest)
+    _forward(l22, rest, out[top:])
     return out
 
 
-def _back(factor, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = L^(-T) y for L from _block_cholesky; out must not overlap y."""
+def _back(factor, y: np.ndarray, out: np.ndarray, start: int = 0) -> np.ndarray:
+    """out = L[start:, start:]^(-T) y for L from _block_cholesky; out must
+    not overlap y. That is rows start.. of L^(-T) y' for y' zero above them."""
     if isinstance(factor, np.ndarray):
-        return np.matmul(factor.T, y, out=out)
+        return np.matmul(factor[start:, start:].T, y, out=out)
     l11, l21t, l22 = factor
     h = l21t.shape[0]
-    _back(l22, y[h:], out[h:])
-    rest = l21t @ out[h:]
-    np.subtract(y[:h], rest, out=rest)
-    _back(l11, rest, out[:h])
+    if start >= h:
+        return _back(l22, y, out, start - h)
+    top = h - start
+    _back(l22, y[top:], out[top:])
+    rest = l21t[start:] @ out[top:]
+    np.subtract(y[:top], rest, out=rest)
+    _back(l11, rest, out[:top], start)
     return out
 
 
-def _substitute(factor, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = (L L^T)^(-1) x for L from _block_cholesky: a forward and a back
-    substitution; out may be x."""
-    return _back(factor, _forward(factor, x, np.empty(x.shape)), out)
+def _substitute(factor, x: np.ndarray, out: np.ndarray, start: int = 0) -> np.ndarray:
+    """out = (L L^T)^(-1) x for L = L[start:, start:] from _block_cholesky:
+    a forward and a back substitution; out may be x."""
+    return _back(factor, _forward(factor, x, np.empty(x.shape), start), out, start)
 
 
 def _cholesky_solver(a: np.ndarray, shift: float):
@@ -371,22 +390,28 @@ def _parity_block(op: OperatorMatrix, sign: int) -> np.ndarray:
 def _schur_complement(op: OperatorMatrix, even, delta: np.ndarray) -> np.ndarray:
     """O - Delta (E - shift I)^(-1) Delta, formed in the storage of O.
 
-    O is op's odd parity block, `even` the factor of E - shift I, and Delta
-    = diag(delta) maps the first k = delta.size even coordinates to the odd
-    ones. One buffer carries 128 columns of Delta at a time through E's
-    inverse.
+    O is op's odd parity block, `even` the factor L of E - shift I, and
+    Delta = diag(delta) maps the first k = delta.size even coordinates to
+    the odd ones. One buffer carries 128 columns of Delta at a time through
+    E's inverse. The panel starting at column j is zero above row j, so only
+    its rows j.. are substituted, through L[j:, j:], and they give S's lower
+    triangle in those columns; the upper triangle is then mirrored from it.
     """
     k = delta.size
     schur = _parity_block(op, -1)
-    panel = np.empty((op.shape[0] - k, min(128, k)))
+    size = op.shape[0] - k
+    panel = np.empty((size, min(128, k)))
     for j in range(0, k, 128):
-        cols = panel[:, :min(128, k - j)]
-        w = cols.shape[1]
+        w = min(128, k - j)
+        cols = panel[:size - j, :w]
         cols[...] = 0.0
-        cols[j + np.arange(w), np.arange(w)] = delta[j:j + w]
-        _substitute(even, cols, cols)
-        cols[:k] *= delta[:, None]
-        schur[:, j:j + w] -= cols[:k]
+        cols[np.arange(w), np.arange(w)] = delta[j:j + w]
+        _substitute(even, cols, cols, j)
+        cols[:k - j] *= delta[j:, None]
+        schur[j:, j:j + w] -= cols[:k - j]
+        square, upper = schur[j:j + w, j:j + w], np.triu_indices(w, 1)
+        square[upper] = square.T[upper]
+        schur[j:j + w, j + w:] = schur[j + w:, j:j + w].T
     return schur
 
 

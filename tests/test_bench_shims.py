@@ -42,14 +42,18 @@ def test_spectral_sweep_op_matches_its_reference(tmp_path, fgbench):
     assert workloads.run_op(ops[0], ctx, contextlib.nullcontext())[1] is None
 
 
+def _seeded_sweep_op_at(workloads, symmetric: bool, n: int):
+    seeded = next(op for op in workloads.generate("spectral-sweep", 1, tiny=True)
+                  if op.symmetric == symmetric)
+    return workloads.SweepOp(0, seeded.alpha, seeded.spec, (n,))
+
+
 def test_asymmetric_sweep_op_matches_its_reference(tmp_path, fgbench, monkeypatch):
     # At N = 512 the seed's off-centre well takes the Krylov solve through
     # its coupled parity blocks; reference.py's scipy eigh shares no code
     # with it.
     workloads = fgbench("workloads")
-    seeded = next(op for op in workloads.generate("spectral-sweep", 1, tiny=True)
-                  if not op.symmetric)
-    op = workloads.SweepOp(0, seeded.alpha, seeded.spec, (512,))
+    op = _seeded_sweep_op_at(workloads, False, 512)
     ctx = workloads.prepare("spectral-sweep", [op], tmp_path, False)
     coupled, solver = [], spectral._coupled_solver
 
@@ -60,6 +64,26 @@ def test_asymmetric_sweep_op_matches_its_reference(tmp_path, fgbench, monkeypatc
     monkeypatch.setattr(spectral, "_coupled_solver", counting)
     assert workloads.run_op(op, ctx, contextlib.nullcontext())[1] is None
     assert coupled == [512]
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
+def test_sweep_op_matches_its_reference_at_1024(tmp_path, fgbench, monkeypatch, symmetric):
+    # At N = 1024 the Krylov solve runs on blocks of 512 unknowns, whose
+    # factors split three times down to 64-row leaves. On the off-centre
+    # well the Schur complement's 128-column panels start inside both
+    # halves of E's first split.
+    workloads = fgbench("workloads")
+    op = _seeded_sweep_op_at(workloads, symmetric, 1024)
+    ctx = workloads.prepare("spectral-sweep", [op], tmp_path, False)
+    solved, krylov = [], spectral._krylov_lowest
+
+    def counting(a, *args):
+        solved.append(a.shape[0])
+        return krylov(a, *args)
+
+    monkeypatch.setattr(spectral, "_krylov_lowest", counting)
+    assert workloads.run_op(op, ctx, contextlib.nullcontext())[1] is None
+    assert solved == ([512, 512] if symmetric else [1024])
 
 
 def test_tracing_probe_reads_the_operator(fgbench):
