@@ -87,10 +87,6 @@ def _expect(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _take(raw: dict, key: str, default):
-    return raw[key] if key in raw else default
-
-
 def _mc_working_bytes(n_points: int, n_paths: int) -> int:
     """Estimated peak bytes of estimate_feynman_kac at this size."""
     return 8 * (_MC_ARRAYS * n_points + _MC_PATH_ARRAYS) * n_paths
@@ -107,11 +103,11 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
     unknown = set(raw) - known
     _expect(not unknown, f"unknown config keys: {sorted(unknown)}")
 
-    command = _take(raw, "command", None)
+    command = raw.get("command")
     _expect(command in _COMMANDS,
             f"command must be one of {list(_COMMANDS)}, got {command!r}")
 
-    alpha = float(_take(raw, "alpha", 1.5))
+    alpha = float(raw.get("alpha", 1.5))
     _expect(0.0 < alpha < 2.0, f"alpha must lie in (0, 2), got {alpha}")
     if command in ("poincare", "all"):
         _expect(1.0 < alpha < 2.0,
@@ -120,28 +116,28 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
         _expect(0.0 < alpha < 1.0,
                 f"command 'counterexample' requires alpha in (0, 1), got {alpha}")
 
-    interval = _take(raw, "interval", [-1.0, 1.0])
+    interval = raw.get("interval", [-1.0, 1.0])
     _expect(isinstance(interval, (list, tuple)) and len(interval) == 2,
             "interval must be [a, b]")
     a, b = float(interval[0]), float(interval[1])
     _expect(math.isfinite(a) and math.isfinite(b) and b > a,
             f"interval must be finite with b > a, got [{a}, {b}]")
 
-    pot = dict(_take(raw, "potential", {"kind": "zero"}))
+    pot = dict(raw.get("potential", {"kind": "zero"}))
     kind = pot.get("kind")
     _expect(kind in ("zero", "power_well", "inverse_boundary_well", "tabulated"),
             f"unknown potential kind {kind!r}")
 
-    n_grid = int(_take(raw, "N", 256))
+    n_grid = int(raw.get("N", 256))
     _expect(n_grid >= 16, f"N must be at least 16, got {n_grid}")
     dense_bytes = 8 * _DENSE_ARRAYS * n_grid**2
     _expect(dense_bytes <= MAX_WORKING_BYTES,
             f"N = {n_grid} needs about {dense_bytes / 2**30:.3g} GiB, "
             f"over the {MAX_WORKING_BYTES / 2**30:.3g} GiB limit")
-    m = int(_take(raw, "m", 6))
+    m = int(raw.get("m", 6))
     _expect(1 <= m <= n_grid, f"m must lie in [1, N], got {m}")
 
-    mc = dict(_take(raw, "mc", {}))
+    mc = dict(raw.get("mc", {}))
     mc_resolved = {
         "t_final": float(mc.pop("t_final", 0.25)),
         "n_steps": int(mc.pop("n_steps", 256)),
@@ -157,7 +153,7 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
             f"mc.n_points x mc.n_paths needs about {mc_bytes / 2**30:.3g} GiB, "
             f"over the {MAX_WORKING_BYTES / 2**30:.3g} GiB limit")
 
-    campaign = dict(_take(raw, "poincare", {}))
+    campaign = dict(raw.get("poincare", {}))
     campaign_resolved = {
         "n_functions": int(campaign.pop("n_functions", 100)),
         "seed": int(campaign.pop("seed", 7)),
@@ -167,7 +163,7 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
     _expect(campaign_resolved["n_functions"] >= 1, "poincare.n_functions must be >= 1")
     _expect(campaign_resolved["max_segments"] >= 3, "poincare.max_segments must be >= 3")
 
-    counter = dict(_take(raw, "counterexample", {}))
+    counter = dict(raw.get("counterexample", {}))
     counter_resolved = {
         "alpha": float(counter.pop("alpha", alpha if 0.0 < alpha < 1.0 else 0.5)),
         "n_list": [int(n) for n in counter.pop("n_list", [1, 2, 4, 8, 16, 32])],
@@ -176,7 +172,7 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
     _expect(0.0 < counter_resolved["alpha"] < 1.0,
             f"counterexample.alpha must lie in (0, 1), got {counter_resolved['alpha']}")
 
-    chain = dict(_take(raw, "chain", {}))
+    chain = dict(raw.get("chain", {}))
     chain_resolved = {
         "kernel_times": [float(s) for s in chain.pop("kernel_times", [0.1, 0.15])],
         "potential_times": [float(t) for t in chain.pop("potential_times", [0.05, 0.08])],
@@ -190,7 +186,7 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
             "chain.kernel_times and chain.potential_times must match in length")
 
     out_dir = output_dir if output_dir is not None else \
-        str(_take(raw, "output_dir", "fracspec_out"))
+        str(raw.get("output_dir", "fracspec_out"))
     if seed is not None:
         mc_resolved["seed"] = int(seed)
         campaign_resolved["seed"] = int(seed)

@@ -10,8 +10,9 @@ truncated at the interval width. Values outside the interval are zero
 (killing at exit), which is exactly the Dirichlet exterior condition, so no
 boundary rows are modified. The potential enters on the diagonal. The
 matrix is kept as its column and its diagonal only (OperatorMatrix); the
-solver copies out the blocks it factors, and multiplies by H through one
-FFT of the circulant of order 2N that embeds its Toeplitz part.
+solver forms the blocks it factors from a strided view of its Toeplitz
+part, and multiplies by H through one FFT of the circulant of order 2N
+that embeds that part.
 
 Only the bottom of the spectrum is wanted. Blocks of more than
 _DENSE_MAX unknowns are solved for their lowest eigenpairs alone, by block
@@ -19,7 +20,8 @@ Lanczos on (H - sigma I)^(-1), with sigma the minimum of V at the nodes;
 smaller blocks, and requests for a large share of the spectrum, take every
 pair from the dense np.linalg.eigh. The solver works in the parity basis:
 the even and odd blocks of H's centrosymmetric part, whose diagonal is the
-mirror average of H's, are copied out of the operator 128 rows at a time.
+mirror average of H's, are each formed by one sum of two views of H's
+Toeplitz part, their diagonals set after.
 For a symmetric potential they are H's own blocks and are solved apart,
 the odd one solved and freed before the even one is built. Otherwise the
 rest of the diagonal couples them, and (H - sigma I)^(-1) is applied by
@@ -31,9 +33,10 @@ through a Cholesky factor L, built once and stored as its diagonal blocks
 (inverted triangles of at most 64 rows at the leaves) and dense lower-left
 rectangles, so its zero upper half is neither stored nor multiplied. With
 H never stored whole and one parity block alive at a time, assembly and
-solve at N = 2048 and m = 6 peak at about 0.58 N^2 float64 values on an
+solve at N = 2048 and m = 6 peak at about 0.55 N^2 float64 values on an
 asymmetric well (the Schur complement, the even block's factor and the
-first split of the complement's) and 0.47 N^2 on the (5, 2) power well.
+first split of the complement's) and 0.47 N^2 on the (5, 2) power well at
+alpha 1.2, and at 0.58 and 0.51 N^2 at alpha 0.7.
 """
 
 from __future__ import annotations
@@ -136,10 +139,9 @@ class OperatorMatrix:
     """The discretized operator H, kept as the two arrays that define it.
 
     H has column[|i - j|] off the diagonal and diagonal[i] on it; its N^2
-    entries are never stored. op[rows, cols], for slices of step 1 or -1,
-    is a block of H that np.asarray copies out, op @ x multiplies through
-    the FFT of a circulant of order 2N, in O(N log N) per column, and
-    op.matrix builds the dense H on each access.
+    entries are never stored. op @ x multiplies through the FFT of a
+    circulant of order 2N, in O(N log N) per column, and op.matrix (or
+    np.asarray(op)) builds the dense H on each access.
     """
 
     column: np.ndarray = field(repr=False)
@@ -169,14 +171,12 @@ class OperatorMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self[:, :].copy()
+        out = self._toeplitz.copy()
+        np.fill_diagonal(out, self.diagonal)
+        return out
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return self.matrix
-
-    def __getitem__(self, key) -> _Block:
-        whole = range(self.column.size)
-        return _Block(self, whole, whole)[key]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """H x: the Toeplitz part through the circulant's FFT, zero-padded
@@ -186,49 +186,6 @@ class OperatorMatrix:
         spectrum = np.fft.rfft(x, 2 * n, axis=0) * self._circulant_fft.reshape((-1,) + tail)
         out = np.fft.irfft(spectrum, 2 * n, axis=0)[:n]
         out += (self.diagonal - self.column[0]).reshape((n,) + tail) * x
-        return out
-
-
-def _as_slice(r: range) -> slice:
-    """The slice that picks r out of a sequence."""
-    if not r:
-        return slice(0, 0)
-    # A reversed range through index 0 stops at -1, which a slice reads as n - 1.
-    return slice(r.start, r.stop if r.stop >= 0 else None, r.step)
-
-
-class _Block:
-    """The rows and columns of an OperatorMatrix's H in two ranges of step 1 or -1.
-
-    Slicing composes the ranges and copies nothing; a reversed column range
-    gives the blocks of H J, J the reversal. numpy functions copy the block
-    out through __array__.
-    """
-
-    def __init__(self, op: OperatorMatrix, rows: range, cols: range):
-        self.op, self.rows, self.cols = op, rows, cols
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.cols)
-
-    def __getitem__(self, key) -> _Block:
-        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
-        return _Block(self.op, self.rows[rows], self.cols[cols])
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return self.copy()
-
-    def copy(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The block as an array, written into out if given, diagonal of H patched in."""
-        if out is None:
-            out = np.empty(self.shape)
-        out[...] = self.op._toeplitz[_as_slice(self.rows), _as_slice(self.cols)]
-        # Row i meets the diagonal where the column range holds rows[i].
-        rows = np.arange(self.rows.start, self.rows.stop, self.rows.step)
-        cols = (rows - self.cols.start) * self.cols.step
-        on = (cols >= 0) & (cols < len(self.cols))
-        out[np.flatnonzero(on), cols[on]] = self.op.diagonal[rows[on]]
         return out
 
 
@@ -363,20 +320,15 @@ def _parity_block(op: OperatorMatrix, sign: int) -> np.ndarray:
     op's own and J the reversal; for a symmetric potential it is op, bit for
     bit (see assemble_operator). On (u, [sqrt 2 u_mid,] +-J u) / sqrt 2, J
     reversing k = n // 2 nodes, it acts as A11 +- A12 J; an odd n's middle
-    node joins the even block. Built from op 128 rows at a time, through one
-    buffer for the rows of A12 J, and the diagonal set last.
+    node joins the even block. Formed in one sum of two views of op's
+    Toeplitz part, then its diagonal set, and an odd n's middle row and
+    column scaled and its middle entry set.
     """
     n = op.shape[0]
     k = n // 2
     size = n - k if sign > 0 else k
-    out = np.empty((size, size))
-    far = np.empty((min(128, size), size))
-    for i in range(0, size, 128):
-        rows = out[i:i + 128]
-        near = far[:rows.shape[0]]
-        op[i:i + rows.shape[0], :size].copy(rows)
-        op[i:i + rows.shape[0], ::-1][:, :size].copy(near)
-        (np.add if sign > 0 else np.subtract)(rows, near, out=rows)
+    t = op._toeplitz
+    out = (np.add if sign > 0 else np.subtract)(t[:size, :size], t[:size, ::-1][:, :size])
     mirrored = (op.diagonal + op.diagonal[::-1]) / 2
     idx = np.arange(k)
     out[idx, idx] = mirrored[:k] + sign * op.column[n - 1 - 2 * idx]

@@ -138,64 +138,35 @@ class TestAssembleOperator:
         assert np.array_equal(op.matrix, want)
 
 
-def block_keys(n):
-    """Slices of H as the solver takes them, and blocks straddling its diagonal."""
-    h, ke = n // 2, (n + 1) // 2
-    return [
-        ((slice(None), slice(None)),),
-        ((slice(None, ke), slice(None, ke)),),
-        ((slice(None, ke), slice(None, None, -1)), (slice(None), slice(None, ke))),
-        ((slice(None, h), slice(h, None)),),
-        ((slice(h, None), slice(h, None)),),
-        ((slice(None, h), slice(None, h)), (slice(h // 2, None), slice(None, h // 2))),
-        ((slice(h, None), slice(h, None)), (slice(3, 3 + n // 4), slice(None))),
-        ((slice(n // 4, 3 * n // 4), slice(n // 8, n // 2)),),
-        ((slice(None, None, -1), slice(2, n - 3)),),
-        ((slice(n - 5, None), slice(None, None, -1)), (slice(None), slice(n - 7, None))),
-        (slice(128, 256),),
-        ((slice(None), slice(None, None, -1)), (slice(None), slice(n + 3, None))),
-    ]
-
-
 class TestOperatorBlocks:
-    """Blocks copied out of the OperatorMatrix against slices of op.matrix."""
+    """The OperatorMatrix's parity blocks, product and norm against op.matrix."""
 
     @pytest.mark.parametrize("n", [37, 38, 385])
     @pytest.mark.parametrize("well", ["power", "off_centre"])
-    def test_blocks_match_dense_slices_bitwise(self, n, well):
-        pot = make_power_well(3.0, 2.0, (-1.0, 1.0)) if well == "power" else off_centre_well()
+    def test_parity_blocks_match_the_parity_basis(self, n, well):
+        # H in the parity basis has E and O on its diagonal, whatever the
+        # coupling; an odd n's middle entry of E carries V at the middle node.
+        pot = make_power_well(5.0, 2.0, (-1.0, 1.0)) if well == "power" else off_centre_well()
         op = assemble_operator(Grid(-1.0, 1.0, n), 1.3, pot)
-        dense = op.matrix
-        for keys in block_keys(n):
-            block, want = op, dense
-            for key in keys:
-                block, want = block[key], want[key]
-            assert block.shape == want.shape, keys
-            assert np.array_equal(np.asarray(block), want), keys
+        blocks = parity_basis(n).T @ op.matrix @ parity_basis(n)
+        ke = n - n // 2
+        for sign, want in ((1, blocks[:ke, :ke]), (-1, blocks[ke:, ke:])):
+            got = spectral._parity_block(op, sign)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), sign
 
-    @pytest.mark.parametrize("n", [37, 38, 385])
-    @pytest.mark.parametrize("well", ["power", "off_centre"])
-    def test_solver_copies_only_slices_of_h(self, monkeypatch, n, well):
-        # Parity blocks at 37 and 38; at 385 the off-centre well takes the
-        # Krylov path, whose parity blocks are copied in row blocks.
-        pot = make_power_well(3.0, 2.0, (-1.0, 1.0)) if well == "power" else off_centre_well()
+    @pytest.mark.parametrize("n, well", [(385, "off_centre"), (777, "power")])
+    def test_krylov_path_never_builds_h_whole(self, monkeypatch, n, well):
+        # Both take the Krylov path: the coupled blocks of (193, 192) and the
+        # symmetric well's parity blocks of 389 and 388 unknowns.
+        pot = make_power_well(5.0, 2.0, (-1.0, 1.0)) if well == "power" else off_centre_well()
         op = assemble_operator(Grid(-1.0, 1.0, n), 1.3, pot)
-        dense = op.matrix
-        copied = []
-        copy = spectral._Block.copy
 
-        def checked(block, out=None):
-            got = copy(block, out)
-            assert np.array_equal(got, dense[np.ix_(block.rows, block.cols)])
-            copied.append(block.shape)
-            return got
+        def whole(self):
+            raise AssertionError("H built whole")
 
-        monkeypatch.setattr(spectral._Block, "copy", checked)
-        eigensolve(op, 6)
-        assert copied
-        if well == "off_centre" and n > spectral._DENSE_MAX:
-            # H is never built whole: at most half of its rows at once.
-            assert max(rows for rows, _ in copied) <= n // 2
+        monkeypatch.setattr(OperatorMatrix, "matrix", property(whole))
+        assert eigensolve(op, 6).eigenvalues.size == 6
 
     @pytest.mark.parametrize("n", [37, 38, 385])
     @pytest.mark.parametrize("well", ["power", "off_centre"])
@@ -650,14 +621,19 @@ class TestBlockFactor:
 
     def test_eigensolve_peak_memory(self):
         # H is never stored whole, and one parity block is alive at a time.
-        # Measured: 0.58 N^2 off centre (the odd block, as its Schur
-        # complement, and the even block's factor) and 0.47 N^2 on the power
-        # well. At m = 20 and alpha = 0.3 the Krylov basis and its image
-        # set the peak: 1.29 N^2, against 1.67 when both were copied at
-        # every block step.
+        # Measured: 0.58 N^2 off centre at alpha 0.7 and 0.547 at 1.2 (the
+        # odd block, as its Schur complement, and the even block's factor),
+        # and 0.471 N^2 on the power well at 1.2 and 1.5; the docs quote
+        # the alpha 1.2 figures, which H built whole (1.0 N^2) or a second
+        # parity block kept alive (+0.25 N^2) would take past 0.6. At m = 20
+        # and alpha = 0.3 the Krylov basis and its image set the peak:
+        # 1.29 N^2, against 1.67 when both were copied at every block step.
         n = 2048
+        power = make_power_well(5.0, 2.0, (-1.0, 1.0))
         for alpha, pot, m, bound in ((0.7, off_centre_well(), 6, 0.7),
-                                     (1.5, make_power_well(5.0, 2.0, (-1.0, 1.0)), 6, 0.7),
+                                     (1.5, power, 6, 0.7),
+                                     (1.2, off_centre_well(), 6, 0.6),
+                                     (1.2, power, 6, 0.6),
                                      (0.3, off_centre_well(), 20, 1.4)):
             tracemalloc.start()
             try:
