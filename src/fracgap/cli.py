@@ -76,6 +76,13 @@ _MC_PATH_ARRAYS = 16
 _COMMANDS = ("spectrum", "gap", "poincare", "counterexample", "simulate",
              "phi", "all")
 _POTENTIAL_COMMANDS = ("spectrum", "gap", "simulate", "phi", "all")
+# The keys each potential kind reads, besides "kind".
+_POTENTIAL_KEYS = {
+    "zero": {"offset"},
+    "power_well": {"kappa", "p", "offset"},
+    "inverse_boundary_well": {"beta"},
+    "tabulated": {"path"},
+}
 
 
 class ConfigError(ValueError):
@@ -125,8 +132,10 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
 
     pot = dict(raw.get("potential", {"kind": "zero"}))
     kind = pot.get("kind")
-    _expect(kind in ("zero", "power_well", "inverse_boundary_well", "tabulated"),
+    _expect(isinstance(kind, str) and kind in _POTENTIAL_KEYS,
             f"unknown potential kind {kind!r}")
+    unknown = set(pot) - {"kind"} - _POTENTIAL_KEYS[kind]
+    _expect(not unknown, f"unknown potential keys for {kind!r}: {sorted(unknown)}")
 
     n_grid = int(raw.get("N", 256))
     _expect(n_grid >= 16, f"N must be at least 16, got {n_grid}")
@@ -429,7 +438,7 @@ def _run(config_path: str, output_dir: str | None, seed: int | None,
         # The star gap is defined through the antisymmetric eigenfunction.
         _expect(command not in ("gap", "all") or potential.symmetric,
                 f"command {command!r} needs a mirror-symmetric potential")
-    except (OSError, json.JSONDecodeError, ConfigError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -459,13 +468,10 @@ def _run(config_path: str, output_dir: str | None, seed: int | None,
             _cmd_simulate(cfg, out, rep, potential)
         if command in ("phi", "all"):
             _cmd_phi(cfg, rep, potential)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except WitnessSearchError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK if rep.all_passed else EXIT_CHECK_FAILED

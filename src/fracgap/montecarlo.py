@@ -109,55 +109,51 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def sample_subordinator_increment(index: float, dt: float,
                                   rng: np.random.Generator,
-                                  size: int | None = None):
+                                  size: int) -> np.ndarray:
     """Increments of the one-sided stable subordinator over time dt.
 
     index is the subordinator order rho in (0, 1); for the process of
     stability alpha use rho = alpha / 2. The output has Laplace transform
-    exp(-dt * u^rho). Returns a float for size=None, else an array.
+    exp(-dt * u^rho). Returns an array of size draws.
     """
     rho = float(index)
     if not (0.0 < rho < 1.0):
         raise DomainError(f"subordinator index must lie in (0, 1), got {rho}")
     if not (dt > 0):
         raise DomainError(f"dt must be positive, got {dt}")
-    n = 1 if size is None else int(size)
-    u = rng.uniform(0.0, math.pi, size=n)
-    w = rng.standard_exponential(size=n)
+    u = rng.uniform(0.0, math.pi, size=size)
+    w = rng.standard_exponential(size=size)
     # log A(u), grouped to stay finite over the whole of (0, pi).
     log_a = (rho * np.log(np.sin(rho * u))
              + (1.0 - rho) * np.log(np.sin((1.0 - rho) * u))
              - np.log(np.sin(u))) / (1.0 - rho)
     s = np.exp(((1.0 - rho) / rho) * (log_a - np.log(w)))
-    out = dt ** (1.0 / rho) * s
-    return float(out[0]) if size is None else out
+    return dt ** (1.0 / rho) * s
 
 
 def sample_stable_increment(alpha: float, dt: float,
                             rng: np.random.Generator,
-                            size: int | None = None):
+                            size: int) -> np.ndarray:
     """Increments of the symmetric alpha-stable process over time dt.
 
     Chambers-Mallows-Stuck draw from V uniform on (-pi/2, pi/2) and W unit
     exponential; the output has characteristic function exp(-dt |u|^alpha),
     the law of the twice-speed Brownian motion subordinated by
-    sample_subordinator_increment(alpha / 2, ...). Returns a float for
-    size=None, else an array.
+    sample_subordinator_increment(alpha / 2, ...). Returns an array of
+    size draws.
     """
     alpha = float(alpha)
     if not (0.0 < alpha < 2.0):
         raise DomainError(f"alpha must lie in (0, 2), got {alpha}")
     if not (dt > 0):
         raise DomainError(f"dt must be positive, got {dt}")
-    n = 1 if size is None else int(size)
-    v = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=n)
-    w = rng.standard_exponential(size=n)
+    v = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=size)
+    w = rng.standard_exponential(size=size)
     # sin(aV) / cos(V)^(1/a) * (cos((1-a)V) / W)^((1-a)/a), the magnitude
     # taken in logs so no intermediate power overflows at small alpha.
     log_m = (((1.0 - alpha) / alpha) * np.log(np.cos((1.0 - alpha) * v) / w)
              - np.log(np.cos(v)) / alpha)
-    out = dt ** (1.0 / alpha) * (np.sin(alpha * v) * np.exp(log_m))
-    return float(out[0]) if size is None else out
+    return dt ** (1.0 / alpha) * (np.sin(alpha * v) * np.exp(log_m))
 
 
 def _cpu_count() -> int:
@@ -322,13 +318,11 @@ def gaussian_chain(x_points, kernel_times, potential_times, potential) -> ChainR
         raise DomainError(f"potential is not finite at Gauss node x={bad!r}")
     expv = [np.exp(-t * v) for t in t_list]
 
-    if len(s_list) == 1:
-        kern = _gauss_kernel(s_list[0], y[None, :] - xs[:, None])
-        vals = kern * expv[0][None, :] @ w
-    else:
-        inner = _gauss_kernel(s_list[1], y[None, :] - y[:, None]) * expv[1][None, :] @ w
-        kern = _gauss_kernel(s_list[0], y[None, :] - xs[:, None])
-        vals = kern * (expv[0] * inner)[None, :] @ w
+    # Innermost layer first: weight(y) = e_k(y) * integral q(s_(k+1), y' - y) weight(y') dy'.
+    weight = expv[-1]
+    for s, e in zip(s_list[:0:-1], expv[-2::-1]):
+        weight = e * (_gauss_kernel(s, y[None, :] - y[:, None]) * weight @ w)
+    vals = _gauss_kernel(s_list[0], y[None, :] - xs[:, None]) * weight @ w
 
     sup = float(np.max(vals))
     rel = _unimodal_excess(vals, 0.0) / sup if sup > 0 else math.inf

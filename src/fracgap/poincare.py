@@ -34,7 +34,6 @@ __all__ = [
     "step_contraction",
     "poincare_check",
     "witness_search",
-    "rescale_unit",
     "weighted_poincare_check",
     "smooth_step",
     "counterexample_scan",
@@ -101,16 +100,15 @@ class PoincareResult:
 
 
 def poincare_check(f: PiecewiseLinear, alpha: float,
-                   interval: tuple[float, float] = (0.0, 1.0), cfg=None,
-                   mirrored: bool = False) -> PoincareResult:
+                   interval: tuple[float, float] = (0.0, 1.0), cfg=None) -> PoincareResult:
     """Check the inequality for one function.
 
-    f must vanish at the left endpoint (right endpoint when mirrored=True)
-    within 1e-10; the bound then involves the value at the opposite
-    endpoint. The ratio lhs/rhs is inf when the bound is vacuous (rhs = 0
-    with positive lhs) and nan when both sides vanish. lhs is the closed
-    form (piecewise_linear_form), exact up to rounding, and lhs_error its
-    floating-point bound. cfg is ignored (see CAMPAIGN_CFG).
+    f must vanish at the left endpoint within 1e-10; the bound then
+    involves the value at the right endpoint. The ratio lhs/rhs is inf when
+    the bound is vacuous (rhs = 0 with positive lhs) and nan when both
+    sides vanish. lhs is the closed form (piecewise_linear_form), exact up
+    to rounding, and lhs_error its floating-point bound. cfg is ignored
+    (see CAMPAIGN_CFG).
     """
     _require_piecewise_linear(f)
     _require_alpha_12(alpha)
@@ -118,15 +116,11 @@ def poincare_check(f: PiecewiseLinear, alpha: float,
     if not b > a:
         raise DomainError(f"degenerate interval ({a}, {b})")
     fa, fb = (float(v) for v in f(np.array([a, b])))
-    anchored, free = (fb, fa) if mirrored else (fa, fb)
-    scale = max(1.0, abs(free))
-    if abs(anchored) > _BOUNDARY_TOL * scale:
-        side = "right" if mirrored else "left"
-        raise DomainError(
-            f"f must vanish at the {side} endpoint; got {anchored!r}")
+    if abs(fa) > _BOUNDARY_TOL * max(1.0, abs(fb)):
+        raise DomainError(f"f must vanish at the left endpoint; got {fa!r}")
 
     lhs = piecewise_linear_form(f.xs, f.ys, alpha, (a, b))
-    rhs = poincare_constant(alpha) * free ** 2 / (b - a) ** (alpha - 1.0)
+    rhs = poincare_constant(alpha) * fb ** 2 / (b - a) ** (alpha - 1.0)
     if rhs > 0:
         ratio = lhs.value / rhs
     else:
@@ -214,19 +208,16 @@ def witness_search(f: PiecewiseLinear, alpha: float) -> WitnessCertificate:
 
         go_left = first is not None and a_n < first < x_n
         go_right = last is not None and y_n < last < b_n
+        branch = "left" if go_left else "right" if go_right else "terminal"
+        steps.append(WitnessStep(n, a_n, b_n, x_n, y_n, level_low,
+                                 level_high, first, last, branch))
         if go_left:
-            steps.append(WitnessStep(n, a_n, b_n, x_n, y_n, level_low,
-                                     level_high, first, last, "left"))
             b_n = x_n
             level_b = level_low
         elif go_right:
-            steps.append(WitnessStep(n, a_n, b_n, x_n, y_n, level_low,
-                                     level_high, first, last, "right"))
             a_n = y_n
             level_a = level_high
         else:
-            steps.append(WitnessStep(n, a_n, b_n, x_n, y_n, level_low,
-                                     level_high, first, last, "terminal"))
             # Telescoping the per-step contraction leaves (c/3)^2 exactly
             # when 9 c^(alpha-1) = 1, which defines c; kept in product form
             # so any float drift is visible rather than hidden.
@@ -236,23 +227,6 @@ def witness_search(f: PiecewiseLinear, alpha: float) -> WitnessCertificate:
     raise WitnessSearchError(
         f"witness recursion did not terminate within {n_cap} steps "
         f"(lipschitz {lip:.3g})")
-
-
-def rescale_unit(f: PiecewiseLinear, interval: tuple[float, float], alpha: float):
-    """Affine pullback of f onto [0, 1] and the form scale factor.
-
-    Returns (g, factor) with g(t) = f(a + (b-a) t) and
-    factor = (b-a)^(alpha-1), chosen so that the double integral of f over
-    the original square equals the one of g over the unit square divided by
-    factor.
-    """
-    _require_piecewise_linear(f)
-    _require_alpha_12(alpha)
-    a, b = float(interval[0]), float(interval[1])
-    if not b > a:
-        raise DomainError(f"degenerate interval ({a}, {b})")
-    length = b - a
-    return PiecewiseLinear((f.xs - a) / length, f.ys), length ** (alpha - 1.0)
 
 
 @dataclass(frozen=True)

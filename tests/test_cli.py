@@ -54,6 +54,15 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
         assert "alhpa" in capsys.readouterr().err
 
+    def test_unknown_potential_key(self, tmp_path, capsys):
+        code, out = run_quiet(tmp_path, {
+            "command": "spectrum", "N": 64,
+            "potential": {"kind": "power_well", "kapa": 5}})
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: unknown potential keys for 'power_well': ['kapa']\n")
+        assert not out.exists()
+
     def test_unknown_command(self, tmp_path):
         code, _ = run_quiet(tmp_path, {"command": "spectra"})
         assert code == EXIT_CONFIG

@@ -70,8 +70,6 @@ class TestSubordinatorSampler:
 
     def test_return_types_and_positivity(self):
         rng = make_rng(5)
-        one = sample_subordinator_increment(0.5, 1.0, rng)
-        assert isinstance(one, float) and one > 0
         arr = sample_subordinator_increment(0.5, 1.0, rng, size=1000)
         assert arr.shape == (1000,)
         assert np.all(arr > 0)
@@ -80,9 +78,9 @@ class TestSubordinatorSampler:
         rng = make_rng(1)
         for bad in (0.0, 1.0):
             with pytest.raises(DomainError):
-                sample_subordinator_increment(bad, 1.0, rng)
+                sample_subordinator_increment(bad, 1.0, rng, size=1)
         with pytest.raises(DomainError):
-            sample_subordinator_increment(0.5, 0.0, rng)
+            sample_subordinator_increment(0.5, 0.0, rng, size=1)
 
 
 class TestStableSampler:
@@ -112,7 +110,6 @@ class TestStableSampler:
 
     def test_return_types(self):
         rng = make_rng(5)
-        assert isinstance(sample_stable_increment(1.5, 1.0, rng), float)
         arr = sample_stable_increment(1.5, 1.0, rng, size=1000)
         assert arr.shape == (1000,)
         assert np.all(np.isfinite(arr))
@@ -121,10 +118,10 @@ class TestStableSampler:
         rng = make_rng(1)
         for bad in (0.0, 2.0, -0.5):
             with pytest.raises(DomainError):
-                sample_stable_increment(bad, 1.0, rng)
+                sample_stable_increment(bad, 1.0, rng, size=1)
         for bad in (0.0, -1.0):
             with pytest.raises(DomainError):
-                sample_stable_increment(1.5, bad, rng)
+                sample_stable_increment(1.5, bad, rng, size=1)
 
 
 def masked_loop(x, potential, cfg, n_paths):

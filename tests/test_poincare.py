@@ -17,7 +17,6 @@ from fracgap.poincare import (
     poincare_check,
     poincare_constant,
     random_piecewise_linear,
-    rescale_unit,
     smooth_step,
     step_contraction,
     weighted_poincare_check,
@@ -85,14 +84,6 @@ class TestPoincareCheck:
         assert res.rhs == pytest.approx((1.0 / 9.0) ** 5, rel=1e-14)
         assert res.ratio == pytest.approx(res.lhs / res.rhs, rel=1e-12)
 
-    def test_mirrored_variant(self):
-        down = PiecewiseLinear([0.0, 1.0], [1.0, 0.0])
-        res = poincare_check(down, 1.5, mirrored=True)
-        assert res.passed
-        assert res.lhs == pytest.approx(8.0 / 3.0, rel=1e-6)
-        with pytest.raises(DomainError):
-            poincare_check(down, 1.5)
-
     def test_anchored_endpoint_enforced(self):
         with pytest.raises(DomainError):
             poincare_check(PiecewiseLinear([0.0, 1.0], [0.5, 1.5]), 1.5)
@@ -108,14 +99,14 @@ class TestPoincareCheck:
         assert res0.passed
 
     def test_interval_rescaling_consistency(self):
-        # The pullback factor (b-a)^(alpha-1) converts unit-square values.
+        # Pulling f back onto [0, 1] scales both sides by (b-a)^(alpha-1).
         alpha = 1.4
         f = PiecewiseLinear([0.0, 2.0], [0.0, 1.0])
-        g, factor = rescale_unit(f, (0.0, 2.0), alpha)
         big = poincare_check(f, alpha, interval=(0.0, 2.0))
-        unit = poincare_check(g, alpha)
-        assert factor == pytest.approx(2.0 ** (alpha - 1.0), rel=1e-14)
+        unit = poincare_check(PiecewiseLinear(f.xs / 2.0, f.ys), alpha)
+        factor = 2.0 ** (alpha - 1.0)
         assert big.lhs == pytest.approx(unit.lhs / factor, rel=1e-6)
+        assert big.rhs == pytest.approx(unit.rhs / factor, rel=1e-14)
 
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
@@ -128,19 +119,6 @@ class TestPoincareCheck:
             res = poincare_check(f, alpha)
             exact = piecewise_linear_form(f.xs, f.ys, alpha, (0.0, 1.0))
             assert (res.lhs, res.lhs_error) == (exact.value, exact.error_estimate)
-
-    def test_mirror_invariance(self):
-        # g(x) = f(a + b - x) vanishes at b and has the same form value.
-        rng = make_rng(23)
-        a, b = -1.0, 2.5
-        for alpha in (1.1, 1.5, 1.9):
-            f = random_piecewise_linear(rng)
-            xs = a + (b - a) * f.xs
-            res = poincare_check(PiecewiseLinear(xs, f.ys), alpha, (a, b))
-            mirror = poincare_check(PiecewiseLinear((a + b - xs)[::-1], f.ys[::-1]),
-                                    alpha, (a, b), mirrored=True)
-            assert mirror.lhs == pytest.approx(res.lhs, rel=1e-12)
-            assert mirror.rhs == pytest.approx(res.rhs, rel=1e-14)
 
 
 class TestWitnessSearch:
@@ -300,10 +278,9 @@ def _free_16():
     lambda f: weighted_poincare_check(f, ONE, 1.5),
     lambda f: weighted_poincare_check(IDENTITY, f, 1.5),
     lambda f: witness_search(f, 1.5),
-    lambda f: rescale_unit(f, (0.0, 2.0), 1.5),
     lambda f: weighted_form(f, _free_16()),
 ], ids=["poincare_check", "weighted_poincare_check-f", "weighted_poincare_check-g",
-        "witness_search", "rescale_unit", "weighted_form"])
+        "witness_search", "weighted_form"])
 def test_callables_rejected(call):
     # PiecewiseLinear is the only test-function type; a plain callable is
     # refused before anything evaluates it.
