@@ -61,15 +61,17 @@ MAX_WORKING_BYTES = 2 * 1024**3
 _DENSE_ARRAYS = 6
 # estimate_feynman_kac's peak, in float64 arrays of n_paths: _MC_ARRAYS per
 # start point (the sums, which become the returned values in place, plus
-# the positions and potential values of the path blocks in flight, about
-# half the paths) and _MC_PATH_ARRAYS shared by all points (the free path,
-# its running extremes, and one step's draws with their temporaries).
-# Under tracemalloc at 20 000 paths (max of four runs after a warm-up, 16
-# steps, alpha 0.5 and 1.5, 1 / 2 / 8 CPUs, the zero, power (5, 2) and
-# (5, 2.7), inverse boundary and tabulated wells), the peak is 12.1 arrays
-# at 1 point, 14.3 at 2, 17.4 at 3, 22.0 at 5, 52.4 at 21 and 92.4 at 41:
-# about 2 per point plus 10. 4 per point plus 16 leaves a margin of at
-# least 1.6 at every size.
+# the positions and potential values of the path blocks in flight) and
+# _MC_PATH_ARRAYS shared by all points (the blocks' free paths, running
+# extremes and draws with their temporaries). Under tracemalloc (max of
+# four runs after a warm-up, 16 steps, alpha 0.5 and 1.5, 1 / 2 / 8 CPUs,
+# the zero, power (5, 2) and (5, 2.7), inverse boundary and tabulated
+# wells), the peak at 20 000 paths is 7.3 arrays at 1 point, 10.6 at 3,
+# 61.7 at 21 and 118.6 at 41 (8 CPUs; 3.2, 5.6, 34.6 and 66.9 at 1 CPU).
+# It is highest when every path is in flight, as at 4096 paths (one
+# block): 11.4 at 1 point, 15.3 at 3, 87.3 at 21 and 327.3 at 81, about 4
+# per point plus 7.3. 4 per point plus 16 leaves a margin of at least 8.6
+# at every size measured.
 _MC_ARRAYS = 4
 _MC_PATH_ARRAYS = 16
 
@@ -94,6 +96,24 @@ def _expect(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _read(value, name: str, kind=float):
+    """A config number as kind (float or int). Bools are refused, and so
+    are fractions where an int is read; an integral float such as 2e4 is
+    an int."""
+    _expect(not isinstance(value, bool), f"{name} must be a number, got {value!r}")
+    if kind is int and not isinstance(value, int):
+        value = float(value)
+        _expect(value.is_integer(), f"{name} must be an integer, got {value!r}")
+    return kind(value)
+
+
+def _path_config(cfg: dict) -> PathConfig:
+    """The Monte Carlo parameters of a resolved config."""
+    mc = cfg["mc"]
+    return PathConfig(cfg["alpha"], mc["t_final"], mc["n_steps"],
+                      tuple(cfg["interval"]), mc["seed"])
+
+
 def _mc_working_bytes(n_points: int, n_paths: int) -> int:
     """Estimated peak bytes of estimate_feynman_kac at this size."""
     return 8 * (_MC_ARRAYS * n_points + _MC_PATH_ARRAYS) * n_paths
@@ -114,7 +134,7 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
     _expect(command in _COMMANDS,
             f"command must be one of {list(_COMMANDS)}, got {command!r}")
 
-    alpha = float(raw.get("alpha", 1.5))
+    alpha = _read(raw.get("alpha", 1.5), "alpha")
     _expect(0.0 < alpha < 2.0, f"alpha must lie in (0, 2), got {alpha}")
     if command in ("poincare", "all"):
         _expect(1.0 < alpha < 2.0,
@@ -126,7 +146,7 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
     interval = raw.get("interval", [-1.0, 1.0])
     _expect(isinstance(interval, (list, tuple)) and len(interval) == 2,
             "interval must be [a, b]")
-    a, b = float(interval[0]), float(interval[1])
+    a, b = (_read(x, "interval") for x in interval)
     _expect(math.isfinite(a) and math.isfinite(b) and b > a,
             f"interval must be finite with b > a, got [{a}, {b}]")
 
@@ -137,22 +157,22 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
     unknown = set(pot) - {"kind"} - _POTENTIAL_KEYS[kind]
     _expect(not unknown, f"unknown potential keys for {kind!r}: {sorted(unknown)}")
 
-    n_grid = int(raw.get("N", 256))
+    n_grid = _read(raw.get("N", 256), "N", int)
     _expect(n_grid >= 16, f"N must be at least 16, got {n_grid}")
     dense_bytes = 8 * _DENSE_ARRAYS * n_grid**2
     _expect(dense_bytes <= MAX_WORKING_BYTES,
             f"N = {n_grid} needs about {dense_bytes / 2**30:.3g} GiB, "
             f"over the {MAX_WORKING_BYTES / 2**30:.3g} GiB limit")
-    m = int(raw.get("m", 6))
+    m = _read(raw.get("m", 6), "m", int)
     _expect(1 <= m <= n_grid, f"m must lie in [1, N], got {m}")
 
     mc = dict(raw.get("mc", {}))
     mc_resolved = {
-        "t_final": float(mc.pop("t_final", 0.25)),
-        "n_steps": int(mc.pop("n_steps", 256)),
-        "n_paths": int(mc.pop("n_paths", 20_000)),
-        "seed": int(mc.pop("seed", 12345)),
-        "n_points": int(mc.pop("n_points", 21)),
+        "t_final": _read(mc.pop("t_final", 0.25), "mc.t_final"),
+        "n_steps": _read(mc.pop("n_steps", 256), "mc.n_steps", int),
+        "n_paths": _read(mc.pop("n_paths", 20_000), "mc.n_paths", int),
+        "seed": _read(mc.pop("seed", 12345), "mc.seed", int),
+        "n_points": _read(mc.pop("n_points", 21), "mc.n_points", int),
     }
     _expect(not mc, f"unknown mc keys: {sorted(mc)}")
     _expect(mc_resolved["n_paths"] >= 2, "mc.n_paths must be >= 2")
@@ -164,9 +184,9 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
 
     campaign = dict(raw.get("poincare", {}))
     campaign_resolved = {
-        "n_functions": int(campaign.pop("n_functions", 100)),
-        "seed": int(campaign.pop("seed", 7)),
-        "max_segments": int(campaign.pop("max_segments", 32)),
+        "n_functions": _read(campaign.pop("n_functions", 100), "poincare.n_functions", int),
+        "seed": _read(campaign.pop("seed", 7), "poincare.seed", int),
+        "max_segments": _read(campaign.pop("max_segments", 32), "poincare.max_segments", int),
     }
     _expect(not campaign, f"unknown poincare keys: {sorted(campaign)}")
     _expect(campaign_resolved["n_functions"] >= 1, "poincare.n_functions must be >= 1")
@@ -174,18 +194,27 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
 
     counter = dict(raw.get("counterexample", {}))
     counter_resolved = {
-        "alpha": float(counter.pop("alpha", alpha if 0.0 < alpha < 1.0 else 0.5)),
-        "n_list": [int(n) for n in counter.pop("n_list", [1, 2, 4, 8, 16, 32])],
+        "alpha": _read(counter.pop("alpha", alpha if 0.0 < alpha < 1.0 else 0.5),
+                       "counterexample.alpha"),
+        "n_list": [_read(n, "counterexample.n_list", int)
+                   for n in counter.pop("n_list", [1, 2, 4, 8, 16, 32])],
     }
     _expect(not counter, f"unknown counterexample keys: {sorted(counter)}")
     _expect(0.0 < counter_resolved["alpha"] < 1.0,
             f"counterexample.alpha must lie in (0, 1), got {counter_resolved['alpha']}")
+    n_list = counter_resolved["n_list"]
+    _expect(len(n_list) >= 2 and n_list[0] > 0
+            and all(n < n_next for n, n_next in zip(n_list, n_list[1:])),
+            f"counterexample.n_list must hold at least two strictly increasing "
+            f"positive integers, got {n_list}")
 
     chain = dict(raw.get("chain", {}))
     chain_resolved = {
-        "kernel_times": [float(s) for s in chain.pop("kernel_times", [0.1, 0.15])],
-        "potential_times": [float(t) for t in chain.pop("potential_times", [0.05, 0.08])],
-        "n_points": int(chain.pop("n_points", 41)),
+        "kernel_times": [_read(s, "chain.kernel_times")
+                         for s in chain.pop("kernel_times", [0.1, 0.15])],
+        "potential_times": [_read(t, "chain.potential_times")
+                            for t in chain.pop("potential_times", [0.05, 0.08])],
+        "n_points": _read(chain.pop("n_points", 41), "chain.n_points", int),
     }
     _expect(not chain, f"unknown chain keys: {sorted(chain)}")
     _expect(chain_resolved["n_points"] >= 1, "chain.n_points must be >= 1")
@@ -193,14 +222,22 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
             "chain.kernel_times must have length 1 or 2")
     _expect(len(chain_resolved["kernel_times"]) == len(chain_resolved["potential_times"]),
             "chain.kernel_times and chain.potential_times must match in length")
+    _expect(all(s > 0 for s in chain_resolved["kernel_times"]),
+            "chain.kernel_times must be positive")
+    _expect(all(t >= 0 for t in chain_resolved["potential_times"]),
+            "chain.potential_times must be nonnegative")
 
     out_dir = output_dir if output_dir is not None else \
         str(raw.get("output_dir", "fracspec_out"))
     if seed is not None:
         mc_resolved["seed"] = int(seed)
         campaign_resolved["seed"] = int(seed)
+    # Philox takes only nonnegative seeds.
+    _expect(mc_resolved["seed"] >= 0 and campaign_resolved["seed"] >= 0,
+            f"seeds must be >= 0, got mc.seed {mc_resolved['seed']} and "
+            f"poincare.seed {campaign_resolved['seed']}")
 
-    return {
+    resolved = {
         "command": command,
         "alpha": alpha,
         "interval": [a, b],
@@ -213,6 +250,9 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
         "chain": chain_resolved,
         "output_dir": out_dir,
     }
+    # PathConfig's own checks, before any stage writes output.
+    _path_config(resolved)
+    return resolved
 
 
 def _build_potential(cfg: dict):
@@ -220,14 +260,14 @@ def _build_potential(cfg: dict):
     interval = tuple(cfg["interval"])
     kind = pot["kind"]
     if kind == "zero":
-        return make_zero(interval, float(pot.get("offset", 0.0)))
+        return make_zero(interval, _read(pot.get("offset", 0.0), "potential.offset"))
     if kind == "power_well":
-        return make_power_well(float(pot.get("kappa", 1.0)),
-                               float(pot.get("p", 2.0)),
-                               interval, float(pot.get("offset", 0.0)))
+        return make_power_well(_read(pot.get("kappa", 1.0), "potential.kappa"),
+                               _read(pot.get("p", 2.0), "potential.p"), interval,
+                               _read(pot.get("offset", 0.0), "potential.offset"))
     if kind == "inverse_boundary_well":
         _expect("beta" in pot, "inverse_boundary_well requires 'beta'")
-        return make_inverse_boundary_well(float(pot["beta"]), cfg["alpha"],
+        return make_inverse_boundary_well(_read(pot["beta"], "potential.beta"), cfg["alpha"],
                                           interval)
     _expect("path" in pot, "tabulated potential requires 'path'")
     potential = load_tabulated_csv(pot["path"])
@@ -364,8 +404,7 @@ def _cmd_simulate(cfg: dict, out: Path, rep: _Reporter, potential) -> None:
     """
     mc = cfg["mc"]
     a, b = cfg["interval"]
-    path_cfg = PathConfig(cfg["alpha"], mc["t_final"], mc["n_steps"],
-                          (a, b), mc["seed"])
+    path_cfg = _path_config(cfg)
     xs = np.linspace(a, b, mc["n_points"] + 2)[1:-1]
     # An overflowing potential fails as one DomainError from the path sums.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -33,12 +33,11 @@ only the joint law: nearby points are positively correlated, so their
 differences have smaller variance than with independent paths, while
 far-apart points can be negatively correlated.
 
-All randomness flows through a counter-based Philox generator; for a fixed
-seed and configuration the draw order is fixed, so estimates reproduce
-bit for bit. The draws stay on the calling thread; the potential sums run
-on blocks of paths in one worker thread per CPU, each element through the
-same operations whatever its block, so estimates do not depend on the
-CPU count either.
+All randomness flows through counter-based Philox generators. The paths
+are cut into fixed blocks; block j draws from the seed's generator jumped
+j times, and one task runs it through every step. The blocks and their
+streams depend only on the seed and the number of paths, so estimates
+reproduce bit for bit on any number of CPUs.
 
 Profiles are tested for unimodality in one place, _unimodal_excess:
 gaussian_chain gives it no slack, and the CLI three standard errors per
@@ -103,7 +102,7 @@ class PathEstimate:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator; the only RNG constructor used in this package."""
+    """Counter-based Philox generator for seed."""
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -164,8 +163,11 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int,
-               rng: np.random.Generator) -> np.ndarray:
+# Paths per block; block j draws from Philox(seed) jumped j times (0: the seed's own).
+_PATH_BLOCK = 4096
+
+
+def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int) -> np.ndarray:
     """exp(-sum V dt) per (start point, path) for survivors, 0 if killed.
 
     Every start point x0 shares the same n_paths free paths: the path from
@@ -174,20 +176,19 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int,
     survives iff x0 + min(free) > a and x0 + max(free) < b over the grid
     times, the same rule as checking exit at every grid time.
 
-    The draws stay on the calling thread, in a fixed order. While it draws
-    step s's increments, worker threads (one per CPU) sum the potential at
-    step s's positions on 2 blocks of path columns per CPU, in the caller's
-    context (so np.errstate holds there too); all blocks finish before the
-    paths move. Each element sees the same operations whatever the blocks,
-    so the values do not depend on the CPU count, bit for bit. A sum that
-    is not finite (a potential that overflows at a visited position)
-    raises DomainError.
+    The paths are cut into blocks of _PATH_BLOCK columns, and one task runs
+    a block through every step on the block's own stream, then forms the
+    functional in its columns of the result. Neither the blocks nor their
+    streams depend on the CPU count, so neither do the values, bit for bit.
+    The tasks run in the caller's context (so np.errstate holds there too).
+    A sum that is not finite (a potential that overflows at a visited
+    position) raises DomainError.
 
-    Working set: the sums are the only n_points x n_paths array kept from
-    step to step, and the functional is formed in them. A block's
-    positions and potential values live only while its task runs, and
-    about half the paths are in flight at once, so the loop holds about
-    two such arrays, plus the draws of one step.
+    Working set: the sums, formed in the result, are the only n_points x
+    n_paths array. A task's positions and potential values live for one
+    step. One thread per two blocks, rounded up and at most one per CPU,
+    keeps about half the paths in flight, or all of them when they fit in
+    three blocks.
     """
     # Imported here: at module top it would add to every `import fracgap`.
     from concurrent.futures import ThreadPoolExecutor
@@ -197,62 +198,60 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int,
     if np.any(~((xs > a) & (xs < b))):
         raise DomainError("all starting points must lie strictly inside the interval")
     x0 = xs[:, None]
-    free = np.zeros(n_paths)
-    lo = np.zeros(n_paths)
-    hi = np.zeros(n_paths)
-    v_sum = np.zeros((xs.size, n_paths))
-    n_cpu = _cpu_count()
-    # Two blocks per CPU, so the workers even out around the CPU that the
-    # draws hold.
-    edges = [n_paths * k // (2 * n_cpu) for k in range(2 * n_cpu + 1)]
-    blocks = [slice(i, j) for i, j in zip(edges, edges[1:]) if j > i]
+    values = np.zeros((xs.size, n_paths))
 
-    def add_potential(cols: slice) -> None:
-        # Contiguous positions, as when the potential is called on the
-        # whole array; released before the sum grows.
-        p = np.add(x0, free[cols])
-        np.clip(p, a, b, out=p)
-        v = np.asarray(potential(p), dtype=float)
-        del p
-        v_sum[:, cols] += np.multiply(v, dt, out=v)
-
-    with ThreadPoolExecutor(max_workers=n_cpu) as pool:
+    def run_block(start: int) -> None:
+        rng = np.random.Generator(np.random.Philox(cfg.seed).jumped(start // _PATH_BLOCK))
+        v_sum = values[:, start:start + _PATH_BLOCK]
+        n = v_sum.shape[1]
+        free, lo, hi = np.zeros((3, n))
         for _ in range(cfg.n_steps):
-            sums = [pool.submit(contextvars.copy_context().run, add_potential, cols)
-                    for cols in blocks]
-            step = sample_stable_increment(cfg.alpha, dt, rng, size=n_paths)
-            for f in sums:
-                f.result()
-            free += step
+            # Contiguous positions, released before the sum grows.
+            p = np.add(x0, free)
+            np.clip(p, a, b, out=p)
+            v = np.asarray(potential(p), dtype=float)
+            del p
+            v_sum += np.multiply(v, dt, out=v)
+            free += sample_stable_increment(cfg.alpha, dt, rng, size=n)
             np.minimum(lo, free, out=lo)
             np.maximum(hi, free, out=hi)
-    if not np.all(np.isfinite(v_sum)):
-        raise DomainError("the potential summed along some path is not finite")
-    # exp(-sum) in place, then 0 where killed, one start point at a time.
-    np.exp(np.negative(v_sum, out=v_sum), out=v_sum)
-    for i, x in enumerate(xs):
-        v_sum[i, ~((x + lo > a) & (x + hi < b))] = 0.0
-    return v_sum
+        if not np.all(np.isfinite(v_sum)):
+            raise DomainError("the potential summed along some path is not finite")
+        # exp(-sum) in place, then 0 where killed, one start point at a time.
+        np.exp(np.negative(v_sum, out=v_sum), out=v_sum)
+        for i, x in enumerate(xs):
+            v_sum[i, ~((x + lo > a) & (x + hi < b))] = 0.0
+
+    starts = range(0, n_paths, _PATH_BLOCK)
+    pool = ThreadPoolExecutor(max_workers=min(_cpu_count(), -(-len(starts) // 2)))
+    try:
+        for task in [pool.submit(contextvars.copy_context().run, run_block, start)
+                     for start in starts]:
+            task.result()
+    finally:
+        # An error drops the blocks not yet started.
+        pool.shutdown(cancel_futures=True)
+    return values
 
 
 def estimate_feynman_kac(x_points, potential, cfg: PathConfig,
                          n_paths: int) -> list[PathEstimate]:
     """Estimate the potential-weighted survival functional at several points.
 
-    One generator seeded from cfg.seed drives n_paths free paths that every
-    point shares, so each point's estimate is reproducible bit for bit and
-    does not depend on which other points are in x_points. For the free
-    case the mean estimates the survival probability; generally it
-    estimates the semigroup applied to the constant 1. The potential is
-    called from worker threads, concurrently, on 2-d blocks of positions,
-    and must act elementwise.
+    Every point shares the same n_paths free paths, drawn in fixed blocks
+    from Philox streams jumped from cfg.seed, so each point's estimate is
+    reproducible bit for bit and depends neither on which other points are
+    in x_points nor on the CPU count. For the free case the mean estimates
+    the survival probability; generally it estimates the semigroup applied
+    to the constant 1. The potential is called from worker threads,
+    concurrently, on 2-d blocks of positions, and must act elementwise.
     """
     if n_paths < 2:
         raise DomainError(f"n_paths must be >= 2, got {n_paths}")
     xs = np.asarray(x_points, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise DomainError("x_points must be a nonempty 1d array")
-    values = _fk_values(xs, potential, cfg, n_paths, make_rng(cfg.seed))
+    values = _fk_values(xs, potential, cfg, n_paths)
     out = []
     for i in range(xs.size):
         row = values[i]

@@ -652,8 +652,9 @@ def richardson(levels: list[tuple[int, np.ndarray]],
 
     levels holds (n, eigenvalues) pairs; arrays must share a length. With
     three or more levels at a uniform refinement ratio the rate is fitted
-    from the refinement differences; with two levels the default rate is
-    used. Returns the extrapolated eigenvalues.
+    from the refinement differences; with two levels, or when the fitted
+    rate is not positive, the default rate is used. Returns the
+    extrapolated eigenvalues.
     """
     if not levels:
         raise DomainError("richardson needs at least one level")
@@ -671,6 +672,7 @@ def richardson(levels: list[tuple[int, np.ndarray]],
     # Mesh ratio in h = (b-a)/(n+1).
     r = (sizes[-1] + 1) / (sizes[-2] + 1)
     if rate is None:
+        rate = DEFAULT_RICHARDSON_RATE
         if len(levels) >= 3:
             lam_c = arrays[-3]
             r2 = (sizes[-2] + 1) / (sizes[-3] + 1)
@@ -681,11 +683,11 @@ def richardson(levels: list[tuple[int, np.ndarray]],
             # h = (b-a)/(n+1); the geometric mean keeps the fit honest.
             if np.any(ok) and abs(r2 - r) < 1e-2 * r:
                 r_fit = math.sqrt(r * r2)
-                rate = float(np.median(np.log(num[ok] / den[ok]) / np.log(r_fit)))
-            else:
-                rate = DEFAULT_RICHARDSON_RATE
-        else:
-            rate = DEFAULT_RICHARDSON_RATE
+                fitted = float(np.median(np.log(num[ok] / den[ok]) / np.log(r_fit)))
+                # Differences that grow under refinement fit no convergence
+                # rate; extrapolating with them would move against the trend.
+                if fitted > 0:
+                    rate = fitted
     factor = r ** rate - 1.0
     return lam_f + (lam_f - lam_m) / factor
 

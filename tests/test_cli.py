@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from fracgap import cli
+from fracgap import cli, montecarlo
 from fracgap.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -196,19 +196,63 @@ class TestConfigErrors:
         assert err.startswith("config error: N = 1000000 needs about")
         assert err.count("\n") == 1 and "GiB limit" in err, err
 
+    TINY_ALL = {"command": "all", "N": 64,
+                "mc": {"n_paths": 200, "n_steps": 4, "n_points": 3},
+                "poincare": {"n_functions": 3}}
+
     @pytest.mark.parametrize("payload, message", [
         ({"command": "phi", "chain": {"n_points": 0}}, "chain.n_points must be >= 1"),
         ({"command": "poincare", "poincare": {"max_segments": 2}},
          "poincare.max_segments must be >= 3"),
+        ({**TINY_ALL, "mc": {**TINY_ALL["mc"], "t_final": -1}},
+         "t_final must be positive, got -1.0"),
+        ({**TINY_ALL, "mc": {**TINY_ALL["mc"], "n_steps": 0}}, "n_steps must be >= 1, got 0"),
+        ({**TINY_ALL, "counterexample": {"n_list": [4, 2]}},
+         "counterexample.n_list must hold at least two strictly increasing "
+         "positive integers, got [4, 2]"),
+        ({**TINY_ALL, "counterexample": {"n_list": [4]}},
+         "counterexample.n_list must hold at least two strictly increasing "
+         "positive integers, got [4]"),
+        ({**TINY_ALL, "chain": {"kernel_times": [-0.1, 0.2]}},
+         "chain.kernel_times must be positive"),
+        ({**TINY_ALL, "chain": {"potential_times": [0.05, -0.1]}},
+         "chain.potential_times must be nonnegative"),
     ])
     def test_empty_sizes_rejected_before_output(self, tmp_path, capsys, payload, message):
-        # Both used to fail inside the stage, as internal errors after
-        # config_echo.json was written.
+        # Each used to fail inside its stage, after config_echo.json (and
+        # under `all` the earlier stages' files) was written.
         code, out = run_quiet(tmp_path, payload)
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"config error: {message}\n", err
         assert not out.exists()
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"command": "spectrum", "N": 64, "m": True}, "m must be a number, got True"),
+        ({"command": "spectrum", "N": 100.7}, "N must be an integer, got 100.7"),
+        ({"command": "spectrum", "N": 64, "alpha": True}, "alpha must be a number, got True"),
+        ({"command": "simulate", "mc": {"n_paths": 1e3 + 0.5}},
+         "mc.n_paths must be an integer, got 1000.5"),
+        ({"command": "counterexample", "alpha": 0.5, "counterexample": {"n_list": [1, 2.5]}},
+         "counterexample.n_list must be an integer, got 2.5"),
+        ({"command": "simulate", "mc": {"seed": -1}},
+         "seeds must be >= 0, got mc.seed -1 and poincare.seed 7"),
+    ])
+    def test_bools_fractions_and_negative_seeds_refused(self, tmp_path, capsys,
+                                                        payload, message):
+        # The first five used to be truncated or read as 1; a negative
+        # seed failed in the generator as an internal error.
+        code, out = run_quiet(tmp_path, payload)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_integral_floats_read_as_ints(self, tmp_path):
+        code, out = run_quiet(tmp_path, {"command": "spectrum", "N": 6.4e1, "m": 2.0})
+        assert code == EXIT_OK
+        echo = json.loads((out / "config_echo.json").read_text())
+        assert (echo["N"], echo["m"]) == (64, 2)
+        assert type(echo["N"]) is int and type(echo["m"]) is int
 
     @pytest.mark.parametrize("command", ["gap", "all"])
     def test_asymmetric_potential_under_gap(self, tmp_path, capsys, command):
@@ -529,6 +573,24 @@ class TestOverridesAndDeterminism:
         assert run(cfg, output_dir=str(out), quiet=True) == EXIT_OK
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
+
+
+    def test_all_byte_identical_across_cpu_counts(self, tmp_path, monkeypatch):
+        # Three path blocks, run one at a time or all at once.
+        cfg = write_config(tmp_path, {
+            "command": "all", "N": 64,
+            "mc": {"n_paths": 2 * montecarlo._PATH_BLOCK + 1, "n_steps": 4, "n_points": 3},
+            "poincare": {"n_functions": 2},
+        })
+        out = tmp_path / "out"
+        runs = []
+        for n_cpu in (1, 8):
+            monkeypatch.setattr(montecarlo, "_cpu_count", lambda n=n_cpu: n)
+            shutil.rmtree(out, ignore_errors=True)
+            assert run(cfg, output_dir=str(out), quiet=True) == EXIT_OK
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == 10
 
 
 class TestEntryPoint:

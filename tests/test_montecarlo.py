@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -125,21 +126,25 @@ class TestStableSampler:
 
 
 def masked_loop(x, potential, cfg, n_paths):
-    """Per-point killed-path values written out literally: gather the living
-    paths, add their potential, step all paths, kill the ones that left."""
+    """Per-point killed-path values written out literally, block by block:
+    block j holds the next montecarlo._PATH_BLOCK paths and draws from
+    Philox(seed) jumped j times. Gather the living paths, add their
+    potential, step all paths, kill the ones that left."""
     a, b = cfg.interval
     dt = cfg.t_final / cfg.n_steps
-    rng = make_rng(cfg.seed)
-    free = np.zeros(n_paths)
-    alive = np.ones(n_paths, dtype=bool)
-    v_sum = np.zeros(n_paths)
-    for _ in range(cfg.n_steps):
-        pos = x + free
-        v_sum[alive] += potential(pos[alive]) * dt
-        free += sample_stable_increment(cfg.alpha, dt, rng, size=n_paths)
-        alive &= (x + free > a) & (x + free < b)
     out = np.zeros(n_paths)
-    out[alive] = np.exp(-v_sum[alive])
+    for j, start in enumerate(range(0, n_paths, montecarlo._PATH_BLOCK)):
+        n = min(montecarlo._PATH_BLOCK, n_paths - start)
+        rng = np.random.Generator(np.random.Philox(cfg.seed).jumped(j))
+        free = np.zeros(n)
+        alive = np.ones(n, dtype=bool)
+        v_sum = np.zeros(n)
+        for _ in range(cfg.n_steps):
+            pos = x + free
+            v_sum[alive] += potential(pos[alive]) * dt
+            free += sample_stable_increment(cfg.alpha, dt, rng, size=n)
+            alive &= (x + free > a) & (x + free < b)
+        out[start:start + n][alive] = np.exp(-v_sum[alive])
     return out
 
 
@@ -160,10 +165,10 @@ class TestCommonRandomNumbers:
                 assert estimate_feynman_kac([x], pot, cfg, 3000)[0] == est
 
     def test_matches_masked_per_point_loop_bitwise(self):
-        # Odd n_paths gives unequal path blocks; a single point is split
-        # across blocks too.
+        # One block, and three blocks whose last holds one path; a single
+        # point is split across blocks too.
         xs = np.array([-0.8, -0.2, 0.3, 0.85])
-        for n in (2000, 2001):
+        for n in (2000, 2001, 2 * montecarlo._PATH_BLOCK + 1):
             for alpha in (0.7, 1.5):
                 cfg = PathConfig(alpha, 0.4, 40, (-1.0, 1.0), seed=8)
                 for pot in self.WELLS:
@@ -194,22 +199,24 @@ FAMILY_IDS = ("zero", "power", "power-offset", "inverse", "tabulated")
 
 
 class TestWorkerThreads:
-    """The potential is summed on path blocks in worker threads."""
+    """Blocks of paths run start to finish in worker threads."""
 
     CFG = PathConfig(1.3, 0.3, 24, (-1.0, 1.0), seed=17)
     XS = np.array([-0.6, 0.0, 0.35])
 
     def test_estimates_independent_of_cpu_count(self, monkeypatch):
-        # 8 workers on fewer cores with frequent thread switches: a lost or
-        # misplaced block sum would change the estimates.
-        defaults = [estimate_feynman_kac(self.XS, pot, self.CFG, 2001) for pot in FAMILIES]
+        # Three blocks on 1, 2 and 8 workers with frequent thread switches:
+        # a lost or misplaced block would change the estimates.
+        n_paths = 2 * montecarlo._PATH_BLOCK + 1
+        defaults = [estimate_feynman_kac(self.XS, pot, self.CFG, n_paths)
+                    for pot in FAMILIES]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for n_cpu in (1, 8):
+            for n_cpu in (1, 2, 8):
                 monkeypatch.setattr(montecarlo, "_cpu_count", lambda n=n_cpu: n)
                 for pot, default in zip(FAMILIES, defaults):
-                    assert estimate_feynman_kac(self.XS, pot, self.CFG, 2001) == default, \
+                    assert estimate_feynman_kac(self.XS, pot, self.CFG, n_paths) == default, \
                         (n_cpu, pot.kind)
         finally:
             sys.setswitchinterval(interval)
@@ -263,6 +270,21 @@ class TestWorkerThreads:
         with pytest.raises(ArithmeticError, match="third call"):
             estimate_feynman_kac(self.XS, failing, self.CFG, 2000)
         assert threading.active_count() == baseline
+
+    def test_error_drops_blocks_not_started(self, monkeypatch):
+        # One worker, 16 blocks: once the first block fails, the blocks the
+        # worker has not taken yet never call the potential.
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+        calls = []
+
+        def failing(x):
+            calls.append(x.shape)
+            time.sleep(0.01)
+            raise ArithmeticError("always")
+
+        with pytest.raises(ArithmeticError, match="always"):
+            estimate_feynman_kac([0.0], failing, self.CFG, 16 * montecarlo._PATH_BLOCK)
+        assert len(calls) < 16
 
     def test_workers_keep_the_callers_errstate(self):
         # x**400 overflows at |x| > 5.9; under over="raise" that must raise

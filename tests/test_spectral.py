@@ -752,6 +752,12 @@ class TestRichardson:
         out = richardson([(127, lam(127)), (255, lam(255))], rate=2.0)
         assert out[0] == pytest.approx(5.0, abs=1e-12)
 
+    def test_growing_differences_fall_back_to_the_default_rate(self):
+        # Differences 0.1 then 0.2 fit a rate of -1, which would extrapolate
+        # from 1.3 down to 0.9, against the trend.
+        levels = [(127, np.array([1.0])), (255, np.array([1.1])), (511, np.array([1.3]))]
+        assert richardson(levels)[0] == richardson(levels[1:])[0] == pytest.approx(1.5)
+
     def test_golden_extrapolated_free_values(self, free_15_512):
         # Frozen regression: alpha = 1.5, (-1, 1), N in {256, 512, 1024}.
         lams = {512: free_15_512.eigenvalues[:2]}
