@@ -3,11 +3,14 @@
 Usage: fracspec <config.json> [--output-dir DIR] [--seed SEED] [--quiet]
 
 The config names a command (spectrum, gap, poincare, counterexample,
-simulate, phi, or all) plus the problem parameters; defaults fill every
-omitted key and the fully resolved config is echoed to config_echo.json
-next to the other outputs for provenance. Each command prints one PASS or
-FAIL line per check. Exit codes: 0 all checks passed, 1 a check failed,
-2 configuration error, 3 the witness search failed to terminate, 4 an
+simulate, phi, or all) plus the problem parameters. _DEFAULTS and
+_POTENTIAL_DEFAULTS state every key once, with its default: the reader
+fills omitted keys from them, refuses any other key, and reads each value
+as the type of its default. The resolved config is then checked across
+keys, before any output exists, and echoed to config_echo.json next to the
+other outputs for provenance. Each command prints one PASS or FAIL line
+per check. Exit codes: 0 all checks passed, 1 a check failed, 2
+configuration error, 3 the witness search failed to terminate, 4 an
 unexpected internal error (a defect; one line on stderr, no traceback).
 
 This is the one module that knows the output formats. The report
@@ -78,12 +81,32 @@ _MC_PATH_ARRAYS = 16
 _COMMANDS = ("spectrum", "gap", "poincare", "counterexample", "simulate",
              "phi", "all")
 _POTENTIAL_COMMANDS = ("spectrum", "gap", "simulate", "phi", "all")
-# The keys each potential kind reads, besides "kind".
-_POTENTIAL_KEYS = {
-    "zero": {"offset"},
-    "power_well": {"kappa", "p", "offset"},
-    "inverse_boundary_well": {"beta"},
-    "tabulated": {"path"},
+# The config schema: every key with its default, section by section, in the
+# order config_echo.json lists them. A value is read as the type of its
+# default: a float, an int, a string, or a list of the type of its first
+# element. A type in place of a default marks a key that must be given.
+_DEFAULTS = {
+    "command": str,
+    "alpha": 1.5,
+    "interval": [-1.0, 1.0],
+    "potential": {"kind": "zero"},
+    "N": 256,
+    "m": 6,
+    "mc": {"t_final": 0.25, "n_steps": 256, "n_paths": 20_000, "seed": 12345,
+           "n_points": 21},
+    "poincare": {"n_functions": 100, "seed": 7, "max_segments": 32},
+    # alpha defaults to the top-level alpha when that lies in (0, 1).
+    "counterexample": {"alpha": 0.5, "n_list": [1, 2, 4, 8, 16, 32]},
+    "chain": {"kernel_times": [0.1, 0.15], "potential_times": [0.05, 0.08],
+              "n_points": 41},
+    "output_dir": "fracspec_out",
+}
+# The keys each potential kind reads besides "kind", with their defaults.
+_POTENTIAL_DEFAULTS = {
+    "zero": {"offset": 0.0},
+    "power_well": {"kappa": 1.0, "p": 2.0, "offset": 0.0},
+    "inverse_boundary_well": {"beta": float},
+    "tabulated": {"path": str},
 }
 
 
@@ -96,15 +119,36 @@ def _expect(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _read(value, name: str, kind=float):
-    """A config number as kind (float or int). Bools are refused, and so
-    are fractions where an int is read; an integral float such as 2e4 is
-    an int."""
-    _expect(not isinstance(value, bool), f"{name} must be a number, got {value!r}")
-    if kind is int and not isinstance(value, int):
-        value = float(value)
+def _read(value, name: str, default):
+    """A config value read as the type of default.
+
+    A dict default is a section: value must be an object of no other keys,
+    and a key it omits takes its default. A number must be finite and not
+    a bool; where the default is an int, a float with no fraction, such as
+    2e4, is read as an int.
+    """
+    if isinstance(default, dict):
+        _expect(isinstance(value, dict), f"{name} must be a JSON object, got {value!r}")
+        unknown = sorted(set(value) - set(default))
+        of_kind = f" for {default['kind']!r}" if "kind" in default else ""
+        _expect(not unknown, f"unknown {name or 'config'} keys{of_kind}: {unknown}")
+        prefix = f"{name}." if name else ""
+        return {key: _read(value.get(key, {} if isinstance(d, dict) else d), prefix + key, d)
+                for key, d in default.items()}
+    _expect(not isinstance(value, type), f"{name} must be given")
+    if isinstance(default, list):
+        _expect(isinstance(value, list), f"{name} must be a list, got {value!r}")
+        return [_read(v, name, default[0]) for v in value]
+    as_type = default if isinstance(default, type) else type(default)
+    if as_type is str:
+        _expect(isinstance(value, str), f"{name} must be a string, got {value!r}")
+        return value
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
+            f"{name} must be a number, got {value!r}")
+    _expect(abs(value) <= sys.float_info.max, f"{name} must be finite, got {value!r}")
+    if as_type is int and not isinstance(value, int):
         _expect(value.is_integer(), f"{name} must be an integer, got {value!r}")
-    return kind(value)
+    return as_type(value)
 
 
 def _path_config(cfg: dict) -> PathConfig:
@@ -114,27 +158,32 @@ def _path_config(cfg: dict) -> PathConfig:
                       tuple(cfg["interval"]), mc["seed"])
 
 
-def _mc_working_bytes(n_points: int, n_paths: int) -> int:
-    """Estimated peak bytes of estimate_feynman_kac at this size."""
-    return 8 * (_MC_ARRAYS * n_points + _MC_PATH_ARRAYS) * n_paths
+def _mc_working_bytes(n_points: int, n_paths: int) -> float:
+    """Estimated peak bytes of estimate_feynman_kac at this size; inf
+    where that overflows a float."""
+    return 8.0 * n_paths * (_MC_ARRAYS * float(n_points) + _MC_PATH_ARRAYS)
 
 
 def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict:
-    """Validate the raw config and fill defaults; returns the echo dict."""
+    """Read the raw config against _DEFAULTS and check it; returns the echo dict."""
     _expect(isinstance(raw, dict), "config root must be a JSON object")
     _expect("quadrature" not in raw,
             "the 'quadrature' section is no longer read: the gap form is now exact; "
             "remove it")
-    known = {"command", "alpha", "interval", "potential", "N", "m",
-             "mc", "poincare", "counterexample", "chain", "output_dir"}
-    unknown = set(raw) - known
-    _expect(not unknown, f"unknown config keys: {sorted(unknown)}")
+    # The potential's kind picks the keys its section reads.
+    pot = raw.get("potential", {})
+    _expect(isinstance(pot, dict), f"potential must be a JSON object, got {pot!r}")
+    kind = pot.get("kind", _DEFAULTS["potential"]["kind"])
+    _expect(isinstance(kind, str) and kind in _POTENTIAL_DEFAULTS,
+            f"unknown potential kind {kind!r}")
+    cfg = _read(raw, "", {**_DEFAULTS,
+                          "potential": {"kind": kind, **_POTENTIAL_DEFAULTS[kind]}})
 
-    command = raw.get("command")
+    command = cfg["command"]
     _expect(command in _COMMANDS,
             f"command must be one of {list(_COMMANDS)}, got {command!r}")
 
-    alpha = _read(raw.get("alpha", 1.5), "alpha")
+    alpha = cfg["alpha"]
     _expect(0.0 < alpha < 2.0, f"alpha must lie in (0, 2), got {alpha}")
     if command in ("poincare", "all"):
         _expect(1.0 < alpha < 2.0,
@@ -143,116 +192,64 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
         _expect(0.0 < alpha < 1.0,
                 f"command 'counterexample' requires alpha in (0, 1), got {alpha}")
 
-    interval = raw.get("interval", [-1.0, 1.0])
-    _expect(isinstance(interval, (list, tuple)) and len(interval) == 2,
-            "interval must be [a, b]")
-    a, b = (_read(x, "interval") for x in interval)
-    _expect(math.isfinite(a) and math.isfinite(b) and b > a,
-            f"interval must be finite with b > a, got [{a}, {b}]")
+    _expect(len(cfg["interval"]) == 2, "interval must be [a, b]")
+    a, b = cfg["interval"]
+    _expect(b > a and math.isfinite(b - a),
+            f"interval must have b > a and a finite length, got [{a}, {b}]")
 
-    pot = dict(raw.get("potential", {"kind": "zero"}))
-    kind = pot.get("kind")
-    _expect(isinstance(kind, str) and kind in _POTENTIAL_KEYS,
-            f"unknown potential kind {kind!r}")
-    unknown = set(pot) - {"kind"} - _POTENTIAL_KEYS[kind]
-    _expect(not unknown, f"unknown potential keys for {kind!r}: {sorted(unknown)}")
-
-    n_grid = _read(raw.get("N", 256), "N", int)
+    n_grid = cfg["N"]
     _expect(n_grid >= 16, f"N must be at least 16, got {n_grid}")
-    dense_bytes = 8 * _DENSE_ARRAYS * n_grid**2
+    dense_bytes = 8.0 * _DENSE_ARRAYS * n_grid * n_grid
     _expect(dense_bytes <= MAX_WORKING_BYTES,
             f"N = {n_grid} needs about {dense_bytes / 2**30:.3g} GiB, "
             f"over the {MAX_WORKING_BYTES / 2**30:.3g} GiB limit")
-    m = _read(raw.get("m", 6), "m", int)
-    _expect(1 <= m <= n_grid, f"m must lie in [1, N], got {m}")
+    _expect(1 <= cfg["m"] <= n_grid, f"m must lie in [1, N], got {cfg['m']}")
 
-    mc = dict(raw.get("mc", {}))
-    mc_resolved = {
-        "t_final": _read(mc.pop("t_final", 0.25), "mc.t_final"),
-        "n_steps": _read(mc.pop("n_steps", 256), "mc.n_steps", int),
-        "n_paths": _read(mc.pop("n_paths", 20_000), "mc.n_paths", int),
-        "seed": _read(mc.pop("seed", 12345), "mc.seed", int),
-        "n_points": _read(mc.pop("n_points", 21), "mc.n_points", int),
-    }
-    _expect(not mc, f"unknown mc keys: {sorted(mc)}")
-    _expect(mc_resolved["n_paths"] >= 2, "mc.n_paths must be >= 2")
-    _expect(mc_resolved["n_points"] >= 1, "mc.n_points must be >= 1")
-    mc_bytes = _mc_working_bytes(mc_resolved["n_points"], mc_resolved["n_paths"])
+    mc = cfg["mc"]
+    _expect(mc["n_paths"] >= 2, "mc.n_paths must be >= 2")
+    _expect(mc["n_points"] >= 1, "mc.n_points must be >= 1")
+    mc_bytes = _mc_working_bytes(mc["n_points"], mc["n_paths"])
     _expect(mc_bytes <= MAX_WORKING_BYTES,
             f"mc.n_points x mc.n_paths needs about {mc_bytes / 2**30:.3g} GiB, "
             f"over the {MAX_WORKING_BYTES / 2**30:.3g} GiB limit")
 
-    campaign = dict(raw.get("poincare", {}))
-    campaign_resolved = {
-        "n_functions": _read(campaign.pop("n_functions", 100), "poincare.n_functions", int),
-        "seed": _read(campaign.pop("seed", 7), "poincare.seed", int),
-        "max_segments": _read(campaign.pop("max_segments", 32), "poincare.max_segments", int),
-    }
-    _expect(not campaign, f"unknown poincare keys: {sorted(campaign)}")
-    _expect(campaign_resolved["n_functions"] >= 1, "poincare.n_functions must be >= 1")
-    _expect(campaign_resolved["max_segments"] >= 3, "poincare.max_segments must be >= 3")
+    campaign = cfg["poincare"]
+    _expect(campaign["n_functions"] >= 1, "poincare.n_functions must be >= 1")
+    _expect(campaign["max_segments"] >= 3, "poincare.max_segments must be >= 3")
 
-    counter = dict(raw.get("counterexample", {}))
-    counter_resolved = {
-        "alpha": _read(counter.pop("alpha", alpha if 0.0 < alpha < 1.0 else 0.5),
-                       "counterexample.alpha"),
-        "n_list": [_read(n, "counterexample.n_list", int)
-                   for n in counter.pop("n_list", [1, 2, 4, 8, 16, 32])],
-    }
-    _expect(not counter, f"unknown counterexample keys: {sorted(counter)}")
-    _expect(0.0 < counter_resolved["alpha"] < 1.0,
-            f"counterexample.alpha must lie in (0, 1), got {counter_resolved['alpha']}")
-    n_list = counter_resolved["n_list"]
+    counter = cfg["counterexample"]
+    if "alpha" not in raw.get("counterexample", {}) and alpha < 1.0:
+        counter["alpha"] = alpha
+    _expect(0.0 < counter["alpha"] < 1.0,
+            f"counterexample.alpha must lie in (0, 1), got {counter['alpha']}")
+    n_list = counter["n_list"]
     _expect(len(n_list) >= 2 and n_list[0] > 0
             and all(n < n_next for n, n_next in zip(n_list, n_list[1:])),
             f"counterexample.n_list must hold at least two strictly increasing "
             f"positive integers, got {n_list}")
 
-    chain = dict(raw.get("chain", {}))
-    chain_resolved = {
-        "kernel_times": [_read(s, "chain.kernel_times")
-                         for s in chain.pop("kernel_times", [0.1, 0.15])],
-        "potential_times": [_read(t, "chain.potential_times")
-                            for t in chain.pop("potential_times", [0.05, 0.08])],
-        "n_points": _read(chain.pop("n_points", 41), "chain.n_points", int),
-    }
-    _expect(not chain, f"unknown chain keys: {sorted(chain)}")
-    _expect(chain_resolved["n_points"] >= 1, "chain.n_points must be >= 1")
-    _expect(len(chain_resolved["kernel_times"]) in (1, 2),
+    chain = cfg["chain"]
+    _expect(chain["n_points"] >= 1, "chain.n_points must be >= 1")
+    _expect(len(chain["kernel_times"]) in (1, 2),
             "chain.kernel_times must have length 1 or 2")
-    _expect(len(chain_resolved["kernel_times"]) == len(chain_resolved["potential_times"]),
+    _expect(len(chain["kernel_times"]) == len(chain["potential_times"]),
             "chain.kernel_times and chain.potential_times must match in length")
-    _expect(all(s > 0 for s in chain_resolved["kernel_times"]),
+    _expect(all(s > 0 for s in chain["kernel_times"]),
             "chain.kernel_times must be positive")
-    _expect(all(t >= 0 for t in chain_resolved["potential_times"]),
+    _expect(all(t >= 0 for t in chain["potential_times"]),
             "chain.potential_times must be nonnegative")
 
-    out_dir = output_dir if output_dir is not None else \
-        str(raw.get("output_dir", "fracspec_out"))
+    if output_dir is not None:
+        cfg["output_dir"] = output_dir
     if seed is not None:
-        mc_resolved["seed"] = int(seed)
-        campaign_resolved["seed"] = int(seed)
+        mc["seed"] = campaign["seed"] = int(seed)
     # Philox takes only nonnegative seeds.
-    _expect(mc_resolved["seed"] >= 0 and campaign_resolved["seed"] >= 0,
-            f"seeds must be >= 0, got mc.seed {mc_resolved['seed']} and "
-            f"poincare.seed {campaign_resolved['seed']}")
-
-    resolved = {
-        "command": command,
-        "alpha": alpha,
-        "interval": [a, b],
-        "potential": pot,
-        "N": n_grid,
-        "m": m,
-        "mc": mc_resolved,
-        "poincare": campaign_resolved,
-        "counterexample": counter_resolved,
-        "chain": chain_resolved,
-        "output_dir": out_dir,
-    }
+    _expect(mc["seed"] >= 0 and campaign["seed"] >= 0,
+            f"seeds must be >= 0, got mc.seed {mc['seed']} and "
+            f"poincare.seed {campaign['seed']}")
     # PathConfig's own checks, before any stage writes output.
-    _path_config(resolved)
-    return resolved
+    _path_config(cfg)
+    return cfg
 
 
 def _build_potential(cfg: dict):
@@ -260,16 +257,11 @@ def _build_potential(cfg: dict):
     interval = tuple(cfg["interval"])
     kind = pot["kind"]
     if kind == "zero":
-        return make_zero(interval, _read(pot.get("offset", 0.0), "potential.offset"))
+        return make_zero(interval, pot["offset"])
     if kind == "power_well":
-        return make_power_well(_read(pot.get("kappa", 1.0), "potential.kappa"),
-                               _read(pot.get("p", 2.0), "potential.p"), interval,
-                               _read(pot.get("offset", 0.0), "potential.offset"))
+        return make_power_well(pot["kappa"], pot["p"], interval, pot["offset"])
     if kind == "inverse_boundary_well":
-        _expect("beta" in pot, "inverse_boundary_well requires 'beta'")
-        return make_inverse_boundary_well(_read(pot["beta"], "potential.beta"), cfg["alpha"],
-                                          interval)
-    _expect("path" in pot, "tabulated potential requires 'path'")
+        return make_inverse_boundary_well(pot["beta"], cfg["alpha"], interval)
     potential = load_tabulated_csv(pot["path"])
     pa, pb = potential.interval
     _expect(abs(pa - interval[0]) <= 1e-12 and abs(pb - interval[1]) <= 1e-12,

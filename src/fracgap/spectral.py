@@ -192,10 +192,11 @@ class OperatorMatrix:
 def assemble_operator(grid: Grid, alpha: float, potential: Potential) -> OperatorMatrix:
     """Toeplitz nonlocal part plus diagonal potential.
 
-    The grid must span the potential's interval (to 1e-12), and the
-    potential be finite at every node. A symmetric potential is evaluated
-    on the left ceil(n/2) nodes and mirrored, so the matrix is
-    centrosymmetric bit for bit, as eigensolve's parity split assumes.
+    The grid must span the potential's interval (to 1e-12), the potential
+    be finite at every node, and h^(-alpha) g_0 a finite float. A
+    symmetric potential is evaluated on the left ceil(n/2) nodes and
+    mirrored, so the matrix is centrosymmetric bit for bit, as eigensolve's
+    parity split assumes.
     """
     if not isinstance(potential, Potential):
         raise DomainError(f"potential must be a Potential, got {type(potential).__name__}")
@@ -212,7 +213,15 @@ def assemble_operator(grid: Grid, alpha: float, potential: Potential) -> Operato
     if not np.all(np.isfinite(vals)):
         bad = float(nodes[np.flatnonzero(~np.isfinite(vals))[0]])
         raise DomainError(f"potential is not finite at node x={bad!r}")
-    column = grid.h ** (-alpha) * frac_coeffs(alpha, n - 1)
+    coeffs = frac_coeffs(alpha, n - 1)
+    try:
+        scale = grid.h ** (-alpha)
+    except OverflowError:
+        scale = math.inf
+    # g_0 is the largest coefficient in magnitude.
+    if not math.isfinite(scale * float(coeffs[0])):
+        raise DomainError(f"h^(-alpha) g_0 overflows at h={grid.h!r}, alpha={alpha!r}")
+    column = scale * coeffs
     return OperatorMatrix(column, column[0] + vals, grid, alpha, potential)
 
 

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import math
+import re
 import shutil
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -237,12 +240,43 @@ class TestConfigErrors:
          "counterexample.n_list must be an integer, got 2.5"),
         ({"command": "simulate", "mc": {"seed": -1}},
          "seeds must be >= 0, got mc.seed -1 and poincare.seed 7"),
+        ({"command": "spectrum", "N": "64", "alpha": "1.5"},
+         "alpha must be a number, got '1.5'"),
+        ({"command": "simulate", "mc": {"t_final": "1e-1", "n_paths": "100"}},
+         "mc.t_final must be a number, got '1e-1'"),
+        ({"command": "simulate", "mc": {"t_final": math.inf}},
+         "mc.t_final must be finite, got inf"),
+        ({"command": "spectrum", "N": 64, "interval": [-1e308, 1e308]},
+         "interval must have b > a and a finite length, got [-1e+308, 1e+308]"),
+        ({"command": "simulate", "interval": [-1e308, 1e308]},
+         "interval must have b > a and a finite length, got [-1e+308, 1e+308]"),
+        ({"command": "spectrum", "N": 64, "interval": [0, 1e-300]},
+         "h^(-alpha) g_0 overflows at h=1.5384615384615385e-302, alpha=1.5"),
+        ({"alpha": 1.5}, "command must be given"),
+        ({"command": "spectrum", "potential": {"kind": "tabulated"}},
+         "potential.path must be given"),
+        ({"command": "poincare", "poincare": [100]},
+         "poincare must be a JSON object, got [100]"),
+        ({"command": "phi", "chain": {"kernel_times": 0.1}},
+         "chain.kernel_times must be a list, got 0.1"),
+        ({"command": "phi", "chain": {"n_points": [41]}},
+         "chain.n_points must be a number, got [41]"),
+        ({"command": "phi", "output_dir": 1}, "output_dir must be a string, got 1"),
+        ({"command": "spectrum", "N": 10**200},
+         f"N = {10**200} needs about inf GiB, over the 2 GiB limit"),
+        ({"command": "simulate", "mc": {"n_paths": 10**160, "n_points": 10**160}},
+         "mc.n_points x mc.n_paths needs about inf GiB, over the 2 GiB limit"),
     ])
     def test_bools_fractions_and_negative_seeds_refused(self, tmp_path, capsys,
                                                         payload, message):
         # The first five used to be truncated or read as 1; a negative
-        # seed failed in the generator as an internal error.
-        code, out = run_quiet(tmp_path, payload)
+        # seed failed in the generator as an internal error. Strings ran as
+        # numbers. An infinite t_final or interval length, a grid too fine
+        # for h^(-alpha) and a size past the float range failed late, with
+        # another message, or as an internal error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_quiet(tmp_path, payload)
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
@@ -536,6 +570,29 @@ class TestOutputSchema:
                                     "consistency_gap_vs_rayleigh", "pass_main", "pass_star"]
         assert report["bound_main"] is None and report["pass_main"] is None
         assert report["pass_star"] is True
+
+
+class TestConfigSchema:
+    def test_readme_config_block_is_the_resolved_default(self, tmp_path):
+        # The README's jsonc block, comments stripped, is config_echo.json
+        # of {"command": "all"}: the documented defaults cannot drift.
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+        documented = json.loads(re.sub(r"//.*", "", block))
+        code, out = run_quiet(tmp_path, {"command": "all"})
+        assert code == EXIT_OK
+        echo = json.loads((out / "config_echo.json").read_text())
+        del documented["output_dir"], echo["output_dir"]
+        assert echo == documented
+
+    def test_potential_echo_lists_resolved_defaults(self, tmp_path):
+        code, out = run_quiet(tmp_path, {
+            "command": "phi", "potential": {"kind": "power_well", "kappa": 5}})
+        assert code == EXIT_OK
+        echo = json.loads((out / "config_echo.json").read_text())
+        assert echo["potential"] == {"kind": "power_well", "kappa": 5.0, "p": 2.0,
+                                     "offset": 0.0}
+        assert type(echo["potential"]["kappa"]) is float
 
 
 class TestOverridesAndDeterminism:

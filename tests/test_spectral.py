@@ -1,6 +1,7 @@
 """Discretization and eigensolver checks, including exact classical oracles."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -103,6 +104,15 @@ class TestAssembleOperator:
         with pytest.raises(DomainError, match=r"not finite at node x=-9\.41"), \
                 np.errstate(over="ignore"):
             assemble_operator(Grid(-10.0, 10.0, 33), 1.5, bad)
+
+    @pytest.mark.parametrize("width", [1e-300, 65 * 3.6e-206])
+    def test_overflowing_stencil_scale_rejected(self, width):
+        # At h = 1.5e-302, h^(-1.5) overflows; at h = 3.6e-206 it is finite,
+        # but h^(-1.5) g_0 with g_0 = 1.57 is not.
+        grid = Grid(0.0, width, 64)
+        message = f"h^(-alpha) g_0 overflows at h={grid.h!r}, alpha=1.5"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            assemble_operator(grid, 1.5, make_zero((0.0, width)))
 
     def test_callable_rejected(self):
         with pytest.raises(DomainError, match="must be a Potential, got function"):
