@@ -69,11 +69,11 @@ _DENSE_ARRAYS = 6
 # extremes and draws with their temporaries). Under tracemalloc (max of
 # four runs after a warm-up, 16 steps, alpha 0.5 and 1.5, 1 / 2 / 8 CPUs,
 # the zero, power (5, 2) and (5, 2.7), inverse boundary and tabulated
-# wells), the peak at 20 000 paths is 7.3 arrays at 1 point, 10.6 at 3,
-# 61.7 at 21 and 118.6 at 41 (8 CPUs; 3.2, 5.6, 34.6 and 66.9 at 1 CPU).
+# wells), the peak at 20 000 paths is 6.1 arrays at 1 point, 8.7 at 3,
+# 48.8 at 21 and 93.4 at 41 (8 CPUs; 2.7, 4.9, 30.3 and 58.5 at 1 CPU).
 # It is highest when every path is in flight, as at 4096 paths (one
-# block): 11.4 at 1 point, 15.3 at 3, 87.3 at 21 and 327.3 at 81, about 4
-# per point plus 7.3. 4 per point plus 16 leaves a margin of at least 8.6
+# block): 9.3 at 1 point, 12.3 at 3, 66.3 at 21 and 246.3 at 81, about 3
+# per point plus 6.3. 4 per point plus 16 leaves a margin of at least 10.7
 # at every size measured.
 _MC_ARRAYS = 4
 _MC_PATH_ARRAYS = 16

@@ -16,17 +16,27 @@ available through Kanter's representation
 
 with U uniform on (0, pi), which has Laplace transform exp(-lambda^rho).
 
+The CMS draw takes its sines and cosines from np.tan of half angles,
+sin t = 2 tau / (1 + tau^2) with tau = tan(t/2), and each cosine as
+cos t = sin(pi/2 - |t|), so that nothing cancels near |V| = pi/2. numpy
+runs tan vectorised on float64 where it may not run sin and cos; the draw
+agrees with the np.sin / np.cos formula to rounding.
+
 The killed process from x0 is x0 plus one free process, so all starting
 points share the same free paths (common random numbers): each step draws
 n_paths increments, whatever the number of points. A path from x0 is killed
 on leaving the interval, checked at grid times, which reduces to comparing
 x0 with the running minimum and maximum of its free path. The potential is
 accumulated by a left-endpoint Riemann sum, so the estimator is the
-expected exp(-sum V dt) over surviving paths. It is evaluated at the
-position clipped to the interval: killed paths keep moving and their
-heavy-tailed jumps land far outside, where V need not be defined or
-finite, and their sums are discarded anyway. Survivors never reach the
-clip, so their sums are those of an unclipped, per-point loop.
+expected exp(-dt sum V) over surviving paths; the sum is scaled by dt once,
+at the end. Killed paths keep moving, and their heavy-tailed jumps land
+far outside, where V need not be defined or finite; their sums are
+discarded. So each step clips the free path once to
+[a - max x0, b - min x0], which a survivor from any start point x0 never
+reaches: survivors' sums are those of an unclipped, per-point loop, bit
+for bit, and V is evaluated outside [a, b] only for killed (point, path)
+pairs, less than max x0 - min x0 beyond it. Only the survivors' sums must
+be finite.
 
 Sharing paths leaves the law of each point's estimate as it is and changes
 only the joint law: nearby points are positively correlated, so their
@@ -136,10 +146,11 @@ def sample_stable_increment(alpha: float, dt: float,
     """Increments of the symmetric alpha-stable process over time dt.
 
     Chambers-Mallows-Stuck draw from V uniform on (-pi/2, pi/2) and W unit
-    exponential; the output has characteristic function exp(-dt |u|^alpha),
-    the law of the twice-speed Brownian motion subordinated by
-    sample_subordinator_increment(alpha / 2, ...). Returns an array of
-    size draws.
+    exponential, its sines and cosines from np.tan of half angles (see
+    _sin_from_half_angle); the output has characteristic function
+    exp(-dt |u|^alpha), the law of the twice-speed Brownian motion
+    subordinated by sample_subordinator_increment(alpha / 2, ...). Returns
+    an array of size draws.
     """
     alpha = float(alpha)
     if not (0.0 < alpha < 2.0):
@@ -148,11 +159,41 @@ def sample_stable_increment(alpha: float, dt: float,
         raise DomainError(f"dt must be positive, got {dt}")
     v = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=size)
     w = rng.standard_exponential(size=size)
+    # Half angles of cos V = sin(pi/2 - |V|), of cos((1-a)V) likewise (so
+    # that nothing cancels near |V| = pi/2) and of sin(aV), stacked so each
+    # ufunc runs once over all three.
+    half = np.empty((3, *v.shape))
+    np.abs(v, out=half[0])
+    half[0] *= -0.5
+    np.multiply(half[0], abs(1.0 - alpha), out=half[1])
+    half[:2] += 0.25 * math.pi
+    np.multiply(v, 0.5 * alpha, out=half[2])
+    cos_v, cos_1a, sin_av = _sin_from_half_angle(half)
     # sin(aV) / cos(V)^(1/a) * (cos((1-a)V) / W)^((1-a)/a), the magnitude
     # taken in logs so no intermediate power overflows at small alpha.
-    log_m = (((1.0 - alpha) / alpha) * np.log(np.cos((1.0 - alpha) * v) / w)
-             - np.log(np.cos(v)) / alpha)
-    return dt ** (1.0 / alpha) * (np.sin(alpha * v) * np.exp(log_m))
+    cos_1a /= w
+    log_cos_v, log_m = np.log(half[:2], out=half[:2])
+    log_m *= (1.0 - alpha) / alpha
+    log_cos_v /= alpha
+    log_m -= log_cos_v
+    # Into w's buffer: a row of half would keep all three rows alive.
+    z = np.multiply(sin_av, np.exp(log_m, out=log_m), out=w)
+    z *= dt ** (1.0 / alpha)
+    return z
+
+
+def _sin_from_half_angle(half: np.ndarray) -> np.ndarray:
+    """sin(2 half) = 2 tau / (1 + tau^2) with tau = tan(half), in place of half.
+
+    numpy runs np.tan vectorised on float64, where it may run np.sin and
+    np.cos one element at a time; this is then faster than np.sin.
+    """
+    tau = np.tan(half, out=half)
+    denom = np.multiply(tau, tau)
+    denom += 1.0
+    tau /= denom
+    tau *= 2.0
+    return tau
 
 
 def _cpu_count() -> int:
@@ -168,27 +209,32 @@ _PATH_BLOCK = 4096
 
 
 def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int) -> np.ndarray:
-    """exp(-sum V dt) per (start point, path) for survivors, 0 if killed.
+    """exp(-dt sum V) per (start point, path) for survivors, 0 if killed.
 
     Every start point x0 shares the same n_paths free paths: the path from
     x0 is x0 + free. The potential is summed left-endpoint style over grid
-    times 0, dt, ..., t_final - dt at the clipped position, and a path
+    times 0, dt, ..., t_final - dt, at x0 plus the free path clipped to
+    [a - max(xs), b - min(xs)], and the sum scaled by dt at the end. A path
     survives iff x0 + min(free) > a and x0 + max(free) < b over the grid
-    times, the same rule as checking exit at every grid time.
+    times, the same rule as checking exit at every grid time. The clip
+    moves no survivor, so V is evaluated outside (a, b) only for killed
+    pairs.
 
     The paths are cut into blocks of _PATH_BLOCK columns, and one task runs
     a block through every step on the block's own stream, then forms the
     functional in its columns of the result. Neither the blocks nor their
     streams depend on the CPU count, so neither do the values, bit for bit.
     The tasks run in the caller's context (so np.errstate holds there too).
-    A sum that is not finite (a potential that overflows at a visited
-    position) raises DomainError.
+    A survivor's sum that is not finite (a potential that overflows at a
+    visited position) raises DomainError; killed pairs are not checked.
 
     Working set: the sums, formed in the result, are the only n_points x
-    n_paths array. A task's positions and potential values live for one
-    step. One thread per two blocks, rounded up and at most one per CPU,
-    keeps about half the paths in flight, or all of them when they fit in
-    three blocks.
+    n_paths array. A task writes its positions into one buffer that every
+    step reuses (fresh arrays at each step cost page faults on the first
+    call in a process), and the potential's values live for one step. One
+    thread per two blocks, rounded up and at most one per CPU, keeps about
+    half the paths in flight, or all of them when they fit in three
+    blocks.
     """
     # Imported here: at module top it would add to every `import fracgap`.
     from concurrent.futures import ThreadPoolExecutor
@@ -197,6 +243,9 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int) -> np.n
     dt = cfg.t_final / cfg.n_steps
     if np.any(~((xs > a) & (xs < b))):
         raise DomainError("all starting points must lie strictly inside the interval")
+    # A survivor from x0 keeps its free path inside (a - x0, b - x0), so
+    # this clip moves no survivor's position.
+    free_lo, free_hi = a - float(np.max(xs)), b - float(np.min(xs))
     x0 = xs[:, None]
     values = np.zeros((xs.size, n_paths))
 
@@ -205,22 +254,22 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int) -> np.n
         v_sum = values[:, start:start + _PATH_BLOCK]
         n = v_sum.shape[1]
         free, lo, hi = np.zeros((3, n))
+        pos = np.empty_like(v_sum)
         for _ in range(cfg.n_steps):
-            # Contiguous positions, released before the sum grows.
-            p = np.add(x0, free)
-            np.clip(p, a, b, out=p)
-            v = np.asarray(potential(p), dtype=float)
-            del p
-            v_sum += np.multiply(v, dt, out=v)
+            np.add(x0, np.clip(free, free_lo, free_hi), out=pos)
+            v_sum += potential(pos)
             free += sample_stable_increment(cfg.alpha, dt, rng, size=n)
             np.minimum(lo, free, out=lo)
             np.maximum(hi, free, out=hi)
-        if not np.all(np.isfinite(v_sum)):
-            raise DomainError("the potential summed along some path is not finite")
-        # exp(-sum) in place, then 0 where killed, one start point at a time.
-        np.exp(np.negative(v_sum, out=v_sum), out=v_sum)
+        # exp(-dt sum) in place, one start point at a time; a killed pair's
+        # sum becomes inf, so its value is exp(-inf) = 0.
         for i, x in enumerate(xs):
-            v_sum[i, ~((x + lo > a) & (x + hi < b))] = 0.0
+            row = v_sum[i]
+            alive = (x + lo > a) & (x + hi < b)
+            if not np.all(np.isfinite(row[alive])):
+                raise DomainError("the potential summed along some path is not finite")
+            row[~alive] = np.inf
+            np.exp(np.multiply(row, -dt, out=row), out=row)
 
     starts = range(0, n_paths, _PATH_BLOCK)
     pool = ThreadPoolExecutor(max_workers=min(_cpu_count(), -(-len(starts) // 2)))
@@ -244,7 +293,10 @@ def estimate_feynman_kac(x_points, potential, cfg: PathConfig,
     in x_points nor on the CPU count. For the free case the mean estimates
     the survival probability; generally it estimates the semigroup applied
     to the constant 1. The potential is called from worker threads,
-    concurrently, on 2-d blocks of positions, and must act elementwise.
+    concurrently, on 2-d blocks of positions, and must act elementwise. It
+    is evaluated outside the interval only for paths already killed from
+    that start point, and less than max(x_points) - min(x_points) beyond
+    it; only the surviving paths' sums must be finite.
     """
     if n_paths < 2:
         raise DomainError(f"n_paths must be >= 2, got {n_paths}")
@@ -289,7 +341,8 @@ def gaussian_chain(x_points, kernel_times, potential_times, potential) -> ChainR
     length 2) by tensor Gauss-Legendre quadrature, then checks discrete
     unimodality of the values over x_points: nondecreasing up to the peak,
     nonincreasing after, with violations measured relative to the peak.
-    A potential that is not finite at a Gauss node raises DomainError.
+    A potential that is not finite at a Gauss node, or values that all
+    underflow to 0, raise DomainError.
     """
     s_list = [float(s) for s in np.atleast_1d(kernel_times)]
     t_list = [float(t) for t in np.atleast_1d(potential_times)]
@@ -324,7 +377,9 @@ def gaussian_chain(x_points, kernel_times, potential_times, potential) -> ChainR
     vals = _gauss_kernel(s_list[0], y[None, :] - xs[:, None]) * weight @ w
 
     sup = float(np.max(vals))
-    rel = _unimodal_excess(vals, 0.0) / sup if sup > 0 else math.inf
+    if sup == 0.0:
+        raise DomainError(f"kernel chain values underflow to 0 on the interval {(a, b)}")
+    rel = _unimodal_excess(vals, 0.0) / sup
     return ChainReport(xs, np.asarray(vals), rel <= 1e-10, rel)
 
 

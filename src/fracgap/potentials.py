@@ -54,10 +54,11 @@ class Potential:
 
         Each family makes one result array and finishes it in place, in
         the order of its formula, so every element sees the operations of
-        the plain expression. A ufunc returns a 0-d x as a numpy scalar,
-        which the augmented operators rebind in scalar arithmetic, as in
-        the plain expression: numpy's array and scalar powers can differ
-        in the last bit.
+        the plain expression. A zero offset is not added: that pass would
+        change no value, only turn a -0.0 into 0.0. A ufunc returns a 0-d x
+        as a numpy scalar, which the augmented operators rebind in scalar
+        arithmetic, as in the plain expression: numpy's array and scalar
+        powers can differ in the last bit.
         """
         x = np.asarray(x, dtype=float)
         a, b = self.interval
@@ -84,7 +85,8 @@ class Potential:
             vals = np.interp(x, xs, ys)
         else:
             raise DomainError(f"unknown potential kind {self.kind!r}")
-        vals += self.offset
+        if self.offset:
+            vals += self.offset
         return vals
 
     @property

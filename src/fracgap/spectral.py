@@ -42,6 +42,7 @@ alpha 1.2, and at 0.58 and 0.51 N^2 at alpha 0.7.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -193,10 +194,10 @@ def assemble_operator(grid: Grid, alpha: float, potential: Potential) -> Operato
     """Toeplitz nonlocal part plus diagonal potential.
 
     The grid must span the potential's interval (to 1e-12), the potential
-    be finite at every node, and h^(-alpha) g_0 a finite float. A
-    symmetric potential is evaluated on the left ceil(n/2) nodes and
-    mirrored, so the matrix is centrosymmetric bit for bit, as eigensolve's
-    parity split assumes.
+    be finite at every node, and h^(-alpha) g_0 a normal float whose
+    square times n is finite. A symmetric potential is evaluated on the
+    left ceil(n/2) nodes and mirrored, so the matrix is centrosymmetric bit
+    for bit, as eigensolve's parity split assumes.
     """
     if not isinstance(potential, Potential):
         raise DomainError(f"potential must be a Potential, got {type(potential).__name__}")
@@ -218,9 +219,16 @@ def assemble_operator(grid: Grid, alpha: float, potential: Potential) -> Operato
         scale = grid.h ** (-alpha)
     except OverflowError:
         scale = math.inf
-    # g_0 is the largest coefficient in magnitude.
-    if not math.isfinite(scale * float(coeffs[0])):
-        raise DomainError(f"h^(-alpha) g_0 overflows at h={grid.h!r}, alpha={alpha!r}")
+    # g_0 is the largest coefficient in magnitude. The solve's norms square
+    # entries of H and sum n of them, so n (h^(-alpha) g_0)^2 must stay finite.
+    diag = scale * float(coeffs[0])
+    where = f"at h={grid.h!r}, alpha={alpha!r}"
+    if not math.isfinite(diag):
+        raise DomainError(f"h^(-alpha) g_0 overflows {where}")
+    if diag < sys.float_info.min:
+        raise DomainError(f"h^(-alpha) g_0 underflows {where}")
+    if not math.isfinite(n * diag * diag):
+        raise DomainError(f"N (h^(-alpha) g_0)^2 overflows {where}")
     column = scale * coeffs
     return OperatorMatrix(column, column[0] + vals, grid, alpha, potential)
 

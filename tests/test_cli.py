@@ -167,6 +167,18 @@ class TestConfigErrors:
         assert err.startswith("config error: potential is not finite at Gauss node"), err
         assert err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("interval", [[0, 1e-300], [0, 1e-200], [-1e300, 1e300]])
+    def test_underflowing_kernel_chain_fails_phi(self, tmp_path, capsys, interval):
+        # Every chain value underflowed to 0, which read as a failed check
+        # with max violation inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run_quiet(tmp_path, {"command": "phi", "interval": interval})
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: kernel chain values underflow to 0"), err
+        assert err.count("\n") == 1, err
+
     def test_oversized_monte_carlo_rejected_before_allocating(self, tmp_path, capsys):
         # The default size sits far below the limit; 10^10 paths far above.
         assert cli._mc_working_bytes(21, 20_000) * 50 <= MAX_WORKING_BYTES
@@ -266,6 +278,10 @@ class TestConfigErrors:
          f"N = {10**200} needs about inf GiB, over the 2 GiB limit"),
         ({"command": "simulate", "mc": {"n_paths": 10**160, "n_points": 10**160}},
          "mc.n_points x mc.n_paths needs about inf GiB, over the 2 GiB limit"),
+        ({"command": "spectrum", "N": 64, "interval": [-1e300, 1e300]},
+         "h^(-alpha) g_0 underflows at h=3.076923076923077e+298, alpha=1.5"),
+        ({"command": "spectrum", "N": 64, "interval": [0, 1e-200]},
+         "N (h^(-alpha) g_0)^2 overflows at h=1.5384615384615385e-202, alpha=1.5"),
     ])
     def test_bools_fractions_and_negative_seeds_refused(self, tmp_path, capsys,
                                                         payload, message):
@@ -273,7 +289,9 @@ class TestConfigErrors:
         # seed failed in the generator as an internal error. Strings ran as
         # numbers. An infinite t_final or interval length, a grid too fine
         # for h^(-alpha) and a size past the float range failed late, with
-        # another message, or as an internal error.
+        # another message, or as an internal error. A grid too coarse for
+        # h^(-alpha) failed the ground-state sign check, and one so fine that
+        # the solve's norms overflow printed numpy warnings.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out = run_quiet(tmp_path, payload)

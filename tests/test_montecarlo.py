@@ -110,6 +110,28 @@ class TestStableSampler:
             b = sample_stable_increment(alpha, 1.0, make_rng(3), size=64)
             assert np.allclose(a, 2.0 ** (1.0 / alpha) * b, rtol=1e-13)
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.9])
+    def test_matches_sin_cos_formula(self, alpha):
+        # The draw takes its sines and cosines from np.tan of half angles;
+        # the CMS formula with np.sin and np.cos, on the same V and W, agrees
+        # to rounding. The tail comes from V next to +-pi/2, where
+        # sin(pi/2 - |V|) takes pi/2 rounded to a float: a relative error
+        # in cos V that grows as cos V shrinks.
+        n = 10**6
+        got = sample_stable_increment(alpha, 1.0, make_rng(19), size=n)
+        rng = make_rng(19)
+        v = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=n)
+        w = rng.standard_exponential(size=n)
+        log_m = (((1.0 - alpha) / alpha) * np.log(np.cos((1.0 - alpha) * v) / w)
+                 - np.log(np.cos(v)) / alpha)
+        want = np.sin(alpha * v) * np.exp(log_m)
+        finite = np.isfinite(want)
+        assert np.all(np.isfinite(got[finite]))
+        nonzero = finite & (want != 0.0)
+        rel = np.abs(got[nonzero] - want[nonzero]) / np.abs(want[nonzero])
+        assert np.median(rel) <= 1e-15
+        assert np.percentile(rel, 99.99) <= 1e-11
+
     def test_return_types(self):
         rng = make_rng(5)
         arr = sample_stable_increment(1.5, 1.0, rng, size=1000)
@@ -130,7 +152,8 @@ def masked_loop(x, potential, cfg, n_paths):
     """Per-point killed-path values written out literally, block by block:
     block j holds the next montecarlo._PATH_BLOCK paths and draws from
     Philox(seed) jumped j times. Gather the living paths, add their
-    potential, step all paths, kill the ones that left."""
+    potential, step all paths, kill the ones that left; the sums are
+    scaled by dt once, at the end."""
     a, b = cfg.interval
     dt = cfg.t_final / cfg.n_steps
     out = np.zeros(n_paths)
@@ -142,10 +165,10 @@ def masked_loop(x, potential, cfg, n_paths):
         v_sum = np.zeros(n)
         for _ in range(cfg.n_steps):
             pos = x + free
-            v_sum[alive] += potential(pos[alive]) * dt
+            v_sum[alive] += potential(pos[alive])
             free += sample_stable_increment(cfg.alpha, dt, rng, size=n)
             alive &= (x + free > a) & (x + free < b)
-        out[start:start + n][alive] = np.exp(-v_sum[alive])
+        out[start:start + n][alive] = np.exp(-(v_sum[alive] * dt))
     return out
 
 
@@ -180,6 +203,37 @@ class TestCommonRandomNumbers:
                         assert 0.0 < est.mean < 1.0
                         assert est.mean == float(np.mean(vals)), (n, alpha, pot.kind, x)
                         assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(n))
+
+    @pytest.mark.parametrize("outside", [math.nan, math.inf])
+    def test_potential_undefined_outside_matches_masked_loop(self, outside):
+        # Only killed (point, path) pairs are evaluated outside the interval,
+        # and their sums are discarded.
+        well = self.WELLS[0]
+        hits = []
+
+        def pot(x):
+            inside = np.abs(x) < 1.0
+            hits.append(not np.all(inside))
+            return np.where(inside, well(x), outside)
+
+        cfg = PathConfig(1.5, 0.4, 40, (-1.0, 1.0), seed=8)
+        xs = np.array([-0.8, -0.2, 0.3, 0.85])
+        n = 2 * montecarlo._PATH_BLOCK + 1
+        ests = estimate_feynman_kac(xs, pot, cfg, n)
+        assert any(hits)
+        for x, est in zip(xs, ests):
+            vals = masked_loop(x, pot, cfg, n)
+            assert est.mean == float(np.mean(vals)), x
+            assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(n)), x
+
+    def test_potential_infinite_inside_raises(self):
+        # Paths from 0 that survive 8 short steps start inside |x| < 0.5.
+        def pot(x):
+            return np.where(np.abs(x) < 0.5, math.inf, 0.0)
+
+        cfg = PathConfig(1.5, 0.1, 8, (-1.0, 1.0), seed=3)
+        with pytest.raises(DomainError, match="summed along some path is not finite"):
+            estimate_feynman_kac([-0.8, 0.0], pot, cfg, 2000)
 
     def test_small_alpha_finite_without_warnings(self):
         pot = make_power_well(5.0, 2.0, (-1.0, 1.0))
@@ -433,6 +487,15 @@ class TestGaussianChain:
             gaussian_chain([0.0], [0.0], [0.1], FREE)
         with pytest.raises(DomainError):
             gaussian_chain([0.0], [0.1], [-0.1], FREE)
+
+    @pytest.mark.parametrize("interval", [(0.0, 1e-300), (-1e300, 1e300)])
+    def test_underflow_to_zero_rejected(self, interval):
+        # Two layers of weights near 1e-300, or Gaussian kernels over a
+        # spacing near 1e298 (whose squares overflow), leave every value 0.
+        xs = np.linspace(*interval, 5)[1:-1]
+        with pytest.raises(DomainError, match="kernel chain values underflow to 0"), \
+                np.errstate(over="ignore"):
+            gaussian_chain(xs, [0.1, 0.15], [0.05, 0.08], make_zero(interval))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_start_rejected(self, bad):

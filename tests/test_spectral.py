@@ -114,6 +114,18 @@ class TestAssembleOperator:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             assemble_operator(grid, 1.5, make_zero((0.0, width)))
 
+    @pytest.mark.parametrize("a, b, message", [
+        # h^(-1.5) underflows to 0 at h = 3.1e298.
+        (-1e300, 1e300, "h^(-alpha) g_0 underflows"),
+        # h^(-1.5) g_0 = 7.9e302 is finite, its square is not.
+        (0.0, 1e-200, "N (h^(-alpha) g_0)^2 overflows"),
+    ])
+    def test_stencil_scale_out_of_solve_range_rejected(self, a, b, message):
+        grid = Grid(a, b, 64)
+        message = f"{message} at h={grid.h!r}, alpha=1.5"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            assemble_operator(grid, 1.5, make_zero((a, b)))
+
     def test_callable_rejected(self):
         with pytest.raises(DomainError, match="must be a Potential, got function"):
             assemble_operator(Grid(-1.0, 1.0, 33), 1.5, lambda x: 0.0 * x)
