@@ -33,8 +33,9 @@ import numpy as np
 
 from .errors import DomainError, WitnessSearchError
 from .forms import check_gaps
-from .montecarlo import (PathConfig, PathEstimate, _unimodal_excess, estimate_feynman_kac,
-                         gaussian_chain, make_rng)
+from .montecarlo import (PathConfig, PathEstimate, estimate_feynman_kac, gaussian_chain,
+                         make_rng)
+from .numerics import _unimodal_excess
 from .poincare import (counterexample_scan, poincare_check, poincare_constant,
                        random_piecewise_linear, witness_search)
 from .potentials import (load_tabulated_csv, make_inverse_boundary_well,

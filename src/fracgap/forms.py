@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import (FormValue, levy_constant, piecewise_linear_mass,
-                       piecewise_linear_weighted_form)
-from .poincare import PiecewiseLinear, _require_piecewise_linear
+from .numerics import (FormValue, PiecewiseLinear, _require_piecewise_linear, levy_constant,
+                       piecewise_linear_mass, piecewise_linear_weighted_form)
+from .poincare import poincare_constant
 from .spectral import SpectralResult
 
 __all__ = [
@@ -48,17 +48,16 @@ def ground_state_weight(result: SpectralResult) -> PiecewiseLinear:
                            np.concatenate([[0.0], result.eigenvectors[:, 0], [0.0]]))
 
 
-def _index_form(t_xs, f_ys, result: SpectralResult) -> FormValue:
-    """weighted_form of the interpolant of (t_xs, f_ys) in grid-index coordinates.
+def _index_form(f: PiecewiseLinear, result: SpectralResult) -> FormValue:
+    """weighted_form of f given in grid-index coordinates.
 
     Coordinate t = (x - a) / h puts the ground-state knots on the integers
     0..N+1, where every cell has width exactly 1, so the moments depend on
     the cell offset alone; the form scales as h^(1-alpha).
     """
     grid = result.grid
-    index = np.arange(grid.n + 2, dtype=float)
-    raw = piecewise_linear_weighted_form(t_xs, f_ys, index, ground_state_weight(result).ys,
-                                         result.alpha, (0.0, grid.n + 1.0))
+    weight = PiecewiseLinear(np.arange(grid.n + 2, dtype=float), ground_state_weight(result).ys)
+    raw = piecewise_linear_weighted_form(f, weight, result.alpha, (0.0, grid.n + 1.0))
     scale = 0.5 * levy_constant(-result.alpha) * grid.h ** (1.0 - result.alpha)
     return FormValue(scale * raw.value, scale * raw.error_estimate)
 
@@ -75,7 +74,8 @@ def weighted_form(f: PiecewiseLinear, result: SpectralResult) -> FormValue:
     grid = result.grid
     # (x - a) / (b - a) is exactly 1 at x = b, so knots at the ends stay
     # on the ends.
-    return _index_form((f.xs - grid.a) / (grid.b - grid.a) * (grid.n + 1), f.ys, result)
+    return _index_form(PiecewiseLinear((f.xs - grid.a) / (grid.b - grid.a) * (grid.n + 1),
+                                       f.ys), result)
 
 
 def rayleigh_gap(result: SpectralResult, n: int = 2) -> float:
@@ -97,11 +97,9 @@ def rayleigh_gap(result: SpectralResult, n: int = 2) -> float:
     # The interpolants are constant outside their knots, which is exactly
     # the intended treatment of the excluded fringe.
     ratio = phin[keep] / phi1[keep]
-    form = _index_form(np.arange(1.0, grid.n + 1)[keep], ratio, result)
-
-    w = ground_state_weight(result)
-    norm_sq = piecewise_linear_mass(grid.nodes()[keep], ratio, w.xs, w.ys,
-                                    (grid.a, grid.b)).value
+    form = _index_form(PiecewiseLinear(np.arange(1.0, grid.n + 1)[keep], ratio), result)
+    norm_sq = piecewise_linear_mass(PiecewiseLinear(grid.nodes()[keep], ratio),
+                                    ground_state_weight(result), (grid.a, grid.b)).value
     if norm_sq <= 0:
         raise DomainError("degenerate eigenfunction ratio: zero weighted norm")
     return form.value / norm_sq
@@ -131,8 +129,7 @@ def gap_bounds(alpha: float, a: float, b: float) -> GapBounds:
     bound_star = const / length ** alpha
     bound_main = None
     if alpha > 1.0:
-        bound_main = (const / 4.0) * (1.0 / 9.0) ** ((alpha + 1.0) / (alpha - 1.0)) \
-            / length ** alpha
+        bound_main = (const / 4.0) * poincare_constant(alpha) / length ** alpha
     return GapBounds(bound_star, bound_main)
 
 

@@ -49,9 +49,10 @@ j times, and one task runs it through every step. The blocks and their
 streams depend only on the seed and the number of paths, so estimates
 reproduce bit for bit on any number of CPUs.
 
-Profiles are tested for unimodality in one place, _unimodal_excess:
-gaussian_chain gives it no slack, and the CLI three standard errors per
-pair of neighbouring estimates.
+Profiles are tested for unimodality by numerics._unimodal_excess, the
+rule the ground-state shape check also uses: gaussian_chain gives it no
+slack, and the CLI three standard errors per pair of neighbouring
+estimates.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .numerics import _unimodal_excess
 
 __all__ = [
     "PathConfig",
@@ -381,20 +383,6 @@ def gaussian_chain(x_points, kernel_times, potential_times, potential) -> ChainR
         raise DomainError(f"kernel chain values underflow to 0 on the interval {(a, b)}")
     rel = _unimodal_excess(vals, 0.0) / sup
     return ChainReport(xs, np.asarray(vals), rel <= 1e-10, rel)
-
-
-def _unimodal_excess(values, slack) -> float:
-    """How far values fail to rise to their first maximum and fall after it.
-
-    The largest fall between neighbours before the first maximum, or rise
-    after it, less that pair's slack (a scalar, or one per consecutive
-    pair), and 0 when none exceeds its slack.
-    """
-    values = np.asarray(values, dtype=float)
-    step = np.diff(values)
-    step[:int(np.argmax(values))] *= -1.0
-    # Python's max keeps the first of equals: no excess reads 0.0, not -0.0.
-    return max(0.0, float(np.max(step - slack, initial=0.0)))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
-"""Special functions and closed forms for piecewise-linear functions.
+"""Special functions, piecewise-linear functions and their closed forms.
 
 Everything downstream rests on a gamma function accurate to roughly machine
-precision, the jump-kernel normalizing constant built from it, and the
-forms of piecewise-linear functions, the package's test functions: their
-unweighted form (alpha in (0, 1) or (1, 2)), their weighted form (alpha in
-(0, 2)) and their weighted L2 mass. These are evaluated from closed-form
-and fixed-order cell-pair integrals, each with an error bound; no adaptive
-quadrature is involved.
+precision, the jump-kernel normalizing constant built from it, and
+PiecewiseLinear, the package's test functions and potential tables. Their
+forms are the unweighted form (alpha in (0, 1) or (1, 2)), the weighted
+form (alpha in (0, 2)) and the weighted L2 mass, evaluated from
+closed-form and fixed-order cell-pair integrals, each with an error bound;
+no adaptive quadrature is involved. _unimodal_excess is the one discrete
+unimodality rule of the package.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import DomainError
 
 __all__ = [
     "FormValue",
+    "PiecewiseLinear",
     "gamma_fn",
     "levy_constant",
     "piecewise_linear_form",
@@ -129,17 +131,39 @@ def _pl_form_terms(edges: np.ndarray, slopes: np.ndarray, alpha):
     return value, magnitude
 
 
-def _pl_data(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints and values as float arrays, rejected unless well formed."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.size < 2 or xs.shape != ys.shape:
-        raise DomainError("piecewise-linear data must be matching 1d arrays, length >= 2")
-    if not (xs[1:] > xs[:-1]).all():
-        raise DomainError("breakpoints must be strictly increasing")
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise DomainError("piecewise-linear data must be finite")
-    return xs, ys
+class PiecewiseLinear:
+    """Piecewise-linear function through (xs, ys); xs strictly increasing.
+
+    The package's one test-function type, and the table of a tabulated
+    potential: Lipschitz, dense among Lipschitz functions, and with forms
+    in closed form (below). The constructor is the one check of such data.
+    Evaluation clamps to the boundary values outside [xs[0], xs[-1]].
+    """
+
+    def __init__(self, xs, ys):
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        if xs.ndim != 1 or xs.size < 2 or xs.shape != ys.shape:
+            raise DomainError("piecewise-linear data must be matching 1d arrays, length >= 2")
+        if not (xs[1:] > xs[:-1]).all():
+            raise DomainError("breakpoints must be strictly increasing")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise DomainError("piecewise-linear data must be finite")
+        self.xs, self.ys = xs, ys
+
+    def __call__(self, x):
+        return np.interp(x, self.xs, self.ys)
+
+    def lipschitz(self) -> float:
+        return float(np.max(np.abs(np.diff(self.ys) / np.diff(self.xs))))
+
+    def scaled(self, factor: float) -> "PiecewiseLinear":
+        return PiecewiseLinear(self.xs, self.ys * factor)
+
+
+def _require_piecewise_linear(f, name: str = "f") -> None:
+    if not isinstance(f, PiecewiseLinear):
+        raise DomainError(f"{name} must be a PiecewiseLinear, got {type(f).__name__}")
 
 
 def _cell_edges(xs: np.ndarray, interval: tuple[float, float]) -> np.ndarray:
@@ -150,12 +174,12 @@ def _cell_edges(xs: np.ndarray, interval: tuple[float, float]) -> np.ndarray:
     return np.concatenate([[a], xs[(xs > a) & (xs < b)], [b]])
 
 
-def piecewise_linear_form(xs, ys, alpha: float,
+def piecewise_linear_form(f: PiecewiseLinear, alpha: float,
                           interval: tuple[float, float]) -> FormValue:
-    """Exact unweighted form of the piecewise-linear interpolant of (xs, ys).
+    """Exact unweighted form of the PiecewiseLinear f over the interval.
 
-    The interpolant is constant outside [xs[0], xs[-1]], as np.interp makes
-    it. For alpha in (0, 1) or (1, 2), writing (f(x)-f(y))^2 as the double
+    f is constant outside [f.xs[0], f.xs[-1]], as np.interp makes it. For
+    alpha in (0, 1) or (1, 2), writing (f(x)-f(y))^2 as the double
     integral of f'(s) f'(t) over s, t between y and x and integrating the
     kernel |x-y|^(-1-alpha) first gives E = d^T W d, with d the slopes on
     the cells between consecutive breakpoints (clipped to the interval and
@@ -175,9 +199,9 @@ def piecewise_linear_form(xs, ys, alpha: float,
     if not (0.0 < alpha < 2.0) or alpha == 1.0:
         raise DomainError(
             f"piecewise_linear_form requires alpha in (0, 1) or (1, 2), got {alpha}")
-    xs, ys = _pl_data(xs, ys)
-    edges = _cell_edges(xs, interval)
-    vals = np.interp(edges, xs, ys)
+    _require_piecewise_linear(f)
+    edges = _cell_edges(f.xs, interval)
+    vals = f(edges)
     slopes = (vals[1:] - vals[:-1]) / (edges[1:] - edges[:-1])
     value, magnitude = _pl_form_terms(edges, slopes, alpha)
     # Each term takes a few dozen roundings (powers with rounded exponents,
@@ -396,51 +420,67 @@ def _balanced(edges: np.ndarray) -> np.ndarray:
         edges = np.insert(edges, np.flatnonzero(wide) + 1, mid[wide])
 
 
-def piecewise_linear_weighted_form(f_xs, f_ys, w_xs, w_ys, alpha: float,
+def piecewise_linear_weighted_form(f: PiecewiseLinear, w: PiecewiseLinear, alpha: float,
                                    interval: tuple[float, float]) -> FormValue:
     """Exact iint (f(x)-f(y))^2 w(x) w(y) |x-y|^(-1-alpha) for piecewise-linear f, w.
 
-    alpha in (0, 2). f and w are the interpolants of (f_xs, f_ys) and
-    (w_xs, w_ys), constant outside their knots as np.interp makes them. The
-    two knot sets, clipped to the interval and merged with its ends, cut it
-    into cells; cells wider than twice a neighbour are halved until none
-    is. On each pair of cells the integrand is a polynomial times the
-    kernel, integrated by closed forms (same or adjacent cells) and by
-    tensor Gauss-Legendre whose order is chosen from a Bernstein-ellipse
-    bound (cells further apart); no adaptive quadrature is involved (see
-    _pl_weighted_terms). The cost is O(n^2) in the number of cells n, with
-    O(n) moment work when all cells have exactly the same width and
-    O(n^2) otherwise. The error estimate bounds the rounding from the
-    magnitudes of the summed terms, plus the Gauss truncation bound.
+    alpha in (0, 2). f and w are PiecewiseLinear, constant outside their
+    knots. The two knot sets, clipped to the interval and merged with its
+    ends, cut it into cells; cells wider than twice a neighbour are halved
+    until none is. On each pair of cells the integrand is a polynomial
+    times the kernel, integrated by closed forms (same or adjacent cells)
+    and by tensor Gauss-Legendre whose order is chosen from a
+    Bernstein-ellipse bound (cells further apart); no adaptive quadrature
+    is involved (see _pl_weighted_terms). The cost is O(n^2) in the number
+    of cells n, with O(n) moment work when all cells have exactly the same
+    width and O(n^2) otherwise. The error estimate bounds the rounding from
+    the magnitudes of the summed terms, plus the Gauss truncation bound.
     """
     alpha = float(alpha)
     if not (0.0 < alpha < 2.0):
         raise DomainError(f"piecewise_linear_weighted_form requires alpha in (0, 2), got {alpha}")
-    f_xs, f_ys = _pl_data(f_xs, f_ys)
-    w_xs, w_ys = _pl_data(w_xs, w_ys)
-    edges = _balanced(np.union1d(_cell_edges(f_xs, interval), _cell_edges(w_xs, interval)))
-    value, magnitude, tail = _pl_weighted_terms(edges, np.interp(edges, f_xs, f_ys),
-                                                np.interp(edges, w_xs, w_ys), alpha)
+    _require_piecewise_linear(f)
+    _require_piecewise_linear(w, "w")
+    edges = _balanced(np.union1d(_cell_edges(f.xs, interval), _cell_edges(w.xs, interval)))
+    value, magnitude, tail = _pl_weighted_terms(edges, f(edges), w(edges), alpha)
     # Each pair term takes about a hundred roundings (the Gauss sums of
     # up to 32 x 32 positive terms, the polynomial products), and the sums
     # over pairs about n more.
     return FormValue(float(value), float((edges.size + 128) * _EPS * magnitude + tail))
 
 
-def piecewise_linear_mass(f_xs, f_ys, w_xs, w_ys,
+def piecewise_linear_mass(f: PiecewiseLinear, w: PiecewiseLinear,
                           interval: tuple[float, float]) -> FormValue:
-    """Exact integral of (f * w)^2 for piecewise-linear f and w.
+    """Exact integral of (f * w)^2 over the interval, for PiecewiseLinear f and w.
 
     Between consecutive breakpoints the integrand is a quartic polynomial,
     so 3-point Gauss per cell is exact. Every summed term is nonnegative,
     so the error estimate is a rounding bound relative to the value.
     """
-    f_xs, f_ys = _pl_data(f_xs, f_ys)
-    w_xs, w_ys = _pl_data(w_xs, w_ys)
-    edges = np.union1d(_cell_edges(f_xs, interval), _cell_edges(w_xs, interval))
+    _require_piecewise_linear(f)
+    _require_piecewise_linear(w, "w")
+    edges = np.union1d(_cell_edges(f.xs, interval), _cell_edges(w.xs, interval))
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     pts = mid[:, None] + half[:, None] * _GL3_X[None, :]
-    vals = (np.interp(pts, f_xs, f_ys) * np.interp(pts, w_xs, w_ys)) ** 2
+    vals = (f(pts) * w(pts)) ** 2
     value = float(np.sum(half[:, None] * _GL3_W[None, :] * vals))
     return FormValue(value, (pts.size + 16) * _EPS * value)
+
+
+def _unimodal_steps(values) -> np.ndarray:
+    """Per pair of neighbours, the fall before the first maximum or the rise after it."""
+    values = np.asarray(values, dtype=float)
+    step = np.diff(values)
+    step[:int(np.argmax(values))] *= -1.0
+    return step
+
+
+def _unimodal_excess(values, slack) -> float:
+    """How far values fail to rise to their first maximum and fall after it.
+
+    The largest of _unimodal_steps less that pair's slack (a scalar, or one
+    per consecutive pair), and 0 when none exceeds its slack.
+    """
+    # Python's max keeps the first of equals: no excess reads 0.0, not -0.0.
+    return max(0.0, float(np.max(_unimodal_steps(values) - slack, initial=0.0)))

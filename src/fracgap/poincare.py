@@ -9,7 +9,8 @@ on which f is separated by 3^(-n), whose kernel mass alone certifies the
 bound. For alpha in (0, 1) the inequality fails, and counterexample_scan
 exhibits smoothed steps with constant boundary values whose form values
 decay like n^(alpha-1); the steps are piecewise linear, so those values are
-exact up to rounding.
+exact up to rounding. Test functions are numerics.PiecewiseLinear, and every
+form here is one of its closed forms in numerics.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, WitnessSearchError
-from .numerics import (QuadConfig, _cell_edges, _pl_data, piecewise_linear_form,
-                       piecewise_linear_mass, piecewise_linear_weighted_form)
+from .numerics import (PiecewiseLinear, QuadConfig, _cell_edges, _require_piecewise_linear,
+                       piecewise_linear_form, piecewise_linear_mass,
+                       piecewise_linear_weighted_form)
 
 __all__ = [
-    "PiecewiseLinear",
     "PoincareResult",
     "WitnessStep",
     "WitnessCertificate",
@@ -65,29 +66,6 @@ def step_contraction(alpha: float) -> float:
     return 9.0 ** (-1.0 / (alpha - 1.0))
 
 
-class PiecewiseLinear:
-    """Piecewise-linear function through (xs, ys); xs strictly increasing.
-
-    The package's one test-function type: Lipschitz, dense among Lipschitz
-    functions, and with forms in closed form (see numerics). Evaluation
-    clamps to the boundary values outside [xs[0], xs[-1]]. Level sets are
-    computed exactly segment by segment, which the witness recursion
-    exploits.
-    """
-
-    def __init__(self, xs, ys):
-        self.xs, self.ys = _pl_data(xs, ys)
-
-    def __call__(self, x):
-        return np.interp(x, self.xs, self.ys)
-
-    def lipschitz(self) -> float:
-        return float(np.max(np.abs(np.diff(self.ys) / np.diff(self.xs))))
-
-    def scaled(self, factor: float) -> "PiecewiseLinear":
-        return PiecewiseLinear(self.xs, self.ys * factor)
-
-
 @dataclass(frozen=True)
 class PoincareResult:
     """One inequality check: form value (lhs), bound (rhs), and verdict."""
@@ -119,7 +97,7 @@ def poincare_check(f: PiecewiseLinear, alpha: float,
     if abs(fa) > _BOUNDARY_TOL * max(1.0, abs(fb)):
         raise DomainError(f"f must vanish at the left endpoint; got {fa!r}")
 
-    lhs = piecewise_linear_form(f.xs, f.ys, alpha, (a, b))
+    lhs = piecewise_linear_form(f, alpha, (a, b))
     rhs = poincare_constant(alpha) * fb ** 2 / (b - a) ** (alpha - 1.0)
     if rhs > 0:
         ratio = lhs.value / rhs
@@ -279,8 +257,8 @@ def weighted_poincare_check(f: PiecewiseLinear, g: PiecewiseLinear, alpha: float
             f"weight must be nonincreasing; increases between x={float(edges[j])!r} "
             f"and x={float(edges[j + 1])!r}")
 
-    lhs = piecewise_linear_weighted_form(f.xs, f.ys, g.xs, g.ys, alpha, (a, b))
-    mass = piecewise_linear_mass(f.xs, f.ys, g.xs, g.ys, (a, b))
+    lhs = piecewise_linear_weighted_form(f, g, alpha, (a, b))
+    mass = piecewise_linear_mass(f, g, (a, b))
     const = poincare_constant(alpha) / (b - a) ** alpha
     rhs = const * mass.value
     passed = lhs.value >= rhs - _PASS_SLACK
@@ -350,8 +328,7 @@ def counterexample_scan(alpha: float, n_list=(1, 2, 4, 8, 16, 32)) -> Counterexa
             any(n_arr[i] >= n_arr[i + 1] for i in range(len(n_arr) - 1)):
         raise DomainError("n_list must be strictly increasing positive integers")
 
-    forms = [piecewise_linear_form(f.xs, f.ys, alpha, (0.0, 1.0))
-             for f in map(_compressed_step, n_arr)]
+    forms = [piecewise_linear_form(_compressed_step(n), alpha, (0.0, 1.0)) for n in n_arr]
     values = tuple(fv.value for fv in forms)
     slope = float(np.polyfit(np.log(n_arr), np.log(values), 1)[0])
     return CounterexampleScan(alpha, n_arr, values,
@@ -376,11 +353,6 @@ def random_piecewise_linear(rng: np.random.Generator,
     ys[0] = 0.0
     ys[-1] = rng.uniform(0.2, 1.5)
     return PiecewiseLinear(xs, ys)
-
-
-def _require_piecewise_linear(f, name: str = "f") -> None:
-    if not isinstance(f, PiecewiseLinear):
-        raise DomainError(f"{name} must be a PiecewiseLinear, got {type(f).__name__}")
 
 
 def _require_alpha_12(alpha: float) -> None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .numerics import PiecewiseLinear
 
 __all__ = [
     "Potential",
@@ -40,14 +41,15 @@ class Potential:
 
     kind is one of "zero", "power_well", "inverse_boundary_well",
     "tabulated". params carries the family parameters in a fixed order
-    (power well: kappa, p; inverse boundary well: beta).
+    (power well: kappa, p; inverse boundary well: beta); table is the
+    PiecewiseLinear of a tabulated well.
     """
 
     kind: str
     interval: tuple[float, float]
     params: tuple[float, ...] = ()
     offset: float = 0.0
-    table: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    table: PiecewiseLinear | None = field(default=None, repr=False)
 
     def __call__(self, x) -> np.ndarray:
         """V at x, elementwise; x is never written.
@@ -81,8 +83,7 @@ class Potential:
             vals = np.subtract(1.0, vals, out=_into(vals))
             vals **= -beta
         elif self.kind == "tabulated":
-            xs, ys = self.table
-            vals = np.interp(x, xs, ys)
+            vals = self.table(x)
         else:
             raise DomainError(f"unknown potential kind {self.kind!r}")
         if self.offset:
@@ -104,11 +105,10 @@ class Potential:
         Both V(x) and V(a + b - x) are linear between these points, so
         comparing them there is exact.
         """
-        xs, ys = self.table
         a, b = self.interval
-        pts = np.unique(np.concatenate([xs, (a + b) - xs]))
-        vals = np.interp(pts, xs, ys)
-        mirror = np.interp((a + b) - pts, xs, ys)
+        pts = np.unique(np.concatenate([self.table.xs, (a + b) - self.table.xs]))
+        vals = self.table(pts)
+        mirror = self.table((a + b) - pts)
         return pts, vals, mirror, 1e-12 * max(1.0, float(np.max(np.abs(vals))))
 
 
@@ -146,17 +146,12 @@ def make_inverse_boundary_well(beta: float, alpha: float,
 
 
 def make_tabulated(xs, values) -> Potential:
-    """Piecewise-linear potential through (xs, values), xs strictly increasing."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(values, dtype=float)
-    if xs.ndim != 1 or xs.size < 2 or xs.shape != ys.shape:
-        raise DomainError("tabulated potential needs matching 1d arrays, length >= 2")
-    if not np.all(np.diff(xs) > 0):
-        raise DomainError("tabulated potential nodes must be strictly increasing")
-    if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(ys)):
-        raise DomainError("tabulated potential data must be finite")
-    interval = (float(xs[0]), float(xs[-1]))
-    return Potential("tabulated", interval, (), 0.0, (xs.copy(), ys.copy()))
+    """Piecewise-linear potential through (xs, values), xs strictly increasing.
+
+    The table is a PiecewiseLinear of copies of the inputs.
+    """
+    table = PiecewiseLinear(np.array(xs, dtype=float), np.array(values, dtype=float))
+    return Potential("tabulated", (float(table.xs[0]), float(table.xs[-1])), (), 0.0, table)
 
 
 def load_tabulated_csv(path) -> Potential:

@@ -50,7 +50,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
-from .numerics import gamma_fn
+from .numerics import _unimodal_excess, _unimodal_steps, gamma_fn
 from .potentials import Potential
 
 __all__ = [
@@ -598,6 +598,11 @@ def lambda_star(result: SpectralResult) -> tuple[int, float]:
     return result.star
 
 
+# Relative symmetry and unimodality violations that ground_state_shape_check
+# allows.
+_SHAPE_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class ShapeReport:
     """Symmetry and unimodality of the ground state, violations relative to its sup."""
@@ -608,29 +613,21 @@ class ShapeReport:
     violation_index: int | None
 
 
-def ground_state_shape_check(result: SpectralResult, tol: float = 1e-6) -> ShapeReport:
+def ground_state_shape_check(result: SpectralResult) -> ShapeReport:
     """Check that the ground state is symmetric and rises then falls.
 
-    Monotonicity is tested on consecutive node pairs left of the midpoint
-    (nondecreasing) and right of it (nonincreasing); the straddling pair is
-    exempt. Violations are measured relative to the sup of the vector.
+    Unimodality is numerics._unimodal_excess: the vector rises to its
+    first maximum and falls after it. Asymmetry is measured apart, so an
+    off-centre peak is no unimodality violation. violation_index is the
+    node pair with the largest excess. Violations are measured relative to
+    the sup of the vector and pass up to _SHAPE_TOL.
     """
     v = result.eigenvectors[:, 0]
     sup = float(np.max(np.abs(v)))
     sym_err = float(np.max(np.abs(v - v[::-1]))) / sup
-
-    x = result.grid.nodes()
-    mid = 0.5 * (result.grid.a + result.grid.b)
-    d = np.diff(v)
-    rising = x[1:] <= mid
-    falling = x[:-1] >= mid
-    viol = np.zeros_like(d)
-    viol[rising] = np.maximum(0.0, -d[rising])
-    viol[falling] = np.maximum(viol[falling], np.maximum(0.0, d[falling]))
-    uni_err = float(np.max(viol)) / sup if d.size else 0.0
-    idx = int(np.argmax(viol)) if uni_err > 0 else None
-
-    passed = sym_err <= tol and uni_err <= tol
+    uni_err = _unimodal_excess(v, 0.0) / sup
+    idx = int(np.argmax(_unimodal_steps(v))) if uni_err > 0 else None
+    passed = sym_err <= _SHAPE_TOL and uni_err <= _SHAPE_TOL
     return ShapeReport(passed, sym_err, uni_err, idx)
 
 

@@ -187,7 +187,7 @@ def test_criterion_06_rayleigh_consistency():
 
 def test_criterion_07_shape_suite(random_well_campaign):
     for run in random_well_campaign:
-        rep = ground_state_shape_check(run["result_512"], tol=1e-6)
+        rep = ground_state_shape_check(run["result_512"])
         assert rep.passed, (run["id"], rep)
     slopes = []
     for alpha in (1.0, 1.5):

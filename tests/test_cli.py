@@ -464,7 +464,7 @@ class TestPoincareCommand:
         assert len(rows) == 12
         for row in rows:
             f = random_piecewise_linear(rng, 32)
-            exact = piecewise_linear_form(f.xs, f.ys, 1.3, (0.0, 1.0))
+            exact = piecewise_linear_form(f, 1.3, (0.0, 1.0))
             assert float(row["lhs"]) == exact.value
             assert float(row["lhs_error"]) <= 1e-6 * float(row["lhs"])
             assert row["sound"] == row["passed"] == "true"
@@ -669,6 +669,20 @@ class TestOverridesAndDeterminism:
 
 
 class TestEntryPoint:
+    def test_runs_without_scipy(self, tmp_path):
+        # The runtime is numpy-only: with scipy unimportable, a small run of
+        # every stage still passes.
+        cfg = write_config(tmp_path, {
+            "command": "all", "N": 64,
+            "mc": {"n_paths": 200, "n_steps": 16, "n_points": 3},
+            "poincare": {"n_functions": 3},
+        })
+        out = str(tmp_path / "out")
+        code = ("import sys; sys.modules['scipy'] = None; from fracgap.cli import main; "
+                f"sys.exit(main([{cfg!r}, '--output-dir', {out!r}, '--quiet']))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+
     def test_console_script_runs(self, tmp_path):
         exe = shutil.which("fracspec")
         if exe is None:

@@ -18,10 +18,20 @@ from fracgap.numerics import (
     gamma_fn,
     levy_constant,
     piecewise_linear_form,
+    piecewise_linear_mass,
     piecewise_linear_weighted_form,
 )
 from fracgap.poincare import (PiecewiseLinear, _compressed_step, counterexample_scan,
                               random_piecewise_linear)
+
+
+IDENTITY = PiecewiseLinear([0.0, 1.0], [0.0, 1.0])
+ONE = PiecewiseLinear([0.0, 1.0], [1.0, 1.0])
+
+
+def pair(f_xs, f_ys, w_xs, w_ys):
+    """The function and the weight of the weighted form, from their knots and values."""
+    return PiecewiseLinear(f_xs, f_ys), PiecewiseLinear(w_xs, w_ys)
 
 
 def levy_oracle(g):
@@ -104,13 +114,15 @@ def pl_form_longdouble(xs, ys, alpha, interval):
 class TestPiecewiseLinearForm:
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 1.1, 1.5, 1.9])
     def test_linear_closed_form(self, alpha):
-        unit = piecewise_linear_form([0.0, 1.0], [0.0, 1.0], alpha, (0.0, 1.0))
+        unit = piecewise_linear_form(IDENTITY, alpha, (0.0, 1.0))
         assert unit.value == pytest.approx(linear_form_oracle(alpha, 1.0), rel=1e-13)
         assert abs(unit.value - linear_form_oracle(alpha, 1.0)) <= unit.error_estimate
-        wide = piecewise_linear_form([-2.0, 1.0], [-2.0, 1.0], alpha, (-2.0, 1.0))
+        wide = piecewise_linear_form(PiecewiseLinear([-2.0, 1.0], [-2.0, 1.0]), alpha,
+                                     (-2.0, 1.0))
         assert wide.value == pytest.approx(linear_form_oracle(alpha, 3.0), rel=1e-13)
         # The unit ramp (x - a) / L on (-2, 1) carries the factor L^(1-alpha).
-        ramp = piecewise_linear_form([-2.0, 1.0], [0.0, 1.0], alpha, (-2.0, 1.0))
+        ramp = piecewise_linear_form(PiecewiseLinear([-2.0, 1.0], [0.0, 1.0]), alpha,
+                                     (-2.0, 1.0))
         want = 2.0 / ((2.0 - alpha) * (3.0 - alpha)) * 3.0 ** (1.0 - alpha)
         assert ramp.value == pytest.approx(want, rel=1e-13)
         for r in (unit, wide, ramp):
@@ -122,20 +134,23 @@ class TestPiecewiseLinearForm:
         cases = [([0.0, 0.5, 1.0], [0.0, 1.0, 0.0], 3.0114946277372597),
                  ([0.0, 0.3, 1.0], [0.0, 1.0, 1.0], 2.1995418514963731)]
         for xs, ys, ref in cases:
-            r = piecewise_linear_form(xs, ys, 1.1, (0.0, 1.0))
+            r = piecewise_linear_form(PiecewiseLinear(xs, ys), 1.1, (0.0, 1.0))
             assert abs(r.value - ref) <= 1e-12 * ref
 
     def test_homogeneous_and_blind_to_constants(self):
         rng = make_rng(31)
         for alpha in (1.1, 1.5, 1.9, 0.3, 0.6, 0.9):
             f = random_piecewise_linear(rng)
-            base = piecewise_linear_form(f.xs, f.ys, alpha, (0.0, 1.0))
-            scaled = piecewise_linear_form(f.xs, -3.7 * f.ys, alpha, (0.0, 1.0)).value
-            shifted = piecewise_linear_form(f.xs, f.ys + 2.25, alpha, (0.0, 1.0)).value
+            base = piecewise_linear_form(f, alpha, (0.0, 1.0))
+            scaled = piecewise_linear_form(PiecewiseLinear(f.xs, -3.7 * f.ys), alpha,
+                                         (0.0, 1.0)).value
+            shifted = piecewise_linear_form(PiecewiseLinear(f.xs, f.ys + 2.25), alpha,
+                                          (0.0, 1.0)).value
             assert scaled == pytest.approx(3.7**2 * base.value, rel=1e-12)
             assert shifted == pytest.approx(base.value, rel=1e-12)
             # Mirror image x -> 1 - x: the same form, summed in another order.
-            mirrored = piecewise_linear_form(1.0 - f.xs[::-1], f.ys[::-1], alpha, (0.0, 1.0))
+            mirrored = piecewise_linear_form(PiecewiseLinear(1.0 - f.xs[::-1], f.ys[::-1]),
+                                             alpha, (0.0, 1.0))
             bound = mirrored.error_estimate + base.error_estimate
             assert abs(mirrored.value - base.value) <= bound
 
@@ -144,14 +159,16 @@ class TestPiecewiseLinearForm:
         f = PiecewiseLinear([-0.5, 0.2, 0.6, 1.7], [1.0, -0.4, 0.8, 2.0])
         a, b = 0.0, 1.0
         clipped_xs = [a, 0.2, 0.6, b]
-        clipped = piecewise_linear_form(clipped_xs, f(np.array(clipped_xs)), alpha, (a, b))
-        r = piecewise_linear_form(f.xs, f.ys, alpha, (a, b))
+        clipped = piecewise_linear_form(PiecewiseLinear(clipped_xs, f(np.array(clipped_xs))),
+                                        alpha, (a, b))
+        r = piecewise_linear_form(f, alpha, (a, b))
         assert r.value == pytest.approx(clipped.value, rel=1e-13)
         # An interval wider than the knots sees the clamped constant ends.
         g = PiecewiseLinear([0.25, 0.5, 0.75], [0.0, 1.0, 0.5])
-        padded = piecewise_linear_form([0.0, 0.25, 0.5, 0.75, 1.0],
-                                       [0.0, 0.0, 1.0, 0.5, 0.5], alpha, (0.0, 1.0))
-        r = piecewise_linear_form(g.xs, g.ys, alpha, (0.0, 1.0))
+        padded = piecewise_linear_form(PiecewiseLinear([0.0, 0.25, 0.5, 0.75, 1.0],
+                                                       [0.0, 0.0, 1.0, 0.5, 0.5]),
+                                       alpha, (0.0, 1.0))
+        r = piecewise_linear_form(g, alpha, (0.0, 1.0))
         assert r.value == pytest.approx(padded.value, rel=1e-13)
 
     def test_agrees_with_tight_quadrature(self):
@@ -161,7 +178,7 @@ class TestPiecewiseLinearForm:
                  ([0.0, 0.25, 0.75, 1.0], [0.0, 1.0, -0.5, 0.5]),
                  ([0.0, 0.375, 0.625, 1.0], [0.0, 1.0, 0.25, 1.25])]
         for xs, ys in cases:
-            exact = piecewise_linear_form(xs, ys, 1.1, (0.0, 1.0))
+            exact = piecewise_linear_form(PiecewiseLinear(xs, ys), 1.1, (0.0, 1.0))
             quad = weighted_form_oracle(xs, ys, [0.0, 1.0], [1.0, 1.0], 1.1, (0.0, 1.0))
             assert abs(exact.value - quad) <= 1e-6 * exact.value
 
@@ -174,7 +191,7 @@ class TestPiecewiseLinearForm:
         worst = 0.0
         for alpha in (1.1, 1.5, 1.9, 0.3, 0.6, 0.9):
             for f in functions:
-                r = piecewise_linear_form(f.xs, f.ys, alpha, (0.0, 1.0))
+                r = piecewise_linear_form(f, alpha, (0.0, 1.0))
                 xs, ys = f.xs.astype(ld), f.ys.astype(ld)
                 v_ld, _ = _pl_form_terms(xs, np.diff(ys) / np.diff(xs), ld(alpha))
                 err = float(abs(ld(r.value) - v_ld))
@@ -190,9 +207,8 @@ class TestPiecewiseLinearForm:
         # replay of the same d^T W d.
         for n in (1, 8, 32):
             f = _compressed_step(n)
-            r = piecewise_linear_form(f.xs, f.ys, alpha, (0.0, 1.0))
-            w = piecewise_linear_weighted_form(f.xs, f.ys, [0.0, 1.0], [1.0, 1.0],
-                                               alpha, (0.0, 1.0))
+            r = piecewise_linear_form(f, alpha, (0.0, 1.0))
+            w = piecewise_linear_weighted_form(f, ONE, alpha, (0.0, 1.0))
             assert abs(r.value - w.value) <= r.error_estimate + w.error_estimate
         scan = counterexample_scan(alpha)
         for n, value, err in zip(scan.n_list, scan.values, scan.error_estimates):
@@ -203,13 +219,14 @@ class TestPiecewiseLinearForm:
     def test_domain(self):
         for alpha in (1.0, 2.0, 2.5, 0.0):
             with pytest.raises(DomainError):
-                piecewise_linear_form([0.0, 1.0], [0.0, 1.0], alpha, (0.0, 1.0))
-        assert piecewise_linear_form([0.0, 1.0], [0.0, 1.0], 0.5, (0.0, 1.0)).value > 0.0
+                piecewise_linear_form(IDENTITY, alpha, (0.0, 1.0))
+        assert piecewise_linear_form(IDENTITY, 0.5, (0.0, 1.0)).value > 0.0
         for interval in ((1.0, 1.0), (1.0, 0.0)):
             with pytest.raises(DomainError):
-                piecewise_linear_form([0.0, 1.0], [0.0, 1.0], 1.5, interval)
+                piecewise_linear_form(IDENTITY, 1.5, interval)
         with pytest.raises(DomainError):
-            piecewise_linear_form([0.0, 0.0, 1.0], [0.0, 1.0, 1.0], 1.5, (0.0, 1.0))
+            piecewise_linear_form(PiecewiseLinear([0.0, 0.0, 1.0], [0.0, 1.0, 1.0]), 1.5,
+                                  (0.0, 1.0))
 
 
 def weighted_form_oracle(f_xs, f_ys, w_xs, w_ys, alpha, interval, dps=20):
@@ -287,6 +304,19 @@ def weighted_replay_ld(f_xs, f_ys, w_xs, w_ys, alpha, interval):
     return value
 
 
+@pytest.mark.parametrize("call", [
+    lambda f: piecewise_linear_form(f, 1.5, (0.0, 1.0)),
+    lambda f: piecewise_linear_weighted_form(f, ONE, 1.5, (0.0, 1.0)),
+    lambda w: piecewise_linear_weighted_form(IDENTITY, w, 1.5, (0.0, 1.0)),
+    lambda f: piecewise_linear_mass(f, ONE, (0.0, 1.0)),
+    lambda w: piecewise_linear_mass(IDENTITY, w, (0.0, 1.0)),
+], ids=["form", "weighted_form-f", "weighted_form-w", "mass-f", "mass-w"])
+def test_forms_take_only_piecewise_linear(call):
+    # Knots and values as loose arrays are refused; PiecewiseLinear checks them.
+    with pytest.raises(DomainError, match=r"^[fw] must be a PiecewiseLinear, got tuple$"):
+        call(([0.0, 1.0], [0.0, 1.0]))
+
+
 class TestPiecewiseLinearWeightedForm:
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     def test_unit_weight_matches_unweighted_form(self, alpha):
@@ -302,14 +332,14 @@ class TestPiecewiseLinearWeightedForm:
             f = random_piecewise_linear(rng)
             inputs.append((f.xs, f.ys, (0.0, 1.0)))
         for xs, ys, interval in inputs:
-            r = piecewise_linear_weighted_form(xs, ys, [0.0, 1.0], [1.0, 1.0], alpha, interval)
-            want = piecewise_linear_form(xs, ys, alpha, interval).value
+            f = PiecewiseLinear(xs, ys)
+            r = piecewise_linear_weighted_form(f, ONE, alpha, interval)
+            want = piecewise_linear_form(f, alpha, interval).value
             assert r.value == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 1.0, 1.3])
     def test_linear_closed_form(self, alpha):
-        r = piecewise_linear_weighted_form([0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 1.0],
-                                           alpha, (0.0, 1.0))
+        r = piecewise_linear_weighted_form(IDENTITY, ONE, alpha, (0.0, 1.0))
         want = 2.0 / ((2.0 - alpha) * (3.0 - alpha))
         assert r.value == pytest.approx(want, rel=1e-14)
         assert abs(r.value - want) <= r.error_estimate <= 1e-12 * want
@@ -319,7 +349,7 @@ class TestPiecewiseLinearWeightedForm:
         for case in ORACLE_CASES:
             *data, interval = case
             ref = weighted_form_oracle(*data, alpha, interval)
-            r = piecewise_linear_weighted_form(*data, alpha, interval)
+            r = piecewise_linear_weighted_form(*pair(*data), alpha, interval)
             assert abs(r.value - ref) <= 1e-13 * ref
             assert abs(r.value - ref) <= r.error_estimate <= 1e-12 * ref
 
@@ -328,7 +358,7 @@ class TestPiecewiseLinearWeightedForm:
         # between them, and value and bound still hold.
         data = ([0.0, 1e-12, 0.5, 1.0], [0.0, 1.0, -1.0, 0.3], [0.0, 1.0], [1.0, 2.0])
         ref = weighted_form_oracle(*data, 1.95, (0.0, 1.0))
-        r = piecewise_linear_weighted_form(*data, 1.95, (0.0, 1.0))
+        r = piecewise_linear_weighted_form(*pair(*data), 1.95, (0.0, 1.0))
         assert abs(r.value - ref) <= r.error_estimate <= 1e-12 * ref
 
     def test_quadrature_breakdown_case(self):
@@ -337,7 +367,8 @@ class TestPiecewiseLinearWeightedForm:
         # its budget (refinement difference 4e-3 after 113 s).
         f = ([0.0, 0.15, 0.4, 0.6, 0.85, 1.0], [0.0, 0.8, -0.3, 0.5, 1.2, 1.0])
         w = ([0.0, 0.3, 0.5, 0.7, 1.0], [1.5, 1.2, 1.0, 0.6, 0.4])
-        r = piecewise_linear_weighted_form(*f, *w, 1.95, (0.0, 1.0))
+        r = piecewise_linear_weighted_form(PiecewiseLinear(*f), PiecewiseLinear(*w), 1.95,
+                                           (0.0, 1.0))
         ref = weighted_form_oracle(*f, *w, 1.95, (0.0, 1.0))
         assert math.isfinite(r.value)
         assert abs(r.value - ref) <= r.error_estimate <= 1e-12 * ref
@@ -348,10 +379,12 @@ class TestPiecewiseLinearWeightedForm:
             f = random_piecewise_linear(rng)
             w = random_piecewise_linear(rng, 6)
             wy = 0.5 + w.ys ** 2
-            base = piecewise_linear_weighted_form(f.xs, f.ys, w.xs, wy, alpha, (0.0, 1.0)).value
+            base = piecewise_linear_weighted_form(f, PiecewiseLinear(w.xs, wy), alpha,
+                                                  (0.0, 1.0)).value
 
             def form(fx, fy, wx, wy_):
-                return piecewise_linear_weighted_form(fx, fy, wx, wy_, alpha, (0.0, 1.0)).value
+                return piecewise_linear_weighted_form(*pair(fx, fy, wx, wy_), alpha,
+                                                      (0.0, 1.0)).value
 
             assert form(f.xs, -2.5 * f.ys, w.xs, wy) == pytest.approx(6.25 * base, rel=1e-13)
             assert form(f.xs, f.ys, w.xs, 3.0 * wy) == pytest.approx(9.0 * base, rel=1e-13)
@@ -378,7 +411,7 @@ class TestPiecewiseLinearWeightedForm:
                 w = random_piecewise_linear(rng, 8)
                 data = (f.xs, f.ys, w.xs, 1.0 + w.ys ** 2)
                 interval = (0.0, 1.0)
-            r = piecewise_linear_weighted_form(*data, alpha, interval)
+            r = piecewise_linear_weighted_form(*pair(*data), alpha, interval)
             err = float(abs(np.longdouble(r.value) - weighted_replay_ld(*data, alpha, interval)))
             assert err <= r.error_estimate, (trial, err, r.error_estimate)
             assert r.error_estimate <= 1e-11 * r.value
@@ -386,16 +419,16 @@ class TestPiecewiseLinearWeightedForm:
         assert worst > 0.0
 
     def test_domain(self):
-        args = ([0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 1.0])
         for alpha in (0.0, 2.0, -0.5, 2.5):
             with pytest.raises(DomainError):
-                piecewise_linear_weighted_form(*args, alpha, (0.0, 1.0))
+                piecewise_linear_weighted_form(IDENTITY, ONE, alpha, (0.0, 1.0))
         for interval in ((1.0, 1.0), (1.0, 0.0)):
             with pytest.raises(DomainError):
-                piecewise_linear_weighted_form(*args, 1.5, interval)
+                piecewise_linear_weighted_form(IDENTITY, ONE, 1.5, interval)
         with pytest.raises(DomainError):
-            piecewise_linear_weighted_form([0.0, 0.0, 1.0], [0.0, 1.0, 1.0],
-                                           [0.0, 1.0], [1.0, 1.0], 1.5, (0.0, 1.0))
+            piecewise_linear_weighted_form(*pair([0.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                                                 [0.0, 1.0], [1.0, 1.0]), 1.5, (0.0, 1.0))
         with pytest.raises(DomainError):
-            piecewise_linear_weighted_form([0.0, 1.0], [0.0, 1.0],
-                                           [0.0, 0.5, 0.5], [1.0, 1.0, 1.0], 1.5, (0.0, 1.0))
+            piecewise_linear_weighted_form(*pair([0.0, 1.0], [0.0, 1.0],
+                                                 [0.0, 0.5, 0.5], [1.0, 1.0, 1.0]), 1.5,
+                                           (0.0, 1.0))

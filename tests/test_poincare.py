@@ -117,7 +117,7 @@ class TestPoincareCheck:
         for alpha in (1.1, 1.5, 1.9):
             f = random_piecewise_linear(rng)
             res = poincare_check(f, alpha)
-            exact = piecewise_linear_form(f.xs, f.ys, alpha, (0.0, 1.0))
+            exact = piecewise_linear_form(f, alpha, (0.0, 1.0))
             assert (res.lhs, res.lhs_error) == (exact.value, exact.error_estimate)
 
 
@@ -244,7 +244,7 @@ class TestWeightedCheck:
             xs = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, size=k)), [1.0]])
             g = PiecewiseLinear(xs, np.sort(rng.uniform(0.1, 2.0, size=k + 2))[::-1])
             res = weighted_poincare_check(f, g, alpha, (0.0, 1.0))
-            exact = piecewise_linear_weighted_form(f.xs, f.ys, g.xs, g.ys, alpha, (0.0, 1.0))
+            exact = piecewise_linear_weighted_form(f, g, alpha, (0.0, 1.0))
             assert (res.lhs, res.lhs_error) == (exact.value, exact.error_estimate)
             assert res.lhs_error <= 1e-11 * res.lhs
 

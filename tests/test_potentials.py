@@ -101,6 +101,12 @@ class TestTabulated:
         with pytest.raises(DomainError):
             make_tabulated([0.0], [1.0])
 
+    def test_table_holds_copies(self):
+        xs, ys = np.array([0.0, 1.0, 2.0]), np.array([2.0, 0.0, 2.0])
+        v = make_tabulated(xs, ys)
+        xs[1], ys[1] = 1.5, 9.0
+        assert v(1.0) == 0.0
+
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "well.csv"
         path.write_text("x,V\n-1.0,4.0\n-0.5,1.0\n0.0,0.0\n0.5,1.0\n1.0,4.0\n")
@@ -194,8 +200,7 @@ def plain_values(pot, x):
         s = (2.0 * xc - (a + b)) / (b - a)
         vals = (1.0 - s * s) ** (-beta)
     else:
-        xs, ys = pot.table
-        vals = np.interp(x, xs, ys)
+        vals = np.interp(x, pot.table.xs, pot.table.ys)
     return vals + pot.offset
 
 

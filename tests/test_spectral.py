@@ -734,6 +734,17 @@ class TestShapeAndDecay:
         assert rep.violation_index is not None
         assert abs(rep.violation_index - 100) <= 1
 
+    def test_off_centre_ground_state_is_unimodal(self):
+        # The well's minimum sits at x = 0.5, and phi_1 rises to its peak at
+        # node 189 and falls after it: asymmetric, but unimodal.
+        xs = np.linspace(-1.0, 1.0, 17)
+        pot = make_tabulated(xs, 20.0 * np.abs(xs - 0.5) ** 2)
+        res = eigensolve(assemble_operator(Grid(-1.0, 1.0, 256), 1.2, pot), 1)
+        rep = ground_state_shape_check(res)
+        assert rep.unimodality_error == 0.0
+        assert rep.violation_index is None
+        assert rep.symmetry_error > 0.5 and not rep.passed
+
     def test_decay_slope_matches_boundary_exponent(self):
         for alpha in (1.0, 1.5):
             op = assemble_operator(Grid(-1.0, 1.0, 256), alpha,
@@ -813,3 +824,30 @@ class TestRichardson:
         out = richardson([(128, np.array([1.5, 2.5]))])
         assert np.allclose(out, [1.5, 2.5])
 
+
+class TestTorsion:
+    """FD against the exact solution of (-Laplace)^(alpha/2) u = 1 on (-1, 1).
+
+    The torsion function u = (1 - x^2)^(alpha/2) / Gamma(1 + alpha) (Getoor,
+    Trans. AMS 101, 1961). FD's centre error is first order in h, and its
+    max error, set by the boundary layer, falls like h^(alpha/2). Measured
+    at N = 255 -> 511 -> 1023: the centre error is negative and its ratios
+    lie in 1.9986..1.9999; the max-error ratios exceed 2^(alpha/2) by at
+    most 0.12% (at alpha 0.6). The margins below are ~1.4x and ~4x those.
+    """
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5, 1.9])
+    def test_error_rates(self, alpha):
+        centre, worst = [], []
+        for n in (255, 511, 1023):
+            op = assemble_operator(Grid(-1.0, 1.0, n), alpha, make_zero((-1.0, 1.0)))
+            u = np.linalg.solve(op.matrix, np.ones(n))
+            x = op.grid.nodes()
+            err = u - (1.0 - x * x) ** (alpha / 2.0) / math.gamma(1.0 + alpha)
+            centre.append(err[n // 2])
+            worst.append(float(np.max(np.abs(err))))
+        assert all(c < 0.0 for c in centre)
+        for coarse, fine in zip(centre, centre[1:]):
+            assert abs(coarse / fine - 2.0) <= 2e-3
+        for coarse, fine in zip(worst, worst[1:]):
+            assert abs(coarse / fine / 2.0 ** (alpha / 2.0) - 1.0) <= 5e-3
