@@ -67,15 +67,16 @@ _DENSE_ARRAYS = 6
 # start point (the sums, which become the returned values in place, plus
 # the positions and potential values of the path blocks in flight) and
 # _MC_PATH_ARRAYS shared by all points (the blocks' free paths, running
-# extremes and draws with their temporaries). Under tracemalloc (max of
-# four runs after a warm-up, 16 steps, alpha 0.5 and 1.5, 1 / 2 / 8 CPUs,
-# the zero, power (5, 2) and (5, 2.7), inverse boundary and tabulated
-# wells), the peak at 20 000 paths is 6.1 arrays at 1 point, 8.7 at 3,
-# 48.8 at 21 and 93.4 at 41 (8 CPUs; 2.7, 4.9, 30.3 and 58.5 at 1 CPU).
-# It is highest when every path is in flight, as at 4096 paths (one
-# block): 9.3 at 1 point, 12.3 at 3, 66.3 at 21 and 246.3 at 81, about 3
-# per point plus 6.3. 4 per point plus 16 leaves a margin of at least 10.7
-# at every size measured.
+# extremes, and the draws of a group of steps with their temporaries).
+# Under tracemalloc (max of four runs after a warm-up, 16 steps, alpha 0.5
+# and 1.5, 1 and 8 CPUs, the zero, power (5, 2) and (5, 2.7), inverse
+# boundary and tabulated wells), the peak at 20 000 paths is 11.0 arrays
+# at 1 point, 14.2 at 3, 52.5 at 21 and 97.1 at 41 (8 CPUs; 4.4, 6.8,
+# 31.6 and 59.8 at 1 CPU). It is highest when every path is in flight, as
+# at 4096 paths (one block): 17.3 at 1 point, 21.3 at 3, 72.3 at 21 and
+# 252.3 at 81, about 3 per point plus 9.3; at 1 point the peak is where a
+# group's increments are formed. 4 per point plus 16 leaves a margin of at
+# least 2.7 at every size measured.
 _MC_ARRAYS = 4
 _MC_PATH_ARRAYS = 16
 

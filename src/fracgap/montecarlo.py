@@ -20,7 +20,12 @@ The CMS draw takes its sines and cosines from np.tan of half angles,
 sin t = 2 tau / (1 + tau^2) with tau = tan(t/2), and each cosine as
 cos t = sin(pi/2 - |t|), so that nothing cancels near |V| = pi/2. numpy
 runs tan vectorised on float64 where it may not run sin and cos; the draw
-agrees with the np.sin / np.cos formula to rounding.
+agrees with the np.sin / np.cos formula to rounding. A path block draws V
+and W for _STEP_GROUP steps, step by step in the order of one
+sample_stable_increment call per step (each step's V, then its W), and
+forms the group's increments in one elementwise pass: the same stream and
+the same increments, bit for bit, with about half the numpy calls per
+step, each of which has a fixed cost and takes the interpreter lock.
 
 The killed process from x0 is x0 plus one free process, so all starting
 points share the same free paths (common random numbers): each step draws
@@ -58,6 +63,7 @@ estimates.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -161,41 +167,57 @@ def sample_stable_increment(alpha: float, dt: float,
         raise DomainError(f"dt must be positive, got {dt}")
     v = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=size)
     w = rng.standard_exponential(size=size)
-    # Half angles of cos V = sin(pi/2 - |V|), of cos((1-a)V) likewise (so
-    # that nothing cancels near |V| = pi/2) and of sin(aV), stacked so each
-    # ufunc runs once over all three.
-    half = np.empty((3, *v.shape))
-    np.abs(v, out=half[0])
-    half[0] *= -0.5
-    np.multiply(half[0], abs(1.0 - alpha), out=half[1])
-    half[:2] += 0.25 * math.pi
-    np.multiply(v, 0.5 * alpha, out=half[2])
-    cos_v, cos_1a, sin_av = _sin_from_half_angle(half)
+    return _stable_transform(alpha, dt, v, w)
+
+
+def _stable_transform(alpha: float, dt: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Chambers-Mallows-Stuck increments over dt for V = v and W = w.
+
+    Elementwise over arrays of one shape; returns w's buffer, holding the
+    increments, and overwrites v. Beside v and w it holds two arrays of
+    their shape at a time.
+    """
+    scratch = np.empty_like(v)
+    # Half angle of cos((1-a)V) = sin(pi/2 - |1-a||V|), and below of
+    # cos V = sin(pi/2 - |V|), so that nothing cancels near |V| = pi/2.
+    cos_1a = np.abs(v)
+    cos_1a *= -0.5
+    cos_1a *= abs(1.0 - alpha)
+    cos_1a += 0.25 * math.pi
+    _sin_from_half_angle(cos_1a, scratch)
+    ratio = np.divide(cos_1a, w, out=w)
+    cos_v = np.abs(v, out=cos_1a)
+    cos_v *= -0.5
+    cos_v += 0.25 * math.pi
+    _sin_from_half_angle(cos_v, scratch)
+    # |V| is used; v's buffer takes the half angle of sin(aV).
+    sin_av = np.multiply(v, 0.5 * alpha, out=v)
+    _sin_from_half_angle(sin_av, scratch)
     # sin(aV) / cos(V)^(1/a) * (cos((1-a)V) / W)^((1-a)/a), the magnitude
     # taken in logs so no intermediate power overflows at small alpha.
-    cos_1a /= w
-    log_cos_v, log_m = np.log(half[:2], out=half[:2])
+    log_m = np.log(ratio, out=ratio)
     log_m *= (1.0 - alpha) / alpha
+    log_cos_v = np.log(cos_v, out=cos_v)
     log_cos_v /= alpha
     log_m -= log_cos_v
-    # Into w's buffer: a row of half would keep all three rows alive.
-    z = np.multiply(sin_av, np.exp(log_m, out=log_m), out=w)
+    z = np.exp(log_m, out=log_m)
+    z *= sin_av
     z *= dt ** (1.0 / alpha)
     return z
 
 
-def _sin_from_half_angle(half: np.ndarray) -> np.ndarray:
-    """sin(2 half) = 2 tau / (1 + tau^2) with tau = tan(half), in place of half.
+def _sin_from_half_angle(half: np.ndarray, scratch: np.ndarray) -> None:
+    """sin(2 half) = 2 tau / (1 + tau^2) with tau = tan(half), in place of
+    half; scratch, of half's shape, is overwritten.
 
     numpy runs np.tan vectorised on float64, where it may run np.sin and
     np.cos one element at a time; this is then faster than np.sin.
     """
     tau = np.tan(half, out=half)
-    denom = np.multiply(tau, tau)
+    denom = np.multiply(tau, tau, out=scratch)
     denom += 1.0
     tau /= denom
     tau *= 2.0
-    return tau
 
 
 def _cpu_count() -> int:
@@ -208,6 +230,8 @@ def _cpu_count() -> int:
 
 # Paths per block; block j draws from Philox(seed) jumped j times (0: the seed's own).
 _PATH_BLOCK = 4096
+# Steps whose increments one _stable_transform call forms, per block.
+_STEP_GROUP = 3
 
 
 def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int) -> np.ndarray:
@@ -230,10 +254,19 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int) -> np.n
     A survivor's sum that is not finite (a potential that overflows at a
     visited position) raises DomainError; killed pairs are not checked.
 
+    A task draws the increments of _STEP_GROUP steps into two buffers of
+    _STEP_GROUP x block rows, V and W row by row in the stream order of one
+    sample_stable_increment call per step, forms them with one
+    _stable_transform call, then steps the paths through them one by one;
+    the last group of a run may be shorter.
+
     Working set: the sums, formed in the result, are the only n_points x
     n_paths array. A task writes its positions into one buffer that every
     step reuses (fresh arrays at each step cost page faults on the first
-    call in a process), and the potential's values live for one step. One
+    call in a process), and the potential's values live for one step. The
+    draw buffers and the transform's two scratch arrays add 4 _STEP_GROUP
+    block rows while the increments are formed, and the buffers 2
+    _STEP_GROUP while the paths step. One
     thread per two blocks, rounded up and at most one per CPU, keeps about
     half the paths in flight, or all of them when they fit in three
     blocks.
@@ -257,12 +290,19 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int) -> np.n
         n = v_sum.shape[1]
         free, lo, hi = np.zeros((3, n))
         pos = np.empty_like(v_sum)
-        for _ in range(cfg.n_steps):
-            np.add(x0, np.clip(free, free_lo, free_hi), out=pos)
-            v_sum += potential(pos)
-            free += sample_stable_increment(cfg.alpha, dt, rng, size=n)
-            np.minimum(lo, free, out=lo)
-            np.maximum(hi, free, out=hi)
+        v, w = np.empty((2, _STEP_GROUP, n))
+        for first in range(0, cfg.n_steps, _STEP_GROUP):
+            k = min(_STEP_GROUP, cfg.n_steps - first)
+            # Each step's V, then its W, as sample_stable_increment draws them.
+            for j in range(k):
+                v[j] = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=n)
+                rng.standard_exponential(out=w[j])
+            for step in _stable_transform(cfg.alpha, dt, v[:k], w[:k]):
+                np.add(x0, np.clip(free, free_lo, free_hi), out=pos)
+                v_sum += potential(pos)
+                free += step
+                np.minimum(lo, free, out=lo)
+                np.maximum(hi, free, out=hi)
         # exp(-dt sum) in place, one start point at a time; a killed pair's
         # sum becomes inf, so its value is exp(-inf) = 0.
         for i, x in enumerate(xs):
@@ -319,6 +359,16 @@ def estimate_feynman_kac(x_points, potential, cfg: PathConfig,
 _CHAIN_NODES = 256
 
 
+@functools.cache
+def _chain_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The _CHAIN_NODES-point Gauss-Legendre nodes and weights on [-1, 1],
+    built on first use and read-only, since every call shares them."""
+    rule = np.polynomial.legendre.leggauss(_CHAIN_NODES)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def _gauss_kernel(s, d):
     """Transition density of the twice-speed Brownian motion, N(0, 2s)."""
     s = np.asarray(s, dtype=float)
@@ -363,7 +413,7 @@ def gaussian_chain(x_points, kernel_times, potential_times, potential) -> ChainR
     if not np.all(np.isfinite(xs)):
         raise DomainError("x_points must be finite")
 
-    gx, gw = np.polynomial.legendre.leggauss(_CHAIN_NODES)
+    gx, gw = _chain_rule()
     y = 0.5 * (a + b) + 0.5 * (b - a) * gx
     w = 0.5 * (b - a) * gw
     v = np.asarray(potential(y), dtype=float)

@@ -70,7 +70,12 @@ class Potential:
             kappa, p = self.params
             vals = x - 0.5 * (a + b)
             vals = np.abs(vals, out=_into(vals))
-            vals **= p
+            if p == 2.0:
+                # numpy has no fast path for **= 2.0; the square is the
+                # same float.
+                vals = np.square(vals, out=_into(vals))
+            else:
+                vals **= p
             vals *= kappa
         elif self.kind == "inverse_boundary_well":
             (beta,) = self.params

@@ -9,6 +9,7 @@ and moved into place, so readers never observe partial output.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -30,9 +31,21 @@ def csv_text(header: list[str], rows) -> str:
     """CSV with round-trip floats; ints stay integral, bools read true/false."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(json.dumps(cell) if isinstance(cell, (int, float))
-                              else str(cell) for cell in row))
+        lines.append(",".join(map(_cell, row)))
     return "\n".join(lines) + "\n"
+
+
+def _cell(cell) -> str:
+    """A CSV cell: a number as json.dumps writes it, anything else as str."""
+    if isinstance(cell, float):
+        if math.isfinite(cell):
+            return float.__repr__(cell)
+        return "NaN" if cell != cell else ("Infinity" if cell > 0 else "-Infinity")
+    if isinstance(cell, bool):
+        return "true" if cell else "false"
+    if isinstance(cell, int):
+        return int.__repr__(cell)
+    return str(cell)
 
 
 def write_atomic(path, text: str) -> None:

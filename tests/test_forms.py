@@ -4,8 +4,6 @@ rayleigh_gap and weighted_form evaluate the weighted form of
 piecewise-linear functions exactly.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,7 @@ from fracgap.forms import (
 )
 from fracgap.numerics import levy_constant
 from fracgap.poincare import PiecewiseLinear
-from fracgap.potentials import make_power_well, make_zero
+from fracgap.potentials import make_zero
 from fracgap.spectral import Grid, assemble_operator, eigensolve
 
 

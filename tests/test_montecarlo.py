@@ -85,6 +85,25 @@ class TestSubordinatorSampler:
             sample_subordinator_increment(0.5, 0.0, rng, size=1)
 
 
+def stacked_cms(alpha, dt, rng, size):
+    """The tan-based CMS draw written out in one piece, its three half
+    angles stacked in one array: the reference for the bits of
+    sample_stable_increment, whose transform the path loop shares."""
+    v = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=size)
+    w = rng.standard_exponential(size=size)
+    half = np.empty((3, size))
+    np.abs(v, out=half[0])
+    half[0] *= -0.5
+    np.multiply(half[0], abs(1.0 - alpha), out=half[1])
+    half[:2] += 0.25 * math.pi
+    np.multiply(v, 0.5 * alpha, out=half[2])
+    tau = np.tan(half)
+    sines = 2.0 * (tau / (tau * tau + 1.0))
+    cos_v, cos_1a, sin_av = sines
+    log_m = ((1.0 - alpha) / alpha) * np.log(cos_1a / w) - np.log(cos_v) / alpha
+    return sin_av * np.exp(log_m) * dt ** (1.0 / alpha)
+
+
 class TestStableSampler:
     def test_characteristic_function(self):
         # E cos(u X) = exp(-|u|^alpha) at unit time, within four standard errors.
@@ -131,6 +150,13 @@ class TestStableSampler:
         rel = np.abs(got[nonzero] - want[nonzero]) / np.abs(want[nonzero])
         assert np.median(rel) <= 1e-15
         assert np.percentile(rel, 99.99) <= 1e-11
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.7, 1.0, 1.5, 1.9])
+    def test_matches_stacked_reference_bitwise(self, alpha):
+        for size in (1, 7, 4099):
+            got = sample_stable_increment(alpha, 0.3, make_rng(23), size=size)
+            want = stacked_cms(alpha, 0.3, make_rng(23), size)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), size
 
     def test_return_types(self):
         rng = make_rng(5)
@@ -203,6 +229,21 @@ class TestCommonRandomNumbers:
                         assert 0.0 < est.mean < 1.0
                         assert est.mean == float(np.mean(vals)), (n, alpha, pot.kind, x)
                         assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(n))
+
+    @pytest.mark.parametrize("n_steps", [1, montecarlo._STEP_GROUP - 1,
+                                         4 * montecarlo._STEP_GROUP + 1])
+    def test_uneven_step_groups_match_masked_loop_bitwise(self, n_steps):
+        # The increments are formed _STEP_GROUP steps at a time; these runs
+        # end on a shorter group, over two full blocks and one of one path.
+        xs = np.array([-0.8, 0.3, 0.85])
+        n = 2 * montecarlo._PATH_BLOCK + 1
+        for alpha in (0.7, 1.5):
+            cfg = PathConfig(alpha, 0.4, n_steps, (-1.0, 1.0), seed=8)
+            for pot in self.WELLS:
+                for x, est in zip(xs, estimate_feynman_kac(xs, pot, cfg, n)):
+                    vals = masked_loop(x, pot, cfg, n)
+                    assert est.mean == float(np.mean(vals)), (n_steps, alpha, pot.kind, x)
+                    assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(n))
 
     @pytest.mark.parametrize("outside", [math.nan, math.inf])
     def test_potential_undefined_outside_matches_masked_loop(self, outside):

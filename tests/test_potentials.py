@@ -1,5 +1,7 @@
 """Potential families: values, domain gating, CSV round-trip, well validation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -235,3 +237,20 @@ class TestInPlaceEvaluation:
             assert np.signbit(np.asarray(xin)).tolist() == np.signbit(before).tolist()
             if np.ndim(xin) == 0:
                 assert type(got) is np.float64
+
+    @pytest.mark.parametrize("offset", [0.0, 0.3])
+    def test_quadratic_well_bitwise(self, offset):
+        # p == 2 squares where other powers call **; every bit matches the
+        # plain expression, the sign of a NaN included.
+        pot = make_power_well(1.7, 2.0, (-1.0, 1.0), offset=offset)
+        big = np.finfo(float).max
+        tiny = np.finfo(float).tiny
+        edge = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, 1.5e-162, -1e-160,
+                1.3e154, -1.4e154, 1e300, -big, math.inf, -math.inf, math.nan, -math.nan]
+        x = np.concatenate([np.random.default_rng(9).uniform(-2.0, 2.0, 10_000), edge])
+        for xin in [x, *map(np.array, edge)]:
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                got, want = pot(xin), plain_values(pot, xin)
+            assert type(got) is type(want)
+            assert np.array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(want).view(np.int64)), xin

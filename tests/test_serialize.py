@@ -73,6 +73,17 @@ class TestCsvText:
         text = csv_text(["v"], [[1.0 / 3.0]])
         assert float(text.splitlines()[1]) == 1.0 / 3.0
 
+    def test_number_cells_match_json_dumps(self):
+        floats = [0.0, -0.0, 0.1, 1.0 / 3.0, -math.pi, 1e-300, 5e-324, 2.0**53,
+                  1e16, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+        cells = [*floats, *map(np.float64, floats), True, False, 0, -7, 2**70, -(2**70)]
+        for cell in cells:
+            assert csv_text(["v"], [[cell]]).splitlines()[1] == json.dumps(cell), cell
+
+    @given(st.one_of(st.floats(), st.integers(), st.booleans()))
+    def test_number_cells_match_json_dumps_property(self, cell):
+        assert csv_text(["v"], [[cell]]).splitlines()[1] == json.dumps(cell)
+
 
 class TestWriteAtomic:
     def test_writes_and_replaces(self, tmp_path):
