@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_interval, _require_open
 from .numerics import (FormValue, PiecewiseLinear, _require_piecewise_linear, levy_constant,
                        piecewise_linear_mass, piecewise_linear_weighted_form)
 from .poincare import poincare_constant
@@ -120,10 +120,8 @@ class GapBounds:
 
 def gap_bounds(alpha: float, a: float, b: float) -> GapBounds:
     """Evaluate both bounds for the interval (a, b)."""
-    if not (0.0 < alpha < 2.0):
-        raise DomainError(f"gap bounds require alpha in (0, 2), got {alpha}")
-    if not (b > a):
-        raise DomainError(f"degenerate interval ({a}, {b})")
+    _require_open(alpha, 0.0, 2.0, "alpha")
+    _require_interval(a, b)
     length = b - a
     const = levy_constant(-alpha)
     bound_star = const / length ** alpha

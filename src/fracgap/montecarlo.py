@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_interval, _require_open
 from .numerics import _unimodal_excess
 
 __all__ = [
@@ -98,15 +98,16 @@ class PathConfig:
     seed: int
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 2.0):
-            raise DomainError(f"alpha must lie in (0, 2), got {self.alpha}")
+        _require_open(self.alpha, 0.0, 2.0, "alpha")
         if not (self.t_final > 0):
             raise DomainError(f"t_final must be positive, got {self.t_final}")
         if self.n_steps < 1:
             raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
-        a, b = self.interval
-        if not (math.isfinite(a) and math.isfinite(b) and b > a):
-            raise DomainError(f"interval must be finite with b > a, got {self.interval}")
+        _require_interval(*self.interval)
+        # Philox takes only nonnegative integer seeds.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
+            raise DomainError(f"seed must be a nonnegative int, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -133,9 +134,7 @@ def sample_subordinator_increment(index: float, dt: float,
     stability alpha use rho = alpha / 2. The output has Laplace transform
     exp(-dt * u^rho). Returns an array of size draws.
     """
-    rho = float(index)
-    if not (0.0 < rho < 1.0):
-        raise DomainError(f"subordinator index must lie in (0, 1), got {rho}")
+    rho = _require_open(index, 0.0, 1.0, "subordinator index")
     if not (dt > 0):
         raise DomainError(f"dt must be positive, got {dt}")
     u = rng.uniform(0.0, math.pi, size=size)
@@ -160,9 +159,7 @@ def sample_stable_increment(alpha: float, dt: float,
     subordinated by sample_subordinator_increment(alpha / 2, ...). Returns
     an array of size draws.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 2.0):
-        raise DomainError(f"alpha must lie in (0, 2), got {alpha}")
+    alpha = _require_open(alpha, 0.0, 2.0, "alpha")
     if not (dt > 0):
         raise DomainError(f"dt must be positive, got {dt}")
     v = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=size)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_interval, _require_open
 
 __all__ = [
     "FormValue",
@@ -168,9 +168,7 @@ def _require_piecewise_linear(f, name: str = "f") -> None:
 
 def _cell_edges(xs: np.ndarray, interval: tuple[float, float]) -> np.ndarray:
     """The interval's ends with the breakpoints strictly inside it."""
-    a, b = float(interval[0]), float(interval[1])
-    if not (math.isfinite(a) and math.isfinite(b) and b > a):
-        raise DomainError(f"degenerate interval ({a}, {b})")
+    a, b = _require_interval(interval[0], interval[1])
     return np.concatenate([[a], xs[(xs > a) & (xs < b)], [b]])
 
 
@@ -195,10 +193,9 @@ def piecewise_linear_form(f: PiecewiseLinear, alpha: float,
     an extended-precision replay, and its bound reads about 1.3e-5
     relative.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 2.0) or alpha == 1.0:
-        raise DomainError(
-            f"piecewise_linear_form requires alpha in (0, 1) or (1, 2), got {alpha}")
+    alpha = _require_open(alpha, 0.0, 2.0, "alpha")
+    if alpha == 1.0:
+        raise DomainError("piecewise_linear_form does not cover alpha = 1")
     _require_piecewise_linear(f)
     edges = _cell_edges(f.xs, interval)
     vals = f(edges)
@@ -436,9 +433,7 @@ def piecewise_linear_weighted_form(f: PiecewiseLinear, w: PiecewiseLinear, alpha
     width and O(n^2) otherwise. The error estimate bounds the rounding from
     the magnitudes of the summed terms, plus the Gauss truncation bound.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 2.0):
-        raise DomainError(f"piecewise_linear_weighted_form requires alpha in (0, 2), got {alpha}")
+    alpha = _require_open(alpha, 0.0, 2.0, "alpha")
     _require_piecewise_linear(f)
     _require_piecewise_linear(w, "w")
     edges = _balanced(np.union1d(_cell_edges(f.xs, interval), _cell_edges(w.xs, interval)))

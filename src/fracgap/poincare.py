@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, WitnessSearchError
+from .errors import DomainError, WitnessSearchError, _require_interval, _require_open
 from .numerics import (PiecewiseLinear, QuadConfig, _cell_edges, _require_piecewise_linear,
                        piecewise_linear_form, piecewise_linear_mass,
                        piecewise_linear_weighted_form)
@@ -56,13 +56,13 @@ CAMPAIGN_CFG = QuadConfig(abs_tol=1e-6, rel_tol=1e-2, max_panels=512)
 
 def poincare_constant(alpha: float) -> float:
     """The universal constant (1/9)^((alpha+1)/(alpha-1)), alpha in (1, 2)."""
-    _require_alpha_12(alpha)
+    _require_open(alpha, 1.0, 2.0, "alpha")
     return (1.0 / 9.0) ** ((alpha + 1.0) / (alpha - 1.0))
 
 
 def step_contraction(alpha: float) -> float:
     """Interval contraction ratio c = 9^(-1/(alpha-1)) of the witness recursion."""
-    _require_alpha_12(alpha)
+    _require_open(alpha, 1.0, 2.0, "alpha")
     return 9.0 ** (-1.0 / (alpha - 1.0))
 
 
@@ -89,10 +89,8 @@ def poincare_check(f: PiecewiseLinear, alpha: float,
     (see CAMPAIGN_CFG).
     """
     _require_piecewise_linear(f)
-    _require_alpha_12(alpha)
-    a, b = float(interval[0]), float(interval[1])
-    if not b > a:
-        raise DomainError(f"degenerate interval ({a}, {b})")
+    _require_open(alpha, 1.0, 2.0, "alpha")
+    a, b = _require_interval(interval[0], interval[1])
     fa, fb = (float(v) for v in f(np.array([a, b])))
     if abs(fa) > _BOUNDARY_TOL * max(1.0, abs(fb)):
         raise DomainError(f"f must vanish at the left endpoint; got {fa!r}")
@@ -160,7 +158,7 @@ def witness_search(f: PiecewiseLinear, alpha: float) -> WitnessCertificate:
     exactly, segment by segment.
     """
     _require_piecewise_linear(f)
-    _require_alpha_12(alpha)
+    _require_open(alpha, 1.0, 2.0, "alpha")
     f0, f1 = (float(v) for v in f(np.array([0.0, 1.0])))
     if abs(f0) > _BOUNDARY_TOL * max(1.0, abs(f1)):
         raise DomainError(f"witness_search requires f(0) = 0, got {f0!r}")
@@ -233,10 +231,8 @@ def weighted_poincare_check(f: PiecewiseLinear, g: PiecewiseLinear, alpha: float
     """
     _require_piecewise_linear(f)
     _require_piecewise_linear(g, "g")
-    _require_alpha_12(alpha)
-    a, b = float(interval[0]), float(interval[1])
-    if not b > a:
-        raise DomainError(f"degenerate interval ({a}, {b})")
+    _require_open(alpha, 1.0, 2.0, "alpha")
+    a, b = _require_interval(interval[0], interval[1])
     fa = float(f(a))
     if abs(fa) > _BOUNDARY_TOL:
         raise DomainError(f"weighted check requires f(a) = 0, got {fa!r}")
@@ -321,8 +317,7 @@ def counterexample_scan(alpha: float, n_list=(1, 2, 4, 8, 16, 32)) -> Counterexa
     bounds. Returns the values and the fitted slope of log(value) against
     log(n).
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"counterexample requires alpha in (0, 1), got {alpha}")
+    _require_open(alpha, 0.0, 1.0, "alpha")
     n_arr = tuple(int(n) for n in n_list)
     if len(n_arr) < 2 or any(n <= 0 for n in n_arr) or \
             any(n_arr[i] >= n_arr[i + 1] for i in range(len(n_arr) - 1)):
@@ -353,11 +348,6 @@ def random_piecewise_linear(rng: np.random.Generator,
     ys[0] = 0.0
     ys[-1] = rng.uniform(0.2, 1.5)
     return PiecewiseLinear(xs, ys)
-
-
-def _require_alpha_12(alpha: float) -> None:
-    if not (1.0 < alpha < 2.0):
-        raise DomainError(f"requires alpha in (1, 2), got {alpha}")
 
 
 def _crossings(f: PiecewiseLinear, level: float, lo: float, hi: float) -> list[float]:

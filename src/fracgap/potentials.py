@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_interval
 from .numerics import PiecewiseLinear
 
 __all__ = [
@@ -119,20 +119,18 @@ class Potential:
 
 def make_zero(interval: tuple[float, float], offset: float = 0.0) -> Potential:
     """Constant potential, the free case when offset is zero."""
-    _check_interval(interval)
-    return Potential("zero", _as_pair(interval), (), float(offset))
+    return Potential("zero", _require_interval(interval[0], interval[1]), (), float(offset))
 
 
 def make_power_well(kappa: float, p: float, interval: tuple[float, float],
                     offset: float = 0.0) -> Potential:
     """V(x) = kappa * |x - midpoint|^p + offset, kappa >= 0, p >= 1."""
-    _check_interval(interval)
+    interval = _require_interval(interval[0], interval[1])
     if kappa < 0:
         raise DomainError(f"power well requires kappa >= 0, got {kappa}")
     if p < 1:
         raise DomainError(f"power well requires p >= 1, got {p}")
-    return Potential("power_well", _as_pair(interval),
-                     (float(kappa), float(p)), float(offset))
+    return Potential("power_well", interval, (float(kappa), float(p)), float(offset))
 
 
 def make_inverse_boundary_well(beta: float, alpha: float,
@@ -142,12 +140,12 @@ def make_inverse_boundary_well(beta: float, alpha: float,
     Admissible only for 0 < beta < min(alpha, 1); the blow-up at the
     endpoints is then integrable against the process occupation measure.
     """
-    _check_interval(interval)
+    interval = _require_interval(interval[0], interval[1])
     if not (0.0 < beta < min(alpha, 1.0)):
         raise DomainError(
             f"inverse boundary well requires 0 < beta < min(alpha, 1); "
             f"got beta={beta}, alpha={alpha}")
-    return Potential("inverse_boundary_well", _as_pair(interval), (float(beta),))
+    return Potential("inverse_boundary_well", interval, (float(beta),))
 
 
 def make_tabulated(xs, values) -> Potential:
@@ -238,13 +236,3 @@ def _into(vals):
     """vals as the out= of a ufunc that overwrites it: the array itself, or
     None for a numpy scalar, which a ufunc returns anew."""
     return vals if isinstance(vals, np.ndarray) else None
-
-
-def _check_interval(interval) -> None:
-    a, b = float(interval[0]), float(interval[1])
-    if not (np.isfinite(a) and np.isfinite(b) and b > a):
-        raise DomainError(f"interval must be finite with b > a, got ({a}, {b})")
-
-
-def _as_pair(interval) -> tuple[float, float]:
-    return (float(interval[0]), float(interval[1]))

@@ -49,7 +49,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError
+from .errors import DomainError, _require_interval
 from .numerics import _unimodal_excess, _unimodal_steps, gamma_fn
 from .potentials import Potential
 
@@ -102,8 +102,7 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
-            raise DomainError(f"grid interval must be finite with b > a, got ({self.a}, {self.b})")
+        _require_interval(self.a, self.b)
         if self.n < 2:
             raise DomainError(f"grid needs at least 2 interior nodes, got {self.n}")
 

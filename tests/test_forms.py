@@ -116,8 +116,11 @@ class TestGapBounds:
     def test_domain(self):
         with pytest.raises(DomainError):
             gap_bounds(2.0, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            gap_bounds(1.5, 1.0, 1.0)
+        # The last three returned GapBounds(0.0, 0.0): b > a held, and the
+        # length, inf or overflowed, drove both bounds to 0.
+        for a, b in [(1.0, 1.0), (0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308)]:
+            with pytest.raises(DomainError):
+                gap_bounds(1.5, a, b)
 
 
 class TestCheckGaps:

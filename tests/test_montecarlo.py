@@ -405,6 +405,12 @@ class TestPathConfig:
             PathConfig(1.0, 1.0, 0, (-1.0, 1.0), 0)
         with pytest.raises(DomainError):
             PathConfig(1.0, 1.0, 8, (1.0, -1.0), 0)
+        # Each seed used to construct; -3 then failed in the first block as
+        # a bare ValueError from Philox, and 1.5 as a TypeError.
+        for seed in (-3, 1.5, True, "7", None):
+            with pytest.raises(DomainError, match="seed must be a nonnegative int"):
+                PathConfig(1.5, 0.25, 8, (-1.0, 1.0), seed)
+        PathConfig(1.5, 0.25, 8, (-1.0, 1.0), np.int64(3))
 
 
 class TestFeynmanKac:
