@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import DomainError, WitnessSearchError
 from .forms import check_gaps
-from .montecarlo import (PathConfig, PathEstimate, estimate_feynman_kac, gaussian_chain,
-                         make_rng)
+from .montecarlo import (PathConfig, PathEstimate, _kill_shift, estimate_feynman_kac,
+                         gaussian_chain, make_rng)
 from .numerics import _unimodal_excess
 from .poincare import (counterexample_scan, poincare_check, poincare_constant,
                        random_piecewise_linear, witness_search)
@@ -94,6 +94,8 @@ _DEFAULTS = {
     "potential": {"kind": "zero"},
     "N": 256,
     "m": 6,
+    # n_steps defaults to 128 where alpha is in the range whose paths are
+    # killed on the shifted interval (montecarlo._kill_shift).
     "mc": {"t_final": 0.25, "n_steps": 256, "n_paths": 20_000, "seed": 12345,
            "n_points": 21},
     "poincare": {"n_functions": 100, "seed": 7, "max_segments": 32},
@@ -208,6 +210,8 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
     _expect(1 <= cfg["m"] <= n_grid, f"m must lie in [1, N], got {cfg['m']}")
 
     mc = cfg["mc"]
+    if "n_steps" not in raw.get("mc", {}) and _kill_shift(alpha, 1.0) > 0.0:
+        mc["n_steps"] = 128
     _expect(mc["n_paths"] >= 2, "mc.n_paths must be >= 2")
     _expect(mc["n_points"] >= 1, "mc.n_points must be >= 1")
     mc_bytes = _mc_working_bytes(mc["n_points"], mc["n_paths"])
@@ -251,6 +255,15 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
             f"poincare.seed {campaign['seed']}")
     # PathConfig's own checks, before any stage writes output.
     _path_config(cfg)
+    if command in ("simulate", "all"):
+        # From a quarter of the length on, the shift kills every path from
+        # the outer half of the points at once, and nearly all the rest.
+        dt = mc["t_final"] / mc["n_steps"]
+        delta = _kill_shift(alpha, dt)
+        _expect(delta < (b - a) / 4,
+                f"mc.t_final / mc.n_steps = {dt:.6g} moves each kill boundary "
+                f"{delta:.6g} inward, not under a quarter of the interval length "
+                f"{b - a:.6g}; raise mc.n_steps")
     return cfg
 
 
@@ -400,6 +413,9 @@ def _cmd_simulate(cfg: dict, out: Path, rep: _Reporter, potential) -> None:
     a, b = cfg["interval"]
     path_cfg = _path_config(cfg)
     xs = np.linspace(a, b, mc["n_points"] + 2)[1:-1]
+    delta = _kill_shift(path_cfg.alpha, path_cfg.t_final / path_cfg.n_steps)
+    rep.info(f"kill shift delta = {delta:.6g}: paths are killed on leaving "
+             f"({a + delta:.8g}, {b - delta:.8g}) at grid times")
     # An overflowing potential fails as one DomainError from the path sums.
     with np.errstate(over="ignore", invalid="ignore"):
         estimates = estimate_feynman_kac(xs, potential, path_cfg, mc["n_paths"])

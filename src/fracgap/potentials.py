@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, _require_interval
+from .errors import DomainError, _require_interval, _require_open
 from .numerics import PiecewiseLinear
 
 __all__ = [
@@ -68,8 +68,13 @@ class Potential:
             vals = np.zeros_like(x) if x.ndim else np.float64(0.0)
         elif self.kind == "power_well":
             kappa, p = self.params
-            vals = x - 0.5 * (a + b)
-            vals = np.abs(vals, out=_into(vals))
+            mid = 0.5 * (a + b)
+            if mid:
+                vals = x - mid
+                vals = np.abs(vals, out=_into(vals))
+            else:
+                # |x - 0.0| is |x| bit for bit: one pass over x fewer.
+                vals = np.abs(x)
             if p == 2.0:
                 # numpy has no fast path for **= 2.0; the square is the
                 # same float.
@@ -137,10 +142,12 @@ def make_inverse_boundary_well(beta: float, alpha: float,
                                interval: tuple[float, float]) -> Potential:
     """V(x) = (1 - s(x)^2)^(-beta) with s affine onto [-1, 1].
 
-    Admissible only for 0 < beta < min(alpha, 1); the blow-up at the
-    endpoints is then integrable against the process occupation measure.
+    Admissible only for alpha in (0, 2) and 0 < beta < min(alpha, 1); the
+    blow-up at the endpoints is then integrable against the process
+    occupation measure.
     """
     interval = _require_interval(interval[0], interval[1])
+    alpha = _require_open(alpha, 0.0, 2.0, "alpha")
     if not (0.0 < beta < min(alpha, 1.0)):
         raise DomainError(
             f"inverse boundary well requires 0 < beta < min(alpha, 1); "

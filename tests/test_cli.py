@@ -509,9 +509,44 @@ class TestSimulateAndPhi:
         captured = capsys.readouterr().out
         assert "PASS fk_symmetry" in captured
         assert "PASS fk_unimodality" in captured
+        # 0.8300 (0.2 / 32)^(2/3) at alpha 1.5.
+        assert ("INFO kill shift delta = 0.0281626: paths are killed on leaving "
+                "(-0.97183737, 0.97183737) at grid times\n") in captured
         lines = (out / "fk_estimates.csv").read_text().splitlines()
         assert lines[0] == "x,mean,stderr,n_paths"
         assert len(lines) == 8
+
+    @pytest.mark.parametrize("command", ["simulate", "all"])
+    def test_shift_of_a_quarter_interval_refused_before_output(self, tmp_path, capsys,
+                                                                command):
+        # One step over t = 10 would move each kill boundary 3.85 inward,
+        # past the middle of (-1, 1): every path would be killed.
+        code, out = run_quiet(tmp_path, {"command": command,
+                                         "mc": {"t_final": 10.0, "n_steps": 1}})
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: mc.t_final / mc.n_steps = 10 moves each kill boundary "
+            "3.85259 inward, not under a quarter of the interval length 2; "
+            "raise mc.n_steps\n")
+        assert not out.exists()
+
+    def test_shift_checked_only_where_paths_run_and_shift(self):
+        # Below the shifted alpha range delta is 0, and phi runs no paths.
+        for payload in ({"command": "simulate", "alpha": 1.2},
+                        {"command": "phi", "alpha": 1.5}):
+            cli._resolve_config({**payload, "mc": {"t_final": 10.0, "n_steps": 1}},
+                                None, None)
+
+    @pytest.mark.parametrize("alpha, mc, n_steps", [
+        (1.5, {}, 128), (1.9, {}, 128), (1.45, {}, 256), (0.7, {}, 256),
+        (1.5, {"n_steps": 256}, 256), (1.2, {"n_steps": 128}, 128),
+        (1.5, {"n_steps": 5}, 5),
+    ])
+    def test_n_steps_default_follows_the_shift(self, alpha, mc, n_steps):
+        # 128 where the kill shift applies, 256 elsewhere; a given value is kept.
+        cfg = cli._resolve_config({"command": "simulate", "alpha": alpha, "mc": mc},
+                                  None, None)
+        assert cfg["mc"]["n_steps"] == n_steps
 
     def test_phi_chains(self, tmp_path, capsys):
         out = tmp_path / "out"

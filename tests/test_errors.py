@@ -48,7 +48,7 @@ ENTRY_POINTS = {
     "make_zero": (lambda al, a, b: make_zero((a, b)), None, None, True),
     "make_power_well": (lambda al, a, b: make_power_well(5.0, 2.0, (a, b)), None, None, True),
     "make_inverse_boundary_well": (
-        lambda al, a, b: make_inverse_boundary_well(0.3, 1.5, (a, b)), None, None, True),
+        lambda al, a, b: make_inverse_boundary_well(0.3, al, (a, b)), (0.0, 2.0), 1.5, True),
 }
 
 BAD_INTERVALS = [(0.0, math.inf), (1.0, 0.0), (math.nan, 1.0), (-1e308, 1e308)]

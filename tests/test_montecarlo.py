@@ -178,22 +178,24 @@ def masked_loop(x, potential, cfg, n_paths):
     """Per-point killed-path values written out literally, block by block:
     block j holds the next montecarlo._PATH_BLOCK paths and draws from
     Philox(seed) jumped j times. Gather the living paths, add their
-    potential, step all paths, kill the ones that left; the sums are
-    scaled by dt once, at the end."""
+    potential, step all paths, kill the ones that left (a + delta, b -
+    delta), delta the kill shift; the sums are scaled by dt once, at the
+    end."""
     a, b = cfg.interval
     dt = cfg.t_final / cfg.n_steps
+    delta = montecarlo._kill_shift(cfg.alpha, dt)
     out = np.zeros(n_paths)
     for j, start in enumerate(range(0, n_paths, montecarlo._PATH_BLOCK)):
         n = min(montecarlo._PATH_BLOCK, n_paths - start)
         rng = np.random.Generator(np.random.Philox(cfg.seed).jumped(j))
         free = np.zeros(n)
-        alive = np.ones(n, dtype=bool)
+        alive = np.full(n, a + delta < x < b - delta)
         v_sum = np.zeros(n)
         for _ in range(cfg.n_steps):
             pos = x + free
             v_sum[alive] += potential(pos[alive])
             free += sample_stable_increment(cfg.alpha, dt, rng, size=n)
-            alive &= (x + free > a) & (x + free < b)
+            alive &= (x + free > a + delta) & (x + free < b - delta)
         out[start:start + n][alive] = np.exp(-(v_sum[alive] * dt))
     return out
 
@@ -501,6 +503,98 @@ class TestFeynmanKac:
         prof = np.array([e.mean for e in ests])
         phi = np.interp(xs, r.grid.nodes(), r.eigenvectors[:, 0])
         assert np.corrcoef(prof, phi)[0, 1] >= 0.99
+
+
+def fd_semigroup_on_one(alpha, potential, n, t, xs):
+    """(e^(-tH) 1)(xs) for the FD operator on (-1, 1) at an even N = n and a
+    symmetric potential, linear between the nodes and 0 at the ends.
+
+    1 is even, so only H's even block acts on it: in the orthonormal
+    basis (e_i + e_(n-1-i)) / sqrt 2, i < n/2, that block is H[i, j] +
+    H[i, n-1-j], and 1 has coefficients sqrt 2, so the left half of
+    e^(-tH) 1 is Q e^(-t Lambda) Q^T 1 over the block's eigenpairs.
+    """
+    h = assemble_operator(Grid(-1.0, 1.0, n), alpha, potential).matrix
+    m = n // 2
+    lam, q = np.linalg.eigh(h[:m, :m] + h[:m, ::-1][:, :m])
+    left = q @ (np.exp(-t * lam) * q.sum(axis=0))
+    nodes = Grid(-1.0, 1.0, n).nodes()
+    u = np.concatenate([[0.0], left, left[::-1], [0.0]])
+    return np.interp(xs, np.concatenate([[-1.0], nodes, [1.0]]), u)
+
+
+class TestKillShift:
+    """Paths are killed on leaving (a + delta, b - delta) at grid times."""
+
+    def test_zeta_matches_scipy(self):
+        for s in (1e-9, 0.01, 0.1, 0.2, 1.0 / 3.0, 0.4, 0.45, 0.5):
+            assert montecarlo._zeta(s) == pytest.approx(special.zeta(s), rel=1e-14), s
+
+    def test_constant_at_one_and_a_half(self):
+        # delta / dt^(1/alpha) = -zeta(1/3) Gamma(1/3) / pi = 0.8300 at alpha 1.5.
+        c = montecarlo._kill_shift(1.5, 1.0)
+        assert c == pytest.approx(-special.zeta(1.0 / 3.0) * special.gamma(1.0 / 3.0) / math.pi,
+                                  rel=1e-13)
+        assert round(c, 4) == 0.8300
+        assert montecarlo._kill_shift(1.5, 1e-3) == pytest.approx(c * 1e-2, rel=1e-13)
+
+    def test_brownian_limit(self):
+        # At alpha = 2, -zeta(1/2) / sqrt(pi) sqrt(dt) = 0.8239 sqrt(dt):
+        # Broadie, Glasserman and Kou's shift 0.5826 sigma sqrt(dt) with
+        # sigma^2 = 2, the variance of exp(-dt |u|^2).
+        for dt in (1e-2, 2.0**-9):
+            for alpha in (2.0 - 1e-6, 2.0):
+                delta = montecarlo._kill_shift(alpha, dt)
+                assert delta == pytest.approx(0.5826 * math.sqrt(2.0 * dt), rel=1e-4)
+                assert delta == pytest.approx(0.8239 * math.sqrt(dt), rel=1e-4)
+
+    def test_no_shift_below_the_range(self):
+        low = montecarlo._KILL_SHIFT_ALPHA
+        for alpha in (0.3, 1.0, 1.2, math.nextafter(low, 0.0)):
+            assert montecarlo._kill_shift(alpha, 1e-3) == 0.0, alpha
+        assert montecarlo._kill_shift(low, 1e-3) > 0.0
+
+    # Means and standard errors as hex floats, from the plain grid-time
+    # kill rule before the shift existed.
+    PLAIN_BITS = {
+        0.7: [("0x1.f131657b46abfp-3", "0x1.92d83ec38f51ep-9"),
+              ("0x1.970c95191e8d2p-1", "0x1.56a70021aa1bdp-8"),
+              ("0x1.02b800acb633dp-1", "0x1.0435007a10fe2p-8")],
+        1.2: [("0x1.5ab2ff59dee79p-3", "0x1.d4dd96671e741p-9"),
+              ("0x1.894d824d852acp-1", "0x1.486154b228c93p-8"),
+              ("0x1.e1fcd9b773609p-2", "0x1.303bc27cfa03cp-8")],
+        1.45: [("0x1.3535b4bdac376p-3", "0x1.e5519dfe1c4c8p-9"),
+               ("0x1.7b5393be776c9p-1", "0x1.4a0b0a7f69c6fp-8"),
+               ("0x1.c17bc47089172p-2", "0x1.495cd7d98712fp-8")],
+    }
+
+    @pytest.mark.parametrize("alpha", list(PLAIN_BITS))
+    def test_bits_unchanged_below_the_range(self, alpha):
+        assert montecarlo._kill_shift(alpha, 0.25 / 32) == 0.0
+        pot = make_power_well(5.0, 2.0, (-1.0, 1.0))
+        cfg = PathConfig(alpha, 0.25, 32, (-1.0, 1.0), seed=12345)
+        ests = estimate_feynman_kac([-0.9, 0.0, 0.6], pot, cfg, 5000)
+        assert [(e.mean.hex(), e.stderr.hex()) for e in ests] == self.PLAIN_BITS[alpha]
+
+    def test_default_config_within_the_fd_oracle(self):
+        # The CLI's default simulate run (zero well, alpha 1.5, t 0.25, 21
+        # points, 20 000 paths, seed 12345) against e^(-tH) 1 from FD at N
+        # = 1024 and 2048, extrapolated linearly in h; the oracle's error
+        # is taken as its move between the two. Killed at grid times of
+        # 256 steps with no shift, 3 points lay past 3 SE (max |z| 4.19).
+        cfg = cli._resolve_config({"command": "simulate"}, None, None)
+        path_cfg = cli._path_config(cfg)
+        assert montecarlo._kill_shift(path_cfg.alpha, 1.0) > 0.0
+        xs = np.linspace(-1.0, 1.0, cfg["mc"]["n_points"] + 2)[1:-1]
+        coarse, fine = (fd_semigroup_on_one(path_cfg.alpha, FREE, n, path_cfg.t_final, xs)
+                        for n in (1024, 2048))
+        oracle = fine + (fine - coarse) * (1025 / 1024)
+        oracle_error = np.abs(fine - coarse)
+        assert np.max(oracle_error) <= 3e-4
+        ests = estimate_feynman_kac(xs, FREE, path_cfg, cfg["mc"]["n_paths"])
+        means = np.array([e.mean for e in ests])
+        ses = np.array([e.stderr for e in ests])
+        assert np.all(np.abs(means - oracle) <= 3.0 * (ses + oracle_error))
 
 
 class TestGaussianChain:

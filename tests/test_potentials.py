@@ -221,10 +221,20 @@ class TestInPlaceEvaluation:
     def test_matches_plain_expressions(self, family, offset):
         kind, params = family
         table = self.TABLE.table if kind == "tabulated" else None
-        pot = Potential(kind, self.INTERVAL, params, offset, table)
+        self.check(Potential(kind, self.INTERVAL, params, offset, table))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.7])
+    def test_centred_power_well_matches_plain_expressions(self, p):
+        # A zero midpoint skips the subtraction.
+        for offset in (0.0, 0.3):
+            self.check(make_power_well(1.7, p, (-1.0, 1.0), offset=offset))
+
+    @staticmethod
+    def check(pot):
+        a, b = pot.interval
         x = np.random.default_rng(5).uniform(-1.5, 0.9, size=(4, 97))
         # The midpoint, both zeros, and the endpoints.
-        x[0, :5] = [-0.3, -0.0, 0.0, -1.3, 0.7]
+        x[0, :5] = [0.5 * (a + b), -0.0, 0.0, a, b]
         inputs = [x, x[:, ::3], np.array(-0.3), np.array(-0.0), -0.3, -0.0,
                   *map(float, x[1, :40])]
         for xin in inputs:
