@@ -31,13 +31,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, WitnessSearchError
+from .errors import DomainError, WitnessSearchError, _require_count, _require_open
 from .forms import check_gaps
-from .montecarlo import (PathConfig, PathEstimate, _kill_shift, estimate_feynman_kac,
-                         gaussian_chain, make_rng)
+from .montecarlo import (PathConfig, PathEstimate, _kill_delta, _kill_shift,
+                         estimate_feynman_kac, gaussian_chain, make_rng)
 from .numerics import _unimodal_excess
-from .poincare import (counterexample_scan, poincare_check, poincare_constant,
-                       random_piecewise_linear, witness_search)
+from .poincare import (_require_n_list, counterexample_scan, poincare_check,
+                       poincare_constant, random_piecewise_linear, witness_search)
 from .potentials import (load_tabulated_csv, make_inverse_boundary_well,
                          make_power_well, make_zero, validate_single_well)
 from .serialize import csv_text, dumps_json, write_atomic
@@ -171,9 +171,6 @@ def _mc_working_bytes(n_points: int, n_paths: int) -> float:
 def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict:
     """Read the raw config against _DEFAULTS and check it; returns the echo dict."""
     _expect(isinstance(raw, dict), "config root must be a JSON object")
-    _expect("quadrature" not in raw,
-            "the 'quadrature' section is no longer read: the gap form is now exact; "
-            "remove it")
     # The potential's kind picks the keys its section reads.
     pot = raw.get("potential", {})
     _expect(isinstance(pot, dict), f"potential must be a JSON object, got {pot!r}")
@@ -201,47 +198,43 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
     _expect(b > a and math.isfinite(b - a),
             f"interval must have b > a and a finite length, got [{a}, {b}]")
 
-    n_grid = cfg["N"]
-    _expect(n_grid >= 16, f"N must be at least 16, got {n_grid}")
+    n_grid = _require_count(cfg["N"], 16, "N")
     dense_bytes = 8.0 * _DENSE_ARRAYS * n_grid * n_grid
     _expect(dense_bytes <= MAX_WORKING_BYTES,
             f"N = {n_grid} needs about {dense_bytes / 2**30:.3g} GiB, "
             f"over the {MAX_WORKING_BYTES / 2**30:.3g} GiB limit")
-    _expect(1 <= cfg["m"] <= n_grid, f"m must lie in [1, N], got {cfg['m']}")
+    m = _require_count(cfg["m"], 1, "m")
+    _expect(m <= n_grid, f"m must lie in [1, N], got {m}")
 
     mc = cfg["mc"]
     if "n_steps" not in raw.get("mc", {}) and _kill_shift(alpha, 1.0) > 0.0:
         mc["n_steps"] = 128
-    _expect(mc["n_paths"] >= 2, "mc.n_paths must be >= 2")
-    _expect(mc["n_points"] >= 1, "mc.n_points must be >= 1")
+    _require_count(mc["n_paths"], 2, "mc.n_paths")
+    _require_count(mc["n_points"], 1, "mc.n_points")
     mc_bytes = _mc_working_bytes(mc["n_points"], mc["n_paths"])
     _expect(mc_bytes <= MAX_WORKING_BYTES,
             f"mc.n_points x mc.n_paths needs about {mc_bytes / 2**30:.3g} GiB, "
             f"over the {MAX_WORKING_BYTES / 2**30:.3g} GiB limit")
 
     campaign = cfg["poincare"]
-    _expect(campaign["n_functions"] >= 1, "poincare.n_functions must be >= 1")
-    _expect(campaign["max_segments"] >= 3, "poincare.max_segments must be >= 3")
+    _require_count(campaign["n_functions"], 1, "poincare.n_functions")
+    _require_count(campaign["max_segments"], 3, "poincare.max_segments")
 
     counter = cfg["counterexample"]
     if "alpha" not in raw.get("counterexample", {}) and alpha < 1.0:
         counter["alpha"] = alpha
     _expect(0.0 < counter["alpha"] < 1.0,
             f"counterexample.alpha must lie in (0, 1), got {counter['alpha']}")
-    n_list = counter["n_list"]
-    _expect(len(n_list) >= 2 and n_list[0] > 0
-            and all(n < n_next for n, n_next in zip(n_list, n_list[1:])),
-            f"counterexample.n_list must hold at least two strictly increasing "
-            f"positive integers, got {n_list}")
+    _require_n_list(counter["n_list"], "counterexample.n_list")
 
     chain = cfg["chain"]
-    _expect(chain["n_points"] >= 1, "chain.n_points must be >= 1")
+    _require_count(chain["n_points"], 1, "chain.n_points")
     _expect(len(chain["kernel_times"]) in (1, 2),
             "chain.kernel_times must have length 1 or 2")
     _expect(len(chain["kernel_times"]) == len(chain["potential_times"]),
             "chain.kernel_times and chain.potential_times must match in length")
-    _expect(all(s > 0 for s in chain["kernel_times"]),
-            "chain.kernel_times must be positive")
+    for s in chain["kernel_times"]:
+        _require_open(s, 0.0, math.inf, "chain.kernel_times entry")
     _expect(all(t >= 0 for t in chain["potential_times"]),
             "chain.potential_times must be nonnegative")
 
@@ -249,21 +242,13 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
         cfg["output_dir"] = output_dir
     if seed is not None:
         mc["seed"] = campaign["seed"] = int(seed)
-    # Philox takes only nonnegative seeds.
-    _expect(mc["seed"] >= 0 and campaign["seed"] >= 0,
-            f"seeds must be >= 0, got mc.seed {mc['seed']} and "
-            f"poincare.seed {campaign['seed']}")
-    # PathConfig's own checks, before any stage writes output.
-    _path_config(cfg)
+    _require_count(mc["seed"], 0, "mc.seed")
+    _require_count(campaign["seed"], 0, "poincare.seed")
+    # PathConfig's own checks and the kill shift's bound, before any stage
+    # writes output.
+    path_cfg = _path_config(cfg)
     if command in ("simulate", "all"):
-        # From a quarter of the length on, the shift kills every path from
-        # the outer half of the points at once, and nearly all the rest.
-        dt = mc["t_final"] / mc["n_steps"]
-        delta = _kill_shift(alpha, dt)
-        _expect(delta < (b - a) / 4,
-                f"mc.t_final / mc.n_steps = {dt:.6g} moves each kill boundary "
-                f"{delta:.6g} inward, not under a quarter of the interval length "
-                f"{b - a:.6g}; raise mc.n_steps")
+        _kill_delta(path_cfg)
     return cfg
 
 
@@ -413,7 +398,7 @@ def _cmd_simulate(cfg: dict, out: Path, rep: _Reporter, potential) -> None:
     a, b = cfg["interval"]
     path_cfg = _path_config(cfg)
     xs = np.linspace(a, b, mc["n_points"] + 2)[1:-1]
-    delta = _kill_shift(path_cfg.alpha, path_cfg.t_final / path_cfg.n_steps)
+    delta = _kill_delta(path_cfg)
     rep.info(f"kill shift delta = {delta:.6g}: paths are killed on leaving "
              f"({a + delta:.8g}, {b - delta:.8g}) at grid times")
     # An overflowing potential fails as one DomainError from the path sums.

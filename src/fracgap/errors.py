@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the two domain checks
-that every result on an interval (a, b) and an alpha range goes through."""
+"""Exception types shared across the package, and the domain checks that
+every interval (a, b), alpha range, count and time goes through."""
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["DomainError", "WitnessSearchError"]
 
@@ -31,3 +33,13 @@ def _require_open(value, low: float, high: float, name: str) -> float:
     if not low < value < high:
         raise DomainError(f"{name} must lie in ({low:g}, {high:g}), got {value}")
     return float(value)
+
+
+def _require_count(value, least: int, name: str) -> int:
+    """value as an int; refused unless it is an int or a numpy integer, not
+    a bool, and at least least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return int(value)

@@ -72,15 +72,14 @@ estimates.
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _require_interval, _require_open
-from .numerics import _unimodal_excess
+from .errors import DomainError, _require_count, _require_interval, _require_open
+from .numerics import _gauss_legendre, _unimodal_excess
 
 __all__ = [
     "PathConfig",
@@ -108,15 +107,10 @@ class PathConfig:
 
     def __post_init__(self):
         _require_open(self.alpha, 0.0, 2.0, "alpha")
-        if not (self.t_final > 0):
-            raise DomainError(f"t_final must be positive, got {self.t_final}")
-        if self.n_steps < 1:
-            raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
+        _require_open(self.t_final, 0.0, math.inf, "t_final")
+        _require_count(self.n_steps, 1, "n_steps")
         _require_interval(*self.interval)
-        # Philox takes only nonnegative integer seeds.
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
-                or self.seed < 0:
-            raise DomainError(f"seed must be a nonnegative int, got {self.seed!r}")
+        _require_count(self.seed, 0, "seed")
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,7 @@ class PathEstimate:
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based Philox generator for seed."""
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(_require_count(seed, 0, "seed")))
 
 
 def sample_subordinator_increment(index: float, dt: float,
@@ -144,8 +138,7 @@ def sample_subordinator_increment(index: float, dt: float,
     exp(-dt * u^rho). Returns an array of size draws.
     """
     rho = _require_open(index, 0.0, 1.0, "subordinator index")
-    if not (dt > 0):
-        raise DomainError(f"dt must be positive, got {dt}")
+    dt = _require_open(dt, 0.0, math.inf, "dt")
     u = rng.uniform(0.0, math.pi, size=size)
     w = rng.standard_exponential(size=size)
     # log A(u), grouped to stay finite over the whole of (0, pi).
@@ -169,8 +162,7 @@ def sample_stable_increment(alpha: float, dt: float,
     an array of size draws.
     """
     alpha = _require_open(alpha, 0.0, 2.0, "alpha")
-    if not (dt > 0):
-        raise DomainError(f"dt must be positive, got {dt}")
+    dt = _require_open(dt, 0.0, math.inf, "dt")
     v = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=size)
     w = rng.standard_exponential(size=size)
     return _stable_transform(alpha, dt, v, w)
@@ -277,6 +269,23 @@ def _kill_shift(alpha: float, dt: float) -> float:
     return -_zeta(s) * math.gamma(s) / math.pi * dt ** (1.0 / alpha)
 
 
+def _kill_delta(cfg: PathConfig) -> float:
+    """The kill shift of cfg's paths, _kill_shift(alpha, t_final / n_steps).
+
+    Refused from a quarter of the interval's length on, where the shift
+    kills every path from the outer half of the start points at once, and
+    nearly all the rest.
+    """
+    a, b = cfg.interval
+    dt = cfg.t_final / cfg.n_steps
+    delta = _kill_shift(cfg.alpha, dt)
+    if not delta < (b - a) / 4:
+        raise DomainError(f"t_final / n_steps = {dt:.6g} moves each kill boundary "
+                          f"{delta:.6g} inward, not under a quarter of the interval "
+                          f"length {b - a:.6g}; raise n_steps")
+    return delta
+
+
 # Paths per block; block j draws from Philox(seed) jumped j times (0: the seed's own).
 _PATH_BLOCK = 4096
 # Steps whose increments one _stable_transform call forms, per block.
@@ -291,7 +300,7 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int) -> np.n
     times 0, dt, ..., t_final - dt, at x0 plus the free path clipped to
     [a - max(xs), b - min(xs)], and the sum scaled by dt at the end. A path
     survives iff x0 + min(free) > a + delta and x0 + max(free) < b - delta
-    over the grid times (0 among them), delta = _kill_shift(alpha, dt), the
+    over the grid times (0 among them), delta = _kill_delta(cfg), the
     same rule as checking exit from (a + delta, b - delta) at every grid
     time. The clip moves no survivor, so V is evaluated outside (a, b)
     only for killed pairs.
@@ -331,7 +340,7 @@ def _fk_values(xs: np.ndarray, potential, cfg: PathConfig, n_paths: int) -> np.n
     # A survivor from x0 keeps its free path inside (a - x0, b - x0), so
     # this clip moves no survivor's position.
     free_lo, free_hi = a - float(np.max(xs)), b - float(np.min(xs))
-    delta = _kill_shift(cfg.alpha, dt)
+    delta = _kill_delta(cfg)
     kill_lo, kill_hi = a + delta, b - delta
     x0 = xs[:, None]
     values = np.zeros((xs.size, n_paths))
@@ -388,14 +397,15 @@ def estimate_feynman_kac(x_points, potential, cfg: PathConfig,
     the survival probability; generally it estimates the semigroup applied
     to the constant 1. A path is killed at the first grid time it lies
     outside the interval, shrunk at each end by the kill shift for alpha
-    >= 1.5 (see the module docstring). The potential is called from worker
-    threads, concurrently, on 2-d blocks of positions, and must act
-    elementwise. It is evaluated outside the interval only for paths
-    already killed from that start point, and less than max(x_points) -
-    min(x_points) beyond it; only the surviving paths' sums must be finite.
+    >= 1.5 (see the module docstring); a shift of a quarter of the
+    interval's length or more raises DomainError (_kill_delta). The
+    potential is called from worker threads, concurrently, on 2-d blocks of
+    positions, and must act elementwise. It is evaluated outside the
+    interval only for paths already killed from that start point, and less
+    than max(x_points) - min(x_points) beyond it; only the surviving paths'
+    sums must be finite.
     """
-    if n_paths < 2:
-        raise DomainError(f"n_paths must be >= 2, got {n_paths}")
+    n_paths = _require_count(n_paths, 2, "n_paths")
     xs = np.asarray(x_points, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise DomainError("x_points must be a nonempty 1d array")
@@ -411,16 +421,6 @@ def estimate_feynman_kac(x_points, potential, cfg: PathConfig,
 
 # Gauss-Legendre nodes per kernel layer of gaussian_chain.
 _CHAIN_NODES = 256
-
-
-@functools.cache
-def _chain_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The _CHAIN_NODES-point Gauss-Legendre nodes and weights on [-1, 1],
-    built on first use and read-only, since every call shares them."""
-    rule = np.polynomial.legendre.leggauss(_CHAIN_NODES)
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
 
 
 def _gauss_kernel(s, d):
@@ -450,14 +450,13 @@ def gaussian_chain(x_points, kernel_times, potential_times, potential) -> ChainR
     A potential that is not finite at a Gauss node, or values that all
     underflow to 0, raise DomainError.
     """
-    s_list = [float(s) for s in np.atleast_1d(kernel_times)]
+    s_list = [_require_open(s, 0.0, math.inf, "kernel time")
+              for s in np.atleast_1d(kernel_times)]
     t_list = [float(t) for t in np.atleast_1d(potential_times)]
     if len(s_list) != len(t_list):
         raise DomainError("kernel_times and potential_times must have equal length")
     if len(s_list) not in (1, 2):
         raise DomainError(f"chain length must be 1 or 2, got {len(s_list)}")
-    if any(s <= 0 for s in s_list):
-        raise DomainError("kernel times must be positive")
     if any(t < 0 for t in t_list):
         raise DomainError("potential times must be nonnegative")
     a, b = potential.interval
@@ -467,7 +466,7 @@ def gaussian_chain(x_points, kernel_times, potential_times, potential) -> ChainR
     if not np.all(np.isfinite(xs)):
         raise DomainError("x_points must be finite")
 
-    gx, gw = _chain_rule()
+    gx, gw = _gauss_legendre(_CHAIN_NODES)
     y = 0.5 * (a + b) + 0.5 * (b - a) * gx
     w = 0.5 * (b - a) * gw
     v = np.asarray(potential(y), dtype=float)
@@ -513,10 +512,8 @@ def cauchy_kernel_check(t: float, x_points, n_samples: int = 200_000,
     envelope min(t / x^2, 1 / t) as a max ratio (larger of est/envelope
     and envelope/est over the points).
     """
-    if not (t > 0):
-        raise DomainError(f"t must be positive, got {t}")
-    if n_samples < 2:
-        raise DomainError(f"n_samples must be >= 2, got {n_samples}")
+    t = _require_open(t, 0.0, math.inf, "t")
+    n_samples = _require_count(n_samples, 2, "n_samples")
     xs = np.asarray(x_points, dtype=float)
     rng = make_rng(seed)
     eta = sample_subordinator_increment(0.5, t, rng, size=n_samples)

@@ -80,8 +80,17 @@ def levy_constant(gamma: float) -> float:
     return num / den
 
 
-_GL3_X, _GL3_W = np.polynomial.legendre.leggauss(3)
 _EPS = float(np.finfo(float).eps)
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built on first
+    use and read-only, since every caller shares them."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def _pl_form_terms(edges: np.ndarray, slopes: np.ndarray, alpha):
@@ -112,23 +121,21 @@ def _pl_form_terms(edges: np.ndarray, slopes: np.ndarray, alpha):
     # this with the fall f(b) - f(q_j).
     pa, pb = span[0] ** e2 / e2, span[-1] ** e2 / e2
     ga, gb = g[0], g[-1]
-    step = slopes * h
-    total = step.cumsum()
-    rise, fall = total - step, total[-1] - total
     diag = h * (pa[1:] + pb[:-1])
-    sides = 2 * slopes @ ((pa[1:] - pa[:-1]) * rise + (pb[:-1] - pb[1:]) * fall
-                          + slopes * (diag - ga[1:] + ga[:-1] + gb[1:] - gb[:-1]))
-    mag_d = np.abs(slopes)
-    mag_step = mag_d * h
-    mag_total = mag_step.cumsum()
-    mag_sides = 2 * mag_d @ ((pa[1:] + pa[:-1]) * (mag_total - mag_step)
-                             + (pb[:-1] + pb[1:]) * (mag_total[-1] - mag_total)
-                             + mag_d * (diag + ga[1:] + ga[:-1] + gb[1:] + gb[:-1]))
     const = (b - a) ** (1 - alpha)
+
+    def terms(sign, d, jumps):
+        # sign -1 on the slopes and their jumps gives the value; sign +1 on
+        # their absolute values, the sum of the magnitudes of its terms.
+        step = d * h
+        total = step.cumsum()
+        sides = 2 * d @ ((pa[1:] + sign * pa[:-1]) * (total - step)
+                         + (pb[:-1] + sign * pb[1:]) * (total[-1] - total)
+                         + d * (diag + sign * ga[1:] + ga[:-1] + gb[1:] + sign * gb[:-1]))
+        return const * total[-1] ** 2 + sign * (jumps @ g @ jumps) + sign * sides
+
     scale = 2 / (alpha * (alpha - 1))
-    value = scale * (const * total[-1] ** 2 - r @ g @ r - sides)
-    magnitude = abs(scale) * (const * mag_total[-1] ** 2 + c @ g @ c + mag_sides)
-    return value, magnitude
+    return scale * terms(-1, slopes, r), abs(scale) * terms(1, np.abs(slopes), c)
 
 
 class PiecewiseLinear:
@@ -212,10 +219,9 @@ def piecewise_linear_form(f: PiecewiseLinear, alpha: float,
 _MOMENT_ORDERS = (4, 6, 8, 12, 16, 24, 32)
 
 
-@functools.cache
 def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _gauss_legendre(n)
     return (x + 1) / 2, w / 2
 
 
@@ -457,9 +463,10 @@ def piecewise_linear_mass(f: PiecewiseLinear, w: PiecewiseLinear,
     edges = np.union1d(_cell_edges(f.xs, interval), _cell_edges(w.xs, interval))
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    pts = mid[:, None] + half[:, None] * _GL3_X[None, :]
+    gx, gw = _gauss_legendre(3)
+    pts = mid[:, None] + half[:, None] * gx[None, :]
     vals = (f(pts) * w(pts)) ** 2
-    value = float(np.sum(half[:, None] * _GL3_W[None, :] * vals))
+    value = float(np.sum(half[:, None] * gw[None, :] * vals))
     return FormValue(value, (pts.size + 16) * _EPS * value)
 
 

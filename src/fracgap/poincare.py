@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, WitnessSearchError, _require_interval, _require_open
+from .errors import (DomainError, WitnessSearchError, _require_count, _require_interval,
+                     _require_open)
 from .numerics import (PiecewiseLinear, QuadConfig, _cell_edges, _require_piecewise_linear,
                        piecewise_linear_form, piecewise_linear_mass,
                        piecewise_linear_weighted_form)
@@ -306,6 +307,16 @@ def _compressed_step(n: int) -> PiecewiseLinear:
     return PiecewiseLinear(u / n, smooth_step(u))
 
 
+def _require_n_list(n_list, name: str = "n_list") -> tuple[int, ...]:
+    """n_list as a tuple of ints; refused unless it holds at least two
+    strictly increasing counts, each at least 1."""
+    n_arr = tuple(_require_count(n, 1, f"{name} entry") for n in n_list)
+    if len(n_arr) < 2 or any(n >= n_next for n, n_next in zip(n_arr, n_arr[1:])):
+        raise DomainError(f"{name} must hold at least two strictly increasing "
+                          f"positive integers, got {list(n_arr)}")
+    return n_arr
+
+
 def counterexample_scan(alpha: float, n_list=(1, 2, 4, 8, 16, 32)) -> CounterexampleScan:
     """Show the inequality failing for alpha in (0, 1).
 
@@ -318,11 +329,7 @@ def counterexample_scan(alpha: float, n_list=(1, 2, 4, 8, 16, 32)) -> Counterexa
     log(n).
     """
     _require_open(alpha, 0.0, 1.0, "alpha")
-    n_arr = tuple(int(n) for n in n_list)
-    if len(n_arr) < 2 or any(n <= 0 for n in n_arr) or \
-            any(n_arr[i] >= n_arr[i + 1] for i in range(len(n_arr) - 1)):
-        raise DomainError("n_list must be strictly increasing positive integers")
-
+    n_arr = _require_n_list(n_list)
     forms = [piecewise_linear_form(_compressed_step(n), alpha, (0.0, 1.0)) for n in n_arr]
     values = tuple(fv.value for fv in forms)
     slope = float(np.polyfit(np.log(n_arr), np.log(values), 1)[0])
@@ -338,9 +345,7 @@ def random_piecewise_linear(rng: np.random.Generator,
     Breakpoint gaps are bounded away from zero so the Lipschitz constant
     stays moderate; interior values are free to wander in [-1, 1].
     """
-    if max_segments < 3:
-        raise DomainError(f"max_segments must be >= 3, got {max_segments}")
-    k = int(rng.integers(3, max_segments + 1))
+    k = int(rng.integers(3, _require_count(max_segments, 3, "max_segments") + 1))
     gaps = rng.uniform(0.2, 1.0, size=k)
     xs = np.concatenate([[0.0], np.cumsum(gaps)])
     xs /= xs[-1]

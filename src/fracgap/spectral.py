@@ -49,7 +49,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, _require_interval
+from .errors import DomainError, _require_count, _require_interval
 from .numerics import _unimodal_excess, _unimodal_steps, gamma_fn
 from .potentials import Potential
 
@@ -103,8 +103,7 @@ class Grid:
 
     def __post_init__(self):
         _require_interval(self.a, self.b)
-        if self.n < 2:
-            raise DomainError(f"grid needs at least 2 interior nodes, got {self.n}")
+        _require_count(self.n, 2, "n")
 
     @property
     def h(self) -> float:
@@ -125,8 +124,7 @@ def frac_coeffs(alpha: float, k_max: int) -> np.ndarray:
     """
     if not (0.0 < alpha <= 2.0):
         raise DomainError(f"frac_coeffs requires alpha in (0, 2], got {alpha}")
-    if k_max < 1:
-        raise DomainError(f"k_max must be >= 1, got {k_max}")
+    k_max = _require_count(k_max, 1, "k_max")
     g = np.empty(k_max + 1)
     g[0] = gamma_fn(alpha + 1.0) / gamma_fn(alpha / 2.0 + 1.0) ** 2
     k = np.arange(k_max, dtype=float)
@@ -543,7 +541,7 @@ def eigensolve(op: OperatorMatrix, m: int) -> SpectralResult:
     positive (for a symmetric operator: not even) raises DomainError.
     """
     n = op.grid.n
-    if not (1 <= m <= n):
+    if _require_count(m, 1, "m") > n:
         raise DomainError(f"m must lie in [1, {n}], got {m}")
     # min V at the nodes: H - shift I is the Toeplitz part, strictly
     # diagonally dominant since g_0 = 2 sum_(k >= 1) |g_k| untruncated

@@ -86,9 +86,7 @@ class TestConfigErrors:
             "quadrature": {"max_panels": 2},
         })
         assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "the gap form is now exact" in err
-        assert err.count("\n") == 1, err
+        assert capsys.readouterr().err == "config error: unknown config keys: ['quadrature']\n"
         assert not out.exists()
 
     def test_tabulated_interval_mismatch(self, tmp_path):
@@ -216,11 +214,11 @@ class TestConfigErrors:
                 "poincare": {"n_functions": 3}}
 
     @pytest.mark.parametrize("payload, message", [
-        ({"command": "phi", "chain": {"n_points": 0}}, "chain.n_points must be >= 1"),
+        ({"command": "phi", "chain": {"n_points": 0}}, "chain.n_points must be >= 1, got 0"),
         ({"command": "poincare", "poincare": {"max_segments": 2}},
-         "poincare.max_segments must be >= 3"),
+         "poincare.max_segments must be >= 3, got 2"),
         ({**TINY_ALL, "mc": {**TINY_ALL["mc"], "t_final": -1}},
-         "t_final must be positive, got -1.0"),
+         "t_final must lie in (0, inf), got -1.0"),
         ({**TINY_ALL, "mc": {**TINY_ALL["mc"], "n_steps": 0}}, "n_steps must be >= 1, got 0"),
         ({**TINY_ALL, "counterexample": {"n_list": [4, 2]}},
          "counterexample.n_list must hold at least two strictly increasing "
@@ -229,7 +227,7 @@ class TestConfigErrors:
          "counterexample.n_list must hold at least two strictly increasing "
          "positive integers, got [4]"),
         ({**TINY_ALL, "chain": {"kernel_times": [-0.1, 0.2]}},
-         "chain.kernel_times must be positive"),
+         "chain.kernel_times entry must lie in (0, inf), got -0.1"),
         ({**TINY_ALL, "chain": {"potential_times": [0.05, -0.1]}},
          "chain.potential_times must be nonnegative"),
     ])
@@ -250,8 +248,7 @@ class TestConfigErrors:
          "mc.n_paths must be an integer, got 1000.5"),
         ({"command": "counterexample", "alpha": 0.5, "counterexample": {"n_list": [1, 2.5]}},
          "counterexample.n_list must be an integer, got 2.5"),
-        ({"command": "simulate", "mc": {"seed": -1}},
-         "seeds must be >= 0, got mc.seed -1 and poincare.seed 7"),
+        ({"command": "simulate", "mc": {"seed": -1}}, "mc.seed must be >= 0, got -1"),
         ({"command": "spectrum", "N": "64", "alpha": "1.5"},
          "alpha must be a number, got '1.5'"),
         ({"command": "simulate", "mc": {"t_final": "1e-1", "n_paths": "100"}},
@@ -516,6 +513,26 @@ class TestSimulateAndPhi:
         assert lines[0] == "x,mean,stderr,n_paths"
         assert len(lines) == 8
 
+    def test_simulate_fails_on_an_asymmetric_bimodal_profile(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # Mirror pair (1, 3) differs by 0.3 against a slack of 0.06, and the
+        # fall 0.5 -> 0.3 before the peak at 0.8 exceeds its slack by 0.14.
+        means = [0.1, 0.5, 0.3, 0.8, 0.2]
+
+        def fake(xs, potential, cfg, n_paths):
+            return [montecarlo.PathEstimate(float(x), m, 0.01, n_paths)
+                    for x, m in zip(xs, means)]
+
+        monkeypatch.setattr(cli, "estimate_feynman_kac", fake)
+        code = run(write_config(tmp_path, {"command": "simulate", "mc": {"n_points": 5}}),
+                   output_dir=str(tmp_path / "out"))
+        assert code == EXIT_CHECK_FAILED
+        captured = capsys.readouterr().out
+        assert ("FAIL fk_symmetry: mirror deviations within 3 stderr "
+                "(worst slack excess 2.400e-01)\n") in captured
+        assert ("FAIL fk_unimodality: profile unimodal within 3 stderr "
+                "(worst excess 1.400e-01)\n") in captured
+
     @pytest.mark.parametrize("command", ["simulate", "all"])
     def test_shift_of_a_quarter_interval_refused_before_output(self, tmp_path, capsys,
                                                                 command):
@@ -525,9 +542,9 @@ class TestSimulateAndPhi:
                                          "mc": {"t_final": 10.0, "n_steps": 1}})
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "config error: mc.t_final / mc.n_steps = 10 moves each kill boundary "
+            "config error: t_final / n_steps = 10 moves each kill boundary "
             "3.85259 inward, not under a quarter of the interval length 2; "
-            "raise mc.n_steps\n")
+            "raise n_steps\n")
         assert not out.exists()
 
     def test_shift_checked_only_where_paths_run_and_shift(self):

@@ -1,20 +1,25 @@
-"""Every entry point refuses a bad interval and an alpha at either end of
-its range, through the two shared domain checks."""
+"""Every entry point refuses a bad interval, an alpha at either end of its
+range, a count that is not an integer at least its least value and a time
+outside (0, inf), through the shared domain checks."""
 
 import math
 
 import pytest
 
-from fracgap.errors import DomainError, _require_interval, _require_open
+import numpy as np
+
+from fracgap.errors import DomainError, _require_count, _require_interval, _require_open
 from fracgap.forms import gap_bounds
-from fracgap.montecarlo import (PathConfig, make_rng, sample_stable_increment,
+from fracgap.montecarlo import (PathConfig, cauchy_kernel_check, estimate_feynman_kac,
+                                gaussian_chain, make_rng, sample_stable_increment,
                                 sample_subordinator_increment)
 from fracgap.numerics import (PiecewiseLinear, piecewise_linear_form, piecewise_linear_mass,
                               piecewise_linear_weighted_form)
 from fracgap.poincare import (counterexample_scan, poincare_check, poincare_constant,
-                              step_contraction, weighted_poincare_check, witness_search)
+                              random_piecewise_linear, step_contraction,
+                              weighted_poincare_check, witness_search)
 from fracgap.potentials import make_inverse_boundary_well, make_power_well, make_zero
-from fracgap.spectral import Grid
+from fracgap.spectral import Grid, assemble_operator, eigensolve, frac_coeffs
 
 RAMP = PiecewiseLinear([0.0, 1.0], [0.0, 1.0])
 ONE = PiecewiseLinear([0.0, 1.0], [1.0, 1.0])
@@ -87,3 +92,74 @@ def test_checks_return_floats():
     assert type(_require_open(1, 0.0, 2.0, "alpha")) is float
     with pytest.raises(DomainError, match=r"^alpha must lie in \(0, 2\), got nan$"):
         _require_open(math.nan, 0.0, 2.0, "alpha")
+
+
+ZERO = make_zero((0.0, 1.0))
+OP = assemble_operator(Grid(0.0, 1.0, 8), 1.5, ZERO)
+
+# name: (call(count), least value).
+COUNTS = {
+    "Grid.n": (lambda n: Grid(0.0, 1.0, n), 2),
+    "frac_coeffs.k_max": (lambda n: frac_coeffs(1.5, n), 1),
+    "eigensolve.m": (lambda n: eigensolve(OP, n), 1),
+    "PathConfig.n_steps": (lambda n: PathConfig(1.5, 0.25, n, (0.0, 1.0), 0), 1),
+    "PathConfig.seed": (lambda n: PathConfig(1.5, 0.25, 8, (0.0, 1.0), n), 0),
+    "make_rng.seed": (make_rng, 0),
+    "estimate_feynman_kac.n_paths": (
+        lambda n: estimate_feynman_kac([0.5], ZERO, PathConfig(1.5, 0.25, 8, (0.0, 1.0), 0), n),
+        2),
+    "cauchy_kernel_check.n_samples": (
+        lambda n: cauchy_kernel_check(1.0, [0.0], n_samples=n), 2),
+    "random_piecewise_linear.max_segments": (
+        lambda n: random_piecewise_linear(make_rng(1), n), 3),
+    "counterexample_scan.n_list": (lambda n: counterexample_scan(0.5, (n, 40)), 1),
+}
+
+# name: call(time).
+TIMES = {
+    "PathConfig.t_final": lambda t: PathConfig(1.5, t, 8, (0.0, 1.0), 0),
+    "sample_stable_increment.dt": lambda t: sample_stable_increment(1.5, t, make_rng(1), 4),
+    "sample_subordinator_increment.dt": (
+        lambda t: sample_subordinator_increment(0.5, t, make_rng(1), 4)),
+    "cauchy_kernel_check.t": lambda t: cauchy_kernel_check(t, [0.0], n_samples=2),
+    "gaussian_chain.kernel_times": lambda t: gaussian_chain([0.5], [0.1, t], [0.0, 0.0], ZERO),
+}
+
+
+def _count_cases():
+    for name, (call, least) in COUNTS.items():
+        for value, message in [(float(least + 1), "must be an integer, got"),
+                               (True, "must be an integer, got True"),
+                               (least - 1, f"must be >= {least}, got {least - 1}")]:
+            yield pytest.param(call, value, message, id=f"{name}={value!r}")
+
+
+@pytest.mark.parametrize("call, value, message", list(_count_cases()))
+def test_counts_refuse_floats_bools_and_values_below_their_least(call, value, message):
+    with pytest.raises(DomainError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("name", list(COUNTS))
+def test_counts_accept_their_least_value_as_a_numpy_integer(name):
+    call, least = COUNTS[name]
+    call(np.int64(least))
+
+
+@pytest.mark.parametrize("name", list(TIMES))
+@pytest.mark.parametrize("value", [0.0, math.inf, math.nan])
+def test_times_refuse_values_outside_zero_to_inf(name, value):
+    with pytest.raises(DomainError, match=r"must lie in \(0, inf\), got "):
+        TIMES[name](value)
+
+
+@pytest.mark.parametrize("name", list(TIMES))
+def test_times_accept_a_positive_value(name):
+    TIMES[name](0.1)
+
+
+def test_count_check_returns_an_int():
+    assert _require_count(np.int64(3), 1, "n") == 3
+    assert type(_require_count(np.int64(3), 1, "n")) is int
+    with pytest.raises(DomainError, match=r"^n must be an integer, got '3'$"):
+        _require_count("3", 1, "n")

@@ -410,7 +410,7 @@ class TestPathConfig:
         # Each seed used to construct; -3 then failed in the first block as
         # a bare ValueError from Philox, and 1.5 as a TypeError.
         for seed in (-3, 1.5, True, "7", None):
-            with pytest.raises(DomainError, match="seed must be a nonnegative int"):
+            with pytest.raises(DomainError, match=r"^seed must be (an integer|>= 0), got "):
                 PathConfig(1.5, 0.25, 8, (-1.0, 1.0), seed)
         PathConfig(1.5, 0.25, 8, (-1.0, 1.0), np.int64(3))
 
@@ -553,6 +553,15 @@ class TestKillShift:
         for alpha in (0.3, 1.0, 1.2, math.nextafter(low, 0.0)):
             assert montecarlo._kill_shift(alpha, 1e-3) == 0.0, alpha
         assert montecarlo._kill_shift(low, 1e-3) > 0.0
+
+    def test_shift_of_a_quarter_interval_refused(self):
+        # One step over t = 10 at alpha 1.9 moves each kill boundary 2.72
+        # inward on (-1, 1), past the middle: every path was killed, and the
+        # estimates read 0 with standard error 0 at every point.
+        cfg = PathConfig(1.9, 10.0, 1, (-1.0, 1.0), 1)
+        with pytest.raises(DomainError, match=r"^t_final / n_steps = 10 moves each kill "
+                                              r"boundary 2\.72426 inward, not under a quarter"):
+            estimate_feynman_kac([-0.5, 0.0, 0.5], FREE, cfg, 100)
 
     # Means and standard errors as hex floats, from the plain grid-time
     # kill rule before the shift existed.
