@@ -31,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, WitnessSearchError, _require_count, _require_open
+from .errors import (DomainError, WitnessSearchError, _require_count, _require_interval,
+                     _require_open)
 from .forms import check_gaps
 from .montecarlo import (PathConfig, PathEstimate, _kill_delta, _kill_shift,
                          estimate_feynman_kac, gaussian_chain, make_rng)
@@ -185,7 +186,7 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
             f"command must be one of {list(_COMMANDS)}, got {command!r}")
 
     alpha = cfg["alpha"]
-    _expect(0.0 < alpha < 2.0, f"alpha must lie in (0, 2), got {alpha}")
+    _require_open(alpha, 0.0, 2.0, "alpha")
     if command in ("poincare", "all"):
         _expect(1.0 < alpha < 2.0,
                 f"command {command!r} requires alpha in (1, 2), got {alpha}")
@@ -194,9 +195,7 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
                 f"command 'counterexample' requires alpha in (0, 1), got {alpha}")
 
     _expect(len(cfg["interval"]) == 2, "interval must be [a, b]")
-    a, b = cfg["interval"]
-    _expect(b > a and math.isfinite(b - a),
-            f"interval must have b > a and a finite length, got [{a}, {b}]")
+    _require_interval(*cfg["interval"])
 
     n_grid = _require_count(cfg["N"], 16, "N")
     dense_bytes = 8.0 * _DENSE_ARRAYS * n_grid * n_grid

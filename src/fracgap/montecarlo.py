@@ -457,8 +457,8 @@ def gaussian_chain(x_points, kernel_times, potential_times, potential) -> ChainR
         raise DomainError("kernel_times and potential_times must have equal length")
     if len(s_list) not in (1, 2):
         raise DomainError(f"chain length must be 1 or 2, got {len(s_list)}")
-    if any(t < 0 for t in t_list):
-        raise DomainError("potential times must be nonnegative")
+    if not all(0.0 <= t < math.inf for t in t_list):
+        raise DomainError(f"potential times must be finite and >= 0, got {t_list}")
     a, b = potential.interval
     xs = np.asarray(x_points, dtype=float)
     if xs.ndim != 1 or xs.size == 0:

@@ -256,9 +256,9 @@ class TestConfigErrors:
         ({"command": "simulate", "mc": {"t_final": math.inf}},
          "mc.t_final must be finite, got inf"),
         ({"command": "spectrum", "N": 64, "interval": [-1e308, 1e308]},
-         "interval must have b > a and a finite length, got [-1e+308, 1e+308]"),
+         "interval must be finite with b > a and a finite length, got (-1e+308, 1e+308)"),
         ({"command": "simulate", "interval": [-1e308, 1e308]},
-         "interval must have b > a and a finite length, got [-1e+308, 1e+308]"),
+         "interval must be finite with b > a and a finite length, got (-1e+308, 1e+308)"),
         ({"command": "spectrum", "N": 64, "interval": [0, 1e-300]},
          "h^(-alpha) g_0 overflows at h=1.5384615384615385e-302, alpha=1.5"),
         ({"alpha": 1.5}, "command must be given"),

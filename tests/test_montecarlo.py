@@ -635,8 +635,10 @@ class TestGaussianChain:
             gaussian_chain([0.0], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3], FREE)
         with pytest.raises(DomainError):
             gaussian_chain([0.0], [0.0], [0.1], FREE)
-        with pytest.raises(DomainError):
-            gaussian_chain([0.0], [0.1], [-0.1], FREE)
+        # inf and nan potential times used to pass and gave nan values.
+        for t in (-0.1, math.inf, math.nan):
+            with pytest.raises(DomainError, match="^potential times must be finite and >= 0"):
+                gaussian_chain([-0.5, 0.0, 0.5], [0.1], [t], FREE)
 
     @pytest.mark.parametrize("interval", [(0.0, 1e-300), (-1e300, 1e300)])
     def test_underflow_to_zero_rejected(self, interval):

@@ -10,9 +10,14 @@ from scipy.special import gamma as scipy_gamma
 
 from fracgap.errors import DomainError
 from fracgap.montecarlo import make_rng
+from fracgap import numerics
 from fracgap.numerics import (
+    _PAIR_BLOCK,
     _balanced,
     _cell_edges,
+    _edge_moments,
+    _kernel_moments,
+    _pair_sums,
     _pl_form_terms,
     _pl_weighted_terms,
     gamma_fn,
@@ -432,3 +437,109 @@ class TestPiecewiseLinearWeightedForm:
             piecewise_linear_weighted_form(*pair([0.0, 1.0], [0.0, 1.0],
                                                  [0.0, 0.5, 0.5], [1.0, 1.0, 1.0]), 1.5,
                                            (0.0, 1.0))
+
+
+def padded_rectangle_terms(edges, fv, wv, alpha):
+    """_pl_weighted_terms as it was: every far block a full n x kb rectangle
+    over zero-padded cells, so n (n - 2) pair terms for (n - 1) (n - 2) / 2
+    pairs."""
+    h = edges[1:] - edges[:-1]
+    d = fv[1:] - fv[:-1]
+    g = wv[1:] - wv[:-1]
+    w0 = wv[:-1]
+    n = h.size
+    beta = 1 - alpha
+    d00 = 2 / ((beta + 1) * (beta + 2))
+    d11 = ((1 / (beta + 4) + 2 / ((beta + 2) * (beta + 3) * (beta + 4))) / (beta + 1)
+           - 1 / ((beta + 3) * (beta + 4)))
+    same = h ** beta * d * d
+    value = same @ (w0 * w0 * d00 + w0 * g * d00 + g * g * d11)
+    magnitude = same @ (w0 * w0 * d00 + np.abs(w0 * g) * d00 + g * g * d11)
+    tail = 0 * value
+    if n < 2:
+        return value, magnitude, tail
+    moments, tails = _edge_moments(h[:-1], h[1:], alpha)
+    moments = moments * (h[:-1] * h[1:])[:, None, None]
+    zero = np.zeros(n - 1, dtype=h.dtype)
+    right = (w0[1:], g[1:], d[1:])
+    value = value + 2 * _pair_sums(zero, (w0[1:], -g[:-1], -d[:-1]), right, moments, -1).sum()
+    adjacent = _pair_sums(zero, tuple(np.abs((w0[1:], g[:-1], d[:-1]))),
+                          tuple(np.abs(right)), moments, 1)
+    magnitude = magnitude + 2 * adjacent.sum()
+    tail = tail + 2 * tails @ adjacent
+    uniform = bool((h == h[0]).all())
+    if uniform:
+        table, table_tails = _kernel_moments(np.arange(1, n - 1, dtype=h.dtype) * h[0],
+                                             h[1:-1], h[1:-1], alpha)
+        table = table * h[0] * h[0]
+    fv_p, w_p, g_p, d_p, h_p, right_p = (np.concatenate([a, np.zeros(n, dtype=h.dtype)])
+                                         for a in (fv[:-1], w0, g, d, h, edges[1:]))
+    x = (w0[:, None], g[:, None], d[:, None])
+    weight_x = np.abs(w0) + np.abs(g)
+    block = max(1, _PAIR_BLOCK // n)
+    for k0 in range(2, n, block):
+        kb = min(block, n - k0)
+
+        def window(a):
+            return np.lib.stride_tricks.sliding_window_view(a[k0:k0 + n + kb - 1], kb)
+
+        y = (window(w_p), window(g_p), window(d_p))
+        delta = fv[:-1, None] - window(fv_p)
+        if uniform:
+            moments, tails = table[k0 - 2:k0 - 2 + kb], table_tails[k0 - 2:k0 - 2 + kb]
+        else:
+            real = np.add.outer(np.arange(n), np.arange(k0, k0 + kb)) < n
+            hy = window(h_p)[real]
+            moments = np.zeros((n, kb, 4, 4), dtype=h.dtype)
+            tails = np.zeros((n, kb), dtype=h.dtype)
+            hx = np.broadcast_to(h[:, None], real.shape)[real]
+            moments[real], tails[real] = _kernel_moments(
+                (window(right_p) - edges[1:, None])[real] - hy, hx, hy, alpha)
+            moments[real] *= (hx * hy)[:, None, None]
+        value = value + 2 * _pair_sums(delta, x, y, moments, -1).sum()
+        bound = ((np.abs(delta) + np.abs(d[:, None]) + np.abs(y[2])) ** 2
+                 * weight_x[:, None] * (np.abs(y[0]) + np.abs(y[1])) * moments[..., 0, 0])
+        magnitude = magnitude + 2 * bound.sum()
+        tail = tail + 2 * (tails * bound).sum()
+    return value, magnitude, tail
+
+
+class TestFarPairRows:
+    """The far blocks run only on the rows that meet a real cell, with the
+    padded rectangle's bits and about half its pair terms."""
+
+    @staticmethod
+    def cells(n, equal, rng):
+        if equal:
+            edges = np.arange(n + 1.0)
+        else:
+            edges = np.cumsum(np.concatenate([[0.0], rng.uniform(1.0, 1.8, n)]))
+        return edges, np.cumsum(rng.standard_normal(n + 1)), 0.2 + rng.random(n + 1)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.9])
+    @pytest.mark.parametrize("n, equal", [(3, True), (4, True), (40, True), (513, True),
+                                          (150, False), (260, False)])
+    def test_bits_match_the_padded_rectangle(self, n, equal, alpha):
+        # Equal cells: one block at n = 3, 4 and 40, and 17 at n = 513,
+        # whose last holds 15 offsets of the 31 a block takes. Unequal cells
+        # (widths within a factor 1.8, as _balanced leaves them): 2 and 5.
+        edges, fv, wv = self.cells(n, equal, make_rng(n))
+        assert bool((np.diff(edges) == 1.0).all()) == equal
+        got = _pl_weighted_terms(edges, fv, wv, alpha)
+        want = padded_rectangle_terms(edges, fv, wv, alpha)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+    def test_far_pair_work_is_about_half_the_rectangle(self, monkeypatch):
+        n = 513
+        sizes = []
+
+        def counting(delta, *args):
+            if delta.ndim == 2:
+                sizes.append(delta.size)
+            return _pair_sums(delta, *args)
+
+        monkeypatch.setattr(numerics, "_pair_sums", counting)
+        _pl_weighted_terms(*self.cells(n, True, make_rng(1)), 1.5)
+        # The padded rectangle computes n (n - 2) terms; (n - 1) (n - 2) / 2 exist.
+        assert len(sizes) == 17
+        assert (n - 1) * (n - 2) // 2 <= sum(sizes) <= 0.55 * n * (n - 2)
