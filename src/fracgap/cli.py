@@ -35,12 +35,14 @@ from .errors import (DomainError, WitnessSearchError, _require_count, _require_i
                      _require_open)
 from .forms import check_gaps
 from .montecarlo import (PathConfig, PathEstimate, _kill_delta, _kill_shift,
-                         estimate_feynman_kac, gaussian_chain, make_rng)
+                         _require_chain_times, estimate_feynman_kac, gaussian_chain,
+                         make_rng)
 from .numerics import _unimodal_excess
 from .poincare import (_require_n_list, counterexample_scan, poincare_check,
                        poincare_constant, random_piecewise_linear, witness_search)
-from .potentials import (load_tabulated_csv, make_inverse_boundary_well,
-                         make_power_well, make_zero, validate_single_well)
+from .potentials import (_require_on_interval, load_tabulated_csv,
+                         make_inverse_boundary_well, make_power_well, make_zero,
+                         validate_single_well)
 from .serialize import csv_text, dumps_json, write_atomic
 from .spectral import (Grid, assemble_operator, boundary_decay_check, eigensolve,
                        ground_state_shape_check)
@@ -81,9 +83,9 @@ _DENSE_ARRAYS = 6
 _MC_ARRAYS = 4
 _MC_PATH_ARRAYS = 16
 
-_COMMANDS = ("spectrum", "gap", "poincare", "counterexample", "simulate",
-             "phi", "all")
-_POTENTIAL_COMMANDS = ("spectrum", "gap", "simulate", "phi", "all")
+# The stages `all` runs, in order; any other command is the one stage it names.
+_STAGES = ("spectrum", "gap", "poincare", "counterexample", "simulate", "phi")
+_COMMANDS = _STAGES + ("all",)
 # The config schema: every key with its default, section by section, in the
 # order config_echo.json lists them. A value is read as the type of its
 # default: a float, an int, a string, or a list of the type of its first
@@ -113,6 +115,11 @@ _POTENTIAL_DEFAULTS = {
     "inverse_boundary_well": {"beta": float},
     "tabulated": {"path": str},
 }
+
+
+def _stages(command: str) -> tuple[str, ...]:
+    """The stages command runs."""
+    return _STAGES if command == "all" else (command,)
 
 
 class ConfigError(ValueError):
@@ -184,10 +191,11 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
     command = cfg["command"]
     _expect(command in _COMMANDS,
             f"command must be one of {list(_COMMANDS)}, got {command!r}")
+    stages = _stages(command)
 
     alpha = cfg["alpha"]
     _require_open(alpha, 0.0, 2.0, "alpha")
-    if command in ("poincare", "all"):
+    if "poincare" in stages:
         _expect(1.0 < alpha < 2.0,
                 f"command {command!r} requires alpha in (1, 2), got {alpha}")
     if command == "counterexample":
@@ -222,20 +230,12 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
     counter = cfg["counterexample"]
     if "alpha" not in raw.get("counterexample", {}) and alpha < 1.0:
         counter["alpha"] = alpha
-    _expect(0.0 < counter["alpha"] < 1.0,
-            f"counterexample.alpha must lie in (0, 1), got {counter['alpha']}")
+    _require_open(counter["alpha"], 0.0, 1.0, "counterexample.alpha")
     _require_n_list(counter["n_list"], "counterexample.n_list")
 
     chain = cfg["chain"]
     _require_count(chain["n_points"], 1, "chain.n_points")
-    _expect(len(chain["kernel_times"]) in (1, 2),
-            "chain.kernel_times must have length 1 or 2")
-    _expect(len(chain["kernel_times"]) == len(chain["potential_times"]),
-            "chain.kernel_times and chain.potential_times must match in length")
-    for s in chain["kernel_times"]:
-        _require_open(s, 0.0, math.inf, "chain.kernel_times entry")
-    _expect(all(t >= 0 for t in chain["potential_times"]),
-            "chain.potential_times must be nonnegative")
+    _require_chain_times(chain["kernel_times"], chain["potential_times"], "chain.")
 
     if output_dir is not None:
         cfg["output_dir"] = output_dir
@@ -246,7 +246,7 @@ def _resolve_config(raw: dict, output_dir: str | None, seed: int | None) -> dict
     # PathConfig's own checks and the kill shift's bound, before any stage
     # writes output.
     path_cfg = _path_config(cfg)
-    if command in ("simulate", "all"):
+    if "simulate" in stages:
         _kill_delta(path_cfg)
     return cfg
 
@@ -262,9 +262,7 @@ def _build_potential(cfg: dict):
     if kind == "inverse_boundary_well":
         return make_inverse_boundary_well(pot["beta"], cfg["alpha"], interval)
     potential = load_tabulated_csv(pot["path"])
-    pa, pb = potential.interval
-    _expect(abs(pa - interval[0]) <= 1e-12 and abs(pb - interval[1]) <= 1e-12,
-            f"tabulated potential covers [{pa}, {pb}], config interval is {list(interval)}")
+    _require_on_interval(potential, *interval)
     return potential
 
 
@@ -408,16 +406,10 @@ def _cmd_simulate(cfg: dict, out: Path, rep: _Reporter, potential) -> None:
 
     means = np.array([e.mean for e in estimates])
     ses = np.array([e.stderr for e in estimates])
-    sym_ok = True
-    worst_sym = 0.0
-    for i in range(len(estimates) // 2):
-        j = len(estimates) - 1 - i
-        dev = abs(means[i] - means[j])
-        slack = 3.0 * (ses[i] + ses[j])
-        worst_sym = max(worst_sym, dev - slack)
-        if dev > slack:
-            sym_ok = False
-    rep.check(sym_ok, "fk_symmetry",
+    # Each mirror pair once: the first half of the points against the last.
+    excess = np.abs(means - means[::-1]) - 3.0 * (ses + ses[::-1])
+    worst_sym = float(np.max(excess[:len(estimates) // 2], initial=0.0))
+    rep.check(worst_sym == 0.0, "fk_symmetry",
               f"mirror deviations within 3 stderr (worst slack excess "
               f"{worst_sym:.3e})")
     worst_uni = _unimodal_excess(means, 3.0 * (ses[:-1] + ses[1:]))
@@ -466,10 +458,12 @@ def _run(config_path: str, output_dir: str | None, seed: int | None,
         raw = json.loads(Path(config_path).read_text())
         cfg = _resolve_config(raw, output_dir, seed)
         command = cfg["command"]
-        potential = (_build_potential(cfg) if command in _POTENTIAL_COMMANDS
-                     else None)
+        stages = _stages(command)
+        # Only the poincare and counterexample stages read no potential.
+        potential = (_build_potential(cfg)
+                     if set(stages) - {"poincare", "counterexample"} else None)
         # The star gap is defined through the antisymmetric eigenfunction.
-        _expect(command not in ("gap", "all") or potential.symmetric,
+        _expect("gap" not in stages or potential.symmetric,
                 f"command {command!r} needs a mirror-symmetric potential")
     except (OSError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -477,29 +471,27 @@ def _run(config_path: str, output_dir: str | None, seed: int | None,
 
     out = Path(cfg["output_dir"])
     try:
-        if command in ("spectrum", "gap", "all"):
+        if "spectrum" in stages or "gap" in stages:
             grid = Grid(cfg["interval"][0], cfg["interval"][1], cfg["N"])
             # Before any output exists: a potential that overflows at a
             # node fails assembly's finiteness check, which names the node.
             with np.errstate(over="ignore", invalid="ignore"):
                 op = assemble_operator(grid, cfg["alpha"], potential)
+            # The gap stage reads lambda_2 and phi_2.
+            result = eigensolve(op, max(cfg["m"], 2) if "gap" in stages else cfg["m"])
         out.mkdir(parents=True, exist_ok=True)
         write_atomic(out / "config_echo.json", dumps_json(cfg))
-        if command in ("spectrum", "gap", "all"):
-            # The gap stage reads lambda_2 and phi_2.
-            m = cfg["m"] if command == "spectrum" else max(cfg["m"], 2)
-            result = eigensolve(op, m)
-        if command in ("spectrum", "all"):
+        if "spectrum" in stages:
             _cmd_spectrum(cfg, out, rep, potential, result)
-        if command in ("gap", "all"):
+        if "gap" in stages:
             _cmd_gap(cfg, out, rep, result)
-        if command in ("poincare", "all"):
+        if "poincare" in stages:
             _cmd_poincare(cfg, out, rep)
-        if command in ("counterexample", "all"):
+        if "counterexample" in stages:
             _cmd_counterexample(cfg, out, rep)
-        if command in ("simulate", "all"):
+        if "simulate" in stages:
             _cmd_simulate(cfg, out, rep, potential)
-        if command in ("phi", "all"):
+        if "phi" in stages:
             _cmd_phi(cfg, rep, potential)
     except WitnessSearchError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)

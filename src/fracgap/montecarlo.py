@@ -80,6 +80,7 @@ import numpy as np
 
 from .errors import DomainError, _require_count, _require_interval, _require_open
 from .numerics import _gauss_legendre, _unimodal_excess
+from .potentials import _require_on_interval
 
 __all__ = [
     "PathConfig",
@@ -126,6 +127,34 @@ class PathEstimate:
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based Philox generator for seed."""
     return np.random.Generator(np.random.Philox(_require_count(seed, 0, "seed")))
+
+
+def _require_points(x_points) -> np.ndarray:
+    """Start points as a float array; refused unless nonempty, 1-d and finite."""
+    xs = np.asarray(x_points, dtype=float)
+    if xs.ndim != 1 or xs.size == 0:
+        raise DomainError("x_points must be a nonempty 1d array")
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("x_points must be finite")
+    return xs
+
+
+def _require_chain_times(kernel_times, potential_times,
+                         prefix: str = "") -> tuple[list[float], list[float]]:
+    """A kernel chain's times as two lists of floats; refused unless every
+    kernel time lies in (0, inf), the two lists match in length, that
+    length is 1 or 2, and every potential time is finite and >= 0. prefix
+    starts the names in the texts."""
+    s_list = [_require_open(s, 0.0, math.inf, f"{prefix}kernel_times entry")
+              for s in np.atleast_1d(kernel_times)]
+    t_list = [float(t) for t in np.atleast_1d(potential_times)]
+    if len(s_list) != len(t_list):
+        raise DomainError(f"{prefix}kernel_times and {prefix}potential_times must match in length")
+    if len(s_list) not in (1, 2):
+        raise DomainError(f"{prefix}kernel_times must have length 1 or 2, got {len(s_list)}")
+    if not all(0.0 <= t < math.inf for t in t_list):
+        raise DomainError(f"{prefix}potential_times must be finite and >= 0, got {t_list}")
+    return s_list, t_list
 
 
 def sample_subordinator_increment(index: float, dt: float,
@@ -403,12 +432,12 @@ def estimate_feynman_kac(x_points, potential, cfg: PathConfig,
     positions, and must act elementwise. It is evaluated outside the
     interval only for paths already killed from that start point, and less
     than max(x_points) - min(x_points) beyond it; only the surviving paths'
-    sums must be finite.
+    sums must be finite. A Potential must be defined on cfg.interval
+    (potentials._require_on_interval); a plain callable has no interval.
     """
     n_paths = _require_count(n_paths, 2, "n_paths")
-    xs = np.asarray(x_points, dtype=float)
-    if xs.ndim != 1 or xs.size == 0:
-        raise DomainError("x_points must be a nonempty 1d array")
+    xs = _require_points(x_points)
+    _require_on_interval(potential, *cfg.interval)
     values = _fk_values(xs, potential, cfg, n_paths)
     out = []
     for i in range(xs.size):
@@ -450,21 +479,9 @@ def gaussian_chain(x_points, kernel_times, potential_times, potential) -> ChainR
     A potential that is not finite at a Gauss node, or values that all
     underflow to 0, raise DomainError.
     """
-    s_list = [_require_open(s, 0.0, math.inf, "kernel time")
-              for s in np.atleast_1d(kernel_times)]
-    t_list = [float(t) for t in np.atleast_1d(potential_times)]
-    if len(s_list) != len(t_list):
-        raise DomainError("kernel_times and potential_times must have equal length")
-    if len(s_list) not in (1, 2):
-        raise DomainError(f"chain length must be 1 or 2, got {len(s_list)}")
-    if not all(0.0 <= t < math.inf for t in t_list):
-        raise DomainError(f"potential times must be finite and >= 0, got {t_list}")
+    s_list, t_list = _require_chain_times(kernel_times, potential_times)
     a, b = potential.interval
-    xs = np.asarray(x_points, dtype=float)
-    if xs.ndim != 1 or xs.size == 0:
-        raise DomainError("x_points must be a nonempty 1d array")
-    if not np.all(np.isfinite(xs)):
-        raise DomainError("x_points must be finite")
+    xs = _require_points(x_points)
 
     gx, gw = _gauss_legendre(_CHAIN_NODES)
     y = 0.5 * (a + b) + 0.5 * (b - a) * gx
@@ -514,7 +531,7 @@ def cauchy_kernel_check(t: float, x_points, n_samples: int = 200_000,
     """
     t = _require_open(t, 0.0, math.inf, "t")
     n_samples = _require_count(n_samples, 2, "n_samples")
-    xs = np.asarray(x_points, dtype=float)
+    xs = _require_points(x_points)
     rng = make_rng(seed)
     eta = sample_subordinator_increment(0.5, t, rng, size=n_samples)
 

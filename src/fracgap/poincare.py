@@ -55,6 +55,14 @@ _DEPTH_SCALE = 1e-9
 CAMPAIGN_CFG = QuadConfig(abs_tol=1e-6, rel_tol=1e-2, max_panels=512)
 
 
+def _require_left_zero(f: PiecewiseLinear, a: float, b: float) -> float:
+    """f(b); refused unless |f(a)| <= _BOUNDARY_TOL max(1, |f(b)|)."""
+    fa, fb = (float(v) for v in f(np.array([a, b])))
+    if abs(fa) > _BOUNDARY_TOL * max(1.0, abs(fb)):
+        raise DomainError(f"f must vanish at the left endpoint; got f({a!r}) = {fa!r}")
+    return fb
+
+
 def poincare_constant(alpha: float) -> float:
     """The universal constant (1/9)^((alpha+1)/(alpha-1)), alpha in (1, 2)."""
     _require_open(alpha, 1.0, 2.0, "alpha")
@@ -82,7 +90,7 @@ def poincare_check(f: PiecewiseLinear, alpha: float,
                    interval: tuple[float, float] = (0.0, 1.0), cfg=None) -> PoincareResult:
     """Check the inequality for one function.
 
-    f must vanish at the left endpoint within 1e-10; the bound then
+    f must vanish at the left endpoint (_require_left_zero); the bound then
     involves the value at the right endpoint. The ratio lhs/rhs is inf when
     the bound is vacuous (rhs = 0 with positive lhs) and nan when both
     sides vanish. lhs is the closed form (piecewise_linear_form), exact up
@@ -92,9 +100,7 @@ def poincare_check(f: PiecewiseLinear, alpha: float,
     _require_piecewise_linear(f)
     _require_open(alpha, 1.0, 2.0, "alpha")
     a, b = _require_interval(interval[0], interval[1])
-    fa, fb = (float(v) for v in f(np.array([a, b])))
-    if abs(fa) > _BOUNDARY_TOL * max(1.0, abs(fb)):
-        raise DomainError(f"f must vanish at the left endpoint; got {fa!r}")
+    fb = _require_left_zero(f, a, b)
 
     lhs = piecewise_linear_form(f, alpha, (a, b))
     rhs = poincare_constant(alpha) * fb ** 2 / (b - a) ** (alpha - 1.0)
@@ -145,9 +151,10 @@ class WitnessCertificate:
 def witness_search(f: PiecewiseLinear, alpha: float) -> WitnessCertificate:
     """Run the constructive zoom recursion until it terminates.
 
-    f is Lipschitz on [0, 1] with f(0) = 0 and f(1) != 0; it is normalized
-    by f(1) internally. At step n the current interval [a_n, b_n] has width
-    c^(n-1) and carries anchor levels (f_a, f_b) with f_b - f_a = 3^(-(n-1)).
+    f is Lipschitz on [0, 1] with f(0) = 0 (_require_left_zero) and
+    f(1) != 0; it is normalized by f(1) internally. At step n the current
+    interval [a_n, b_n] has width c^(n-1) and carries anchor levels
+    (f_a, f_b) with f_b - f_a = 3^(-(n-1)).
     Probe points sit a fraction c inside either end, with probe levels
     3^(-n) above f_a and below f_b. If f crosses the low level before the
     left probe point, the recursion descends left; if it crosses the high
@@ -160,9 +167,7 @@ def witness_search(f: PiecewiseLinear, alpha: float) -> WitnessCertificate:
     """
     _require_piecewise_linear(f)
     _require_open(alpha, 1.0, 2.0, "alpha")
-    f0, f1 = (float(v) for v in f(np.array([0.0, 1.0])))
-    if abs(f0) > _BOUNDARY_TOL * max(1.0, abs(f1)):
-        raise DomainError(f"witness_search requires f(0) = 0, got {f0!r}")
+    f1 = _require_left_zero(f, 0.0, 1.0)
     if f1 == 0.0:
         raise DomainError("witness_search requires f(1) != 0")
 
@@ -222,21 +227,19 @@ def weighted_poincare_check(f: PiecewiseLinear, g: PiecewiseLinear, alpha: float
                             cfg=None) -> WeightedPoincareResult:
     """Weighted variant: kernel mass with weight g dominates the g^2 mass of f^2.
 
-    Requires f(a) = 0, and g positive on [a, b) and nonincreasing (checked
-    exactly at a, g's knots and b; violations are rejected). The bound
-    constant is the same universal one divided by the interval length to
-    the alpha. lhs and
-    the mass of (f g)^2 are exact (piecewise_linear_weighted_form,
-    piecewise_linear_mass), and lhs_error and rhs_error are rounding-level
-    bounds. cfg is ignored (see CAMPAIGN_CFG).
+    Requires f(a) = 0 (_require_left_zero), and g positive on [a, b) and
+    nonincreasing (checked exactly at a, g's knots and b; violations are
+    rejected). The bound constant is the same universal one divided by the
+    interval length to the alpha. lhs and the mass of (f g)^2 are exact
+    (piecewise_linear_weighted_form, piecewise_linear_mass), and lhs_error
+    and rhs_error are rounding-level bounds. cfg is ignored (see
+    CAMPAIGN_CFG).
     """
     _require_piecewise_linear(f)
     _require_piecewise_linear(g, "g")
     _require_open(alpha, 1.0, 2.0, "alpha")
     a, b = _require_interval(interval[0], interval[1])
-    fa = float(f(a))
-    if abs(fa) > _BOUNDARY_TOL:
-        raise DomainError(f"weighted check requires f(a) = 0, got {fa!r}")
+    _require_left_zero(f, a, b)
 
     # g is linear between a, its knots inside (a, b) and b: checking there
     # is exact. g(b) may be 0, but not below it.

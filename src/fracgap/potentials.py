@@ -42,7 +42,7 @@ class Potential:
     kind is one of "zero", "power_well", "inverse_boundary_well",
     "tabulated". params carries the family parameters in a fixed order
     (power well: kappa, p; inverse boundary well: beta); table is the
-    PiecewiseLinear of a tabulated well.
+    PiecewiseLinear of a tabulated well. params and offset must be finite.
     """
 
     kind: str
@@ -50,6 +50,11 @@ class Potential:
     params: tuple[float, ...] = ()
     offset: float = 0.0
     table: PiecewiseLinear | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if not np.all(np.isfinite([*self.params, self.offset])):
+            raise DomainError(f"{self.kind} potential needs finite parameters, got "
+                              f"params {self.params} and offset {self.offset}")
 
     def __call__(self, x) -> np.ndarray:
         """V at x, elementwise; x is never written.
@@ -120,6 +125,15 @@ class Potential:
         vals = self.table(pts)
         mirror = self.table((a + b) - pts)
         return pts, vals, mirror, 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+
+
+def _require_on_interval(potential, a: float, b: float) -> None:
+    """Refuse a Potential whose interval's ends differ from a and b by more
+    than 1e-12. Any other callable has no interval and passes."""
+    if isinstance(potential, Potential) and max(abs(a - potential.interval[0]),
+                                                abs(b - potential.interval[1])) > 1e-12:
+        raise DomainError(f"the potential is defined on {potential.interval}, "
+                          f"not on ({a!r}, {b!r})")
 
 
 def make_zero(interval: tuple[float, float], offset: float = 0.0) -> Potential:

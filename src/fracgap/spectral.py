@@ -51,7 +51,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, _require_count, _require_interval
 from .numerics import _unimodal_excess, _unimodal_steps, gamma_fn
-from .potentials import Potential
+from .potentials import Potential, _require_on_interval
 
 __all__ = [
     "Grid",
@@ -198,9 +198,7 @@ def assemble_operator(grid: Grid, alpha: float, potential: Potential) -> Operato
     """
     if not isinstance(potential, Potential):
         raise DomainError(f"potential must be a Potential, got {type(potential).__name__}")
-    if max(abs(grid.a - potential.interval[0]), abs(grid.b - potential.interval[1])) > 1e-12:
-        raise DomainError(f"grid covers ({grid.a!r}, {grid.b!r}), "
-                          f"the potential {potential.interval}")
+    _require_on_interval(potential, grid.a, grid.b)
     n = grid.n
     nodes = grid.nodes()
     if potential.symmetric:

@@ -1,5 +1,8 @@
 """Shared fixtures: expensive eigensolves reused across test modules."""
 
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -8,6 +11,12 @@ from fracgap.spectral import Grid, assemble_operator, eigensolve
 
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
+
+# pytest finds the package in src through pyproject's pythonpath; the CLI
+# runs that the tests start as subprocesses find it through PYTHONPATH.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

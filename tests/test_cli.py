@@ -229,7 +229,7 @@ class TestConfigErrors:
         ({**TINY_ALL, "chain": {"kernel_times": [-0.1, 0.2]}},
          "chain.kernel_times entry must lie in (0, inf), got -0.1"),
         ({**TINY_ALL, "chain": {"potential_times": [0.05, -0.1]}},
-         "chain.potential_times must be nonnegative"),
+         "chain.potential_times must be finite and >= 0, got [0.05, -0.1]"),
     ])
     def test_empty_sizes_rejected_before_output(self, tmp_path, capsys, payload, message):
         # Each used to fail inside its stage, after config_echo.json (and
@@ -640,6 +640,26 @@ class TestOutputSchema:
                                     "consistency_gap_vs_rayleigh", "pass_main", "pass_star"]
         assert report["bound_main"] is None and report["pass_main"] is None
         assert report["pass_star"] is True
+
+    def test_all_writes_the_union_of_the_single_commands(self, tmp_path):
+        tiny = {"N": 64, "mc": {"n_paths": 200, "n_steps": 4, "n_points": 3},
+                "poincare": {"n_functions": 2}}
+        code, out = run_quiet(tmp_path, {**tiny, "command": "all"})
+        assert code == EXIT_OK
+        written = {}
+        for command in ("spectrum", "gap", "poincare", "counterexample", "simulate", "phi"):
+            # counterexample alone needs alpha below 1; under all it reads
+            # counterexample.alpha, which defaults to the same 0.5.
+            alpha = 0.5 if command == "counterexample" else 1.5
+            single = tmp_path / command
+            assert run(write_config(tmp_path, {**tiny, "command": command, "alpha": alpha},
+                                    f"{command}.json"),
+                       output_dir=str(single), quiet=True) == EXIT_OK, command
+            written.update((p.name, p.read_bytes()) for p in single.iterdir()
+                           if p.name != "config_echo.json")
+        assert (out / "config_echo.json").exists()
+        assert {p.name: p.read_bytes() for p in out.iterdir()
+                if p.name != "config_echo.json"} == written
 
 
 class TestConfigSchema:

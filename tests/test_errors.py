@@ -1,6 +1,8 @@
 """Every entry point refuses a bad interval, an alpha at either end of its
-range, a count that is not an integer at least its least value and a time
-outside (0, inf), through the shared domain checks."""
+range, a count that is not an integer at least its least value, a time
+outside (0, inf), bad Monte Carlo start points, an f that does not vanish
+at the left end and a non-finite potential parameter, through the shared
+domain checks."""
 
 import math
 
@@ -163,3 +165,69 @@ def test_count_check_returns_an_int():
     assert type(_require_count(np.int64(3), 1, "n")) is int
     with pytest.raises(DomainError, match=r"^n must be an integer, got '3'$"):
         _require_count("3", 1, "n")
+
+
+# name: call(x_points).
+START_POINTS = {
+    "estimate_feynman_kac": (
+        lambda xs: estimate_feynman_kac(xs, ZERO, PathConfig(1.5, 0.25, 8, (0.0, 1.0), 0), 2)),
+    "gaussian_chain": lambda xs: gaussian_chain(xs, [0.1], [0.0], ZERO),
+    "cauchy_kernel_check": lambda xs: cauchy_kernel_check(1.0, xs, n_samples=2),
+}
+
+
+@pytest.mark.parametrize("name", list(START_POINTS))
+@pytest.mark.parametrize("points, message", [
+    ([], "x_points must be a nonempty 1d array"),
+    ([[0.1, 0.2]], "x_points must be a nonempty 1d array"),
+    ([math.nan], "x_points must be finite"),
+], ids=["empty", "2d", "nan"])
+def test_start_points_must_be_nonempty_1d_and_finite(name, points, message):
+    # cauchy_kernel_check used to raise numpy's ValueError on the first two
+    # and return passed=False with a nan estimate on the third.
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        START_POINTS[name](points)
+
+
+# name: call(f) at alpha 1.5 on [0, 1].
+LEFT_END = {
+    "poincare_check": lambda f: poincare_check(f, 1.5),
+    "witness_search": lambda f: witness_search(f, 1.5),
+    "weighted_poincare_check": (
+        lambda f: weighted_poincare_check(f, PiecewiseLinear([0.0, 1.0], [1.0, 0.5]), 1.5)),
+}
+
+
+@pytest.mark.parametrize("name", list(LEFT_END))
+def test_left_end_tolerance_scales_with_the_right_end_value(name):
+    # |f(0)| may reach 1e-10 max(1, |f(1)|) = 1e-7 here; the weighted check
+    # used to allow 1e-10 alone.
+    LEFT_END[name](PiecewiseLinear([0.0, 0.5, 1.0], [5e-8, 300.0, 1000.0]))
+    with pytest.raises(DomainError,
+                       match=r"^f must vanish at the left endpoint; got f\(0\.0\) = 2e-07$"):
+        LEFT_END[name](PiecewiseLinear([0.0, 0.5, 1.0], [2e-7, 300.0, 1000.0]))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda v: make_power_well(v, 2.0, (-1.0, 1.0)),
+    lambda v: make_power_well(1.0, v, (-1.0, 1.0)),
+    lambda v: make_power_well(1.0, 2.0, (-1.0, 1.0), v),
+    lambda v: make_zero((-1.0, 1.0), v),
+], ids=["power_well.kappa", "power_well.p", "power_well.offset", "zero.offset"])
+def test_potential_factories_refuse_nonfinite_parameters(call, value):
+    with pytest.raises(DomainError, match=r"^(zero|power_well) potential needs finite "):
+        call(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda pot: estimate_feynman_kac([-0.5, 0.0, 0.5], pot,
+                                     PathConfig(1.5, 0.25, 16, (-1.0, 1.0), 1), 4096),
+    lambda pot: assemble_operator(Grid(-1.0, 1.0, 16), 1.5, pot),
+], ids=["estimate_feynman_kac", "assemble_operator"])
+def test_potential_must_be_defined_on_the_interval(call):
+    # estimate_feynman_kac used to return a mean of 0.0709 at x = -0.5 here.
+    with pytest.raises(DomainError, match=r"^the potential is defined on \(0\.0, 2\.0\), "
+                                          r"not on \(-1\.0, 1\.0\)$"):
+        call(make_power_well(5.0, 2.0, (0.0, 2.0)))
+

@@ -462,7 +462,7 @@ class TestFeynmanKac:
     def test_nan_start_rejected(self):
         # NaN fails every comparison, so it is not counted as killed at t = 0.
         cfg = PathConfig(1.5, 0.25, 8, (-1.0, 1.0), seed=1)
-        with pytest.raises(DomainError, match="strictly inside"):
+        with pytest.raises(DomainError, match="x_points must be finite"):
             estimate_feynman_kac([math.nan, 0.0], FREE, cfg, 100)
 
     def test_survival_matches_eigenexpansion(self):
@@ -637,7 +637,7 @@ class TestGaussianChain:
             gaussian_chain([0.0], [0.0], [0.1], FREE)
         # inf and nan potential times used to pass and gave nan values.
         for t in (-0.1, math.inf, math.nan):
-            with pytest.raises(DomainError, match="^potential times must be finite and >= 0"):
+            with pytest.raises(DomainError, match="^potential_times must be finite and >= 0"):
                 gaussian_chain([-0.5, 0.0, 0.5], [0.1], [t], FREE)
 
     @pytest.mark.parametrize("interval", [(0.0, 1e-300), (-1e300, 1e300)])

@@ -132,7 +132,7 @@ class TestAssembleOperator:
 
     def test_grid_must_cover_potential_interval(self):
         # Mirroring a well about another interval's midpoint would be wrong.
-        with pytest.raises(DomainError, match="grid covers"):
+        with pytest.raises(DomainError, match="potential is defined on"):
             assemble_operator(Grid(0.0, 1.0, 16), 1.5,
                               make_power_well(1.0, 2.0, (-1.0, 1.0)))
 
